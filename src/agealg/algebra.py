@@ -9,20 +9,14 @@ once per type and keys everything downstream (orbit sums, products, reports).
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from math import comb, prod
 
-from .errors import InputError
-from .structures import SubsetCodes, _refine, canonical_code, find_isomorphism
-from .templates import compositions, instantiate
-
-
-def _compare_monomials(a, b):
-    # local copy of the hilbert-module order to avoid a circular import;
-    # both are exercised against each other in the tests
-    from .hilbert import compare_monomials
-    return compare_monomials(a, b)
+from .errors import ConsistencyError, InputError
+from .hilbert import compare_monomials
+from .structures import _refine, canonical_code, find_isomorphism
+from .templates import compositions, instantiate, subcompositions
 
 
 @dataclass
@@ -80,7 +74,7 @@ class TypeRegistry:
             else:
                 e = entries[code]
                 e.reps.append(comp)
-                if _compare_monomials(comp, e.lead) > 0:
+                if compare_monomials(comp, e.lead) > 0:
                     e.lead = comp
             by_struct[s] = code
             self._comp_code[comp] = code
@@ -141,21 +135,27 @@ class OrbitSum:
         return f"OrbitSum({len(self.coeffs)} terms, degree={self.degree})"
 
 
-def _split_census(struct, codes, m):
-    """Counts of (type(A1), type(A2)) over ordered splits with |A1| = m."""
-    n = struct.size
+def _splits(registry, comp, m):
+    """Counts of (type(A1), type(A2)) over ordered splits of the
+    instantiation of `comp` with |A1| = m.
+
+    A1 with block counts c1 induces the instantiation of c1 and its
+    complement that of comp - c1, so one sub-composition stands for
+    prod C(comp_i, c1_i) splits and no subset is ever canonicalized."""
     out = Counter()
-    for left in itertools.combinations(range(n), m):
-        right = tuple(x for x in range(n) if x not in left)
-        out[(codes.code(left), codes.code(right))] += 1
+    for c1 in subcompositions(comp, m):
+        c2 = tuple(d - x for d, x in zip(comp, c1))
+        weight = prod(comb(d, x) for d, x in zip(comp, c1))
+        out[(registry.code_of(c1), registry.code_of(c2))] += weight
     return out
 
 
 def structure_constant(t, tau1, tau2, tau, registry=None,
                        check_representative=True):
     """c^tau_{tau1,tau2}: ordered splits of a representative of tau whose
-    halves realize tau1 and tau2.  Independence of the representative is
-    spot-checked on a second realizing composition when one exists.
+    halves realize tau1 and tau2, counted on sub-compositions.  Independence
+    of the representative is spot-checked on a second realizing composition
+    when one exists.
 
     The tau arguments are IsoType values (code + degree)."""
     if tau.degree != tau1.degree + tau2.degree:
@@ -164,16 +164,13 @@ def structure_constant(t, tau1, tau2, tau, registry=None,
     entry = registry.entry(tau.code, tau.degree)
 
     def count_on(comp):
-        s = instantiate(t, comp)
-        codes = SubsetCodes(s)
-        census = _split_census(s, codes, tau1.degree)
-        return census.get((tau1.code, tau2.code), 0)
+        splits = _splits(registry, comp, tau1.degree)
+        return splits.get((tau1.code, tau2.code), 0)
 
     c = count_on(entry.reps[0])
     if check_representative and len(entry.reps) > 1:
         c2 = count_on(entry.reps[1])
         if c2 != c:
-            from .errors import ConsistencyError
             raise ConsistencyError(
                 f"structure constant depends on the representative: {c} != {c2}")
     return c
@@ -188,11 +185,9 @@ def orbit_product(t, o1, o2, registry=None):
     n = o1.degree + o2.degree
     out = {}
     for code, entry in registry.types_at(n).items():
-        s = instantiate(t, entry.reps[0])
-        codes = SubsetCodes(s)
-        census = _split_census(s, codes, o1.degree)
         total = 0
-        for (c1, c2), mult in census.items():
+        splits = _splits(registry, entry.reps[0], o1.degree)
+        for (c1, c2), mult in splits.items():
             v1 = o1.coeffs.get(c1, 0)
             if not v1:
                 continue
@@ -246,30 +241,32 @@ def _int_matrix_rank(rows):
     return rank
 
 
-def mult_by_e_rank(t, n, registry=None):
-    """Rank of multiplication by e from degree n to n+1.
+def _e_rows(registry, n):
+    """Matrix of multiplication by e from degree n to n+1: one row per type
+    of degree n+1, one column per type of degree n (registry order).
 
-    The matrix entry at (tau', tau) counts elements a of a representative A'
-    of tau' with type(A' - a) = tau; full rank phi(n) certifies injectivity
-    and hence a non-decreasing profile.
-    """
-    registry = registry or TypeRegistry(t)
-    cols = list(registry.types_at(n).keys())
-    col_index = {c: i for i, c in enumerate(cols)}
+    The entry at (tau', tau) counts elements a of a representative A' of
+    tau' with type(A' - a) = tau.  Dropping any of the c_i elements of block
+    i from the instantiation of c leaves the instantiation of c - e_i, so
+    the row of c is sum_i c_i [type(c - e_i)]."""
+    col_index = {c: i for i, c in enumerate(registry.types_at(n))}
     rows = []
-    for code, entry in registry.types_at(n + 1).items():
-        s = instantiate(t, entry.reps[0])
-        codes = SubsetCodes(s)
-        row = [0] * len(cols)
-        for a in range(s.size):
-            sub = tuple(x for x in range(s.size) if x != a)
-            c = codes.code(sub)
-            j = col_index.get(c)
-            if j is None:
-                raise InputError("subtype not realized at lower degree")
-            row[j] += 1
+    for entry in registry.types_at(n + 1).values():
+        comp = entry.reps[0]
+        row = [0] * len(col_index)
+        for i, d in enumerate(comp):
+            if d:
+                below = comp[:i] + (d - 1,) + comp[i + 1:]
+                row[col_index[registry.code_of(below)]] += d
         rows.append(row)
-    return _int_matrix_rank(rows)
+    return rows
+
+
+def mult_by_e_rank(t, n, registry=None):
+    """Rank of multiplication by e from degree n to n+1; full rank phi(n)
+    certifies injectivity and hence a non-decreasing profile."""
+    registry = registry or TypeRegistry(t)
+    return _int_matrix_rank(_e_rows(registry, n))
 
 
 # ---------------------------------------------------------------------------
@@ -280,49 +277,23 @@ def kernel_elements_bounded(t, degree_bound, d_max=6):
     """Certified kernel members among finite-block elements.
 
     A finite block is flagged when dropping one of its elements (capacity
-    minus one) loses some realized type at a degree <= degree_bound; within
-    a block all elements are interchangeable, so whole blocks are reported.
-    Infinite blocks can never meet the kernel.  False negatives beyond the
-    bound are possible and the bound is part of the report.
+    minus one) loses some realized type at a degree <= degree_bound.  The
+    smaller age consists of the instantiations of the compositions that
+    leave the block below its capacity, so a type is lost exactly when every
+    composition realizing it fills the block.  Within a block all elements
+    are interchangeable, so whole blocks are reported.  Infinite blocks can
+    never meet the kernel.  False negatives beyond the bound are possible
+    and the bound is part of the report.
     """
-    from .templates import BlockTemplate
-
-    base = TypeRegistry(t)
+    registry = TypeRegistry(t)
     flagged = []
-    for bi, (name, cap) in enumerate(t.blocks):
+    for bi, cap in enumerate(t.capacities):
         if cap is None:
             continue
-        if cap - 1 == 0 and len(t.blocks) == 1:
-            # removal empties the structure: every positive degree dies
-            if degree_bound >= 1:
-                flagged.append(bi)
-            continue
-        blocks = list(t.blocks)
-        blocks[bi] = (name, cap - 1)
-        if cap - 1 == 0:
-            # dropping the block entirely; patterns touching it die with it
-            keep = [i for i in range(len(t.blocks)) if i != bi]
-            remap = {old: new for new, old in enumerate(keep)}
-            accepted = {}
-            for (sym, _), pats in zip(t.signature.symbols, t.accepted):
-                accepted[sym] = [
-                    (tuple(remap[b] for b in p.blocks), p.ranks)
-                    for p in pats if bi not in p.blocks
-                ]
-            reduced = BlockTemplate.make(
-                t.signature, [t.blocks[i] for i in keep], accepted)
-        else:
-            accepted = {
-                sym: list(pats)
-                for (sym, _), pats in zip(t.signature.symbols, t.accepted)
-            }
-            reduced = BlockTemplate.make(t.signature, blocks, accepted)
-        small = TypeRegistry(reduced)
-        for m in range(degree_bound + 1):
-            lost = set(base.types_at(m)) - set(small.types_at(m))
-            if lost:
-                flagged.append(bi)
-                break
+        if any(all(comp[bi] == cap for comp in entry.reps)
+               for m in range(degree_bound + 1)
+               for entry in registry.types_at(m).values()):
+            flagged.append(bi)
     elements = [(bi, pos) for bi in flagged for pos in range(t.capacities[bi])]
     return {
         "blocks": [t.block_names[bi] for bi in flagged],

@@ -32,15 +32,20 @@ EXIT_CONSISTENCY = 4
 EXIT_FIT = 5
 
 
-def _load_template(args):
+def _read_input(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_template(args, text=None):
     if args.builtin:
         return resolve_builtin(args.builtin), args.builtin
     if args.input:
-        try:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.input}: {exc}") from exc
+        if text is None:
+            text = _read_input(args.input)
         return BlockTemplate.from_json(text), args.input
     raise InputError("need --builtin NAME or --input FILE")
 
@@ -75,10 +80,10 @@ def cmd_profile(args):
 
 
 def cmd_decompose(args):
+    text = None
     if args.input and not args.builtin:
         # a finite structure file is also accepted here
-        with open(args.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_input(args.input)
         data = json.loads(text)
         if "blocks" not in data:
             from .decomposition import minimal_decomposition
@@ -92,7 +97,7 @@ def cmd_decompose(args):
                 "count": len(blocks),
                 "meta": _meta(args),
             }
-    t, source = _load_template(args)
+    t, source = _load_template(args, text)
     comps = template_components(t, d_max=args.d_max)
     k, n0 = profile_floor_params(t, comps)
     return {
@@ -109,14 +114,27 @@ def cmd_decompose(args):
     }
 
 
-def cmd_hilbert(args):
-    t, source = _load_template(args)
+def _agreed_hilbert(args, t):
+    """The fitted and the leading form, refused unless they agree.  Each has
+    been checked against the profile through --degree, so forms that differ
+    only beyond it ask for a larger --degree, and a difference within it is
+    a bug."""
     fitted, lead, agree = two_path_hilbert(
         t, args.degree, gen_bound=args.gen_bound, guard=args.guard,
         dimension=args.dim)
     if not agree:
-        raise ConsistencyError(
-            f"two-path disagreement: {fitted.pretty()} vs {lead.pretty()}")
+        detail = f"{fitted.pretty()} vs {lead.pretty()}"
+        if fitted.series(args.degree) != lead.series(args.degree):
+            raise ConsistencyError(f"two-path disagreement: {detail}")
+        raise UndeterminedError(
+            f"the two routes agree through degree {args.degree} and differ "
+            f"beyond it: {detail}; retry with --degree raised")
+    return fitted, lead
+
+
+def cmd_hilbert(args):
+    t, source = _load_template(args)
+    fitted, lead = _agreed_hilbert(args, t)
     nonneg = nonnegative_form(fitted)
     return {
         "command": "hilbert",
@@ -124,7 +142,7 @@ def cmd_hilbert(args):
         "form": fitted.to_json_dict(),
         "pretty": fitted.pretty(),
         "leading_form": lead.to_json_dict(),
-        "agree": agree,
+        "agree": True,
         "nonnegative_form": nonneg.to_json_dict() if nonneg else None,
         "meta": _meta(args, t),
     }
@@ -132,11 +150,7 @@ def cmd_hilbert(args):
 
 def cmd_qpoly(args):
     t, source = _load_template(args)
-    fitted, lead, agree = two_path_hilbert(
-        t, args.degree, gen_bound=args.gen_bound, guard=args.guard,
-        dimension=args.dim)
-    if not agree:
-        raise ConsistencyError("two-path disagreement")
+    fitted, _ = _agreed_hilbert(args, t)
     qp = quasi_polynomial(fitted)
     payload = qp.to_json_dict()
     payload.update({

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConsistencyError, InputError, UndeterminedError
-from .structures import SubsetCodes, find_isomorphism, restrict
-from .templates import block_spans, instantiate
+from .structures import (SubsetCodes, _UnionFind, canonical_code,
+                         find_isomorphism, restrict)
+from .templates import block_spans, instantiate, subcompositions
 
 
 def is_monomorphic_part(struct, part, codes=None):
@@ -67,21 +68,7 @@ def minimal_decomposition(struct, codes=None):
     for a in range(n):
         for b in range(a + 1, n):
             merge[(a, b)] = pair_mergeable(struct, a, b, codes)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b), ok in merge.items():
-        if ok:
-            parent[find(a)] = find(b)
-    classes = {}
-    for x in range(n):
-        classes.setdefault(find(x), []).append(x)
-    blocks = sorted(sorted(c) for c in classes.values())
+    blocks = _merge_classes(n, merge)
     for block in blocks:
         for a, b in itertools.combinations(block, 2):
             if not merge[(a, b)]:
@@ -92,49 +79,101 @@ def minimal_decomposition(struct, codes=None):
     return blocks
 
 
+def _merge_classes(n, merge):
+    """Classes of the equivalence generated by the true pairs of `merge`."""
+    uf = _UnionFind(n)
+    for (a, b), ok in merge.items():
+        if ok:
+            uf.union(a, b)
+    classes = {}
+    for x in range(n):
+        classes.setdefault(uf.find(x), []).append(x)
+    return sorted(sorted(c) for c in classes.values())
+
+
 # ---------------------------------------------------------------------------
 # template-level decompositions
+#
+# A subset of an instantiation with block counts c' induces exactly the
+# instantiation of c', so the pair and part tests below run over
+# sub-compositions, one canonical code each, instead of over subsets.
 
 
-def _block_coarsening(t, level):
-    """Partition of the template's blocks read off a fat instantiation."""
+def _block_coarsening(t, level, codes=None):
+    """Partition of the template's blocks into the monomorphic components of
+    the instantiation of t.max_composition(level).
+
+    An element of block i and one of block j are mergeable iff c' + e_i and
+    c' + e_j have the same type for every c' <= comp - e_i - e_j; two
+    elements of one block always are, so the minimal decomposition of the
+    instantiation is a coarsening of the blocks.  Transitivity and the part
+    test of every class are re-verified (a failure would be a library bug).
+    `codes` memoizes composition -> canonical code across calls.
+    """
     comp = t.max_composition(level)
-    s = instantiate(t, comp)
-    spans = block_spans(comp)
-    owner = {}
-    for bi, (lo, hi) in enumerate(spans):
-        for x in range(lo, hi):
-            owner[x] = bi
-    parent = list(range(len(t.blocks)))
+    codes = {} if codes is None else codes
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def code(c):
+        if c not in codes:
+            codes[c] = canonical_code(instantiate(t, c))
+        return codes[c]
 
-    for block in minimal_decomposition(s):
-        touched = sorted({owner[x] for x in block})
-        for bi in touched[1:]:
-            parent[find(touched[0])] = find(bi)
-    classes = {}
-    for bi in range(len(t.blocks)):
-        classes.setdefault(find(bi), []).append(bi)
-    return sorted(sorted(c) for c in classes.values())
+    def plus(c, b):
+        return c[:b] + (c[b] + 1,) + c[b + 1:]
+
+    nblocks = len(comp)
+    merge = {}
+    for i, j in itertools.combinations(range(nblocks), 2):
+        rest = tuple(d - (b in (i, j)) for b, d in enumerate(comp))
+        merge[(i, j)] = all(code(plus(c, i)) == code(plus(c, j))
+                            for c in subcompositions(rest))
+    classes = _merge_classes(nblocks, merge)
+    for cls in classes:
+        for i, j in itertools.combinations(cls, 2):
+            if not merge[(i, j)]:
+                raise ConsistencyError(
+                    f"pair mergeability is not transitive on blocks {cls}: "
+                    f"({i},{j})")
+        if not _is_part_of_composition(comp, cls, code):
+            raise ConsistencyError(f"block class {cls} fails the part test")
+    return classes
+
+
+def _is_part_of_composition(comp, cls, code):
+    """The part test of `is_monomorphic_part` for the union of the blocks in
+    `cls`: for every trace c_out outside the class, all inside counts c_in
+    of one size give the same type."""
+    inside = tuple(d if b in cls else 0 for b, d in enumerate(comp))
+    outside = tuple(d - x for d, x in zip(comp, inside))
+    for c_out in subcompositions(outside):
+        by_size = {}
+        for c_in in subcompositions(inside):
+            c = code(tuple(a + b for a, b in zip(c_out, c_in)))
+            if by_size.setdefault(sum(c_in), c) != c:
+                return False
+    return True
+
+
+def _fatness(t, d_max):
+    """(d, certificate, classes at level d) for `fatness_threshold`; the
+    levels share one canonical code per composition."""
+    codes = {}
+    prev = _block_coarsening(t, 1, codes)
+    for d in range(1, d_max + 1):
+        nxt = _block_coarsening(t, d + 1, codes)
+        if nxt == prev:
+            return d, (d, d + 1), prev
+        prev = nxt
+    raise UndeterminedError(
+        f"block coarsening did not stabilize up to level {d_max}; "
+        f"level-{d_max} guess: {prev}")
 
 
 def fatness_threshold(t, d_max=6):
     """Smallest level d <= d_max whose block coarsening agrees with level
     d+1, plus the (d, d+1) stability certificate."""
-    prev = _block_coarsening(t, 1)
-    for d in range(1, d_max + 1):
-        nxt = _block_coarsening(t, d + 1)
-        if nxt == prev:
-            return d, (d, d + 1)
-        prev = nxt
-    raise UndeterminedError(
-        f"block coarsening did not stabilize up to level {d_max}; "
-        f"level-{d_max} guess: {prev}")
+    d, cert, _ = _fatness(t, d_max)
+    return d, cert
 
 
 @dataclass(frozen=True)
@@ -154,8 +193,7 @@ class TemplateComponents:
 def template_components(t, d_max=6):
     """Coarsen the declared blocks into monomorphic components via pair
     tests on a fat instantiation; the dimension counts infinite classes."""
-    d, cert = fatness_threshold(t, d_max)
-    classes = _block_coarsening(t, d)
+    d, cert, classes = _fatness(t, d_max)
     caps = t.capacities
     k = sum(1 for cls in classes if any(caps[b] is None for b in cls))
     return TemplateComponents(tuple(tuple(c) for c in classes), k, d, cert)

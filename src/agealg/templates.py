@@ -200,7 +200,7 @@ def validate(t, swap_degree=5):
             continue
         s = instantiate(t, comp)
         spans = block_spans(comp)
-        for sub in _subcompositions(comp):
+        for sub in subcompositions(comp):
             if not 0 < sum(sub) < sum(comp):
                 continue
             choices = [itertools.combinations(range(lo, hi), d)
@@ -218,8 +218,13 @@ def validate(t, swap_degree=5):
     return diags
 
 
-def _subcompositions(comp):
-    return itertools.product(*(range(d + 1) for d in comp))
+def subcompositions(comp, total=None):
+    """Vectors c1 <= comp componentwise in lex order, only those summing to
+    `total` when it is given."""
+    subs = itertools.product(*(range(d + 1) for d in comp))
+    if total is None:
+        return subs
+    return (c1 for c1 in subs if sum(c1) == total)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,37 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     assert err
 
 
+def test_missing_input_file_is_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for command in ("decompose", "profile"):
+        code, out, err = run(capsys, command, "--input", missing)
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot read {missing}")
+
+
+def test_two_path_difference_beyond_the_window_is_exit_3(capsys):
+    # the leading route scanned to degree 5 gives (1+Z^3)/(1-Z)(1-Z^2); it
+    # matches the profile through degree 5 and first differs at degree 6
+    for command in ("hilbert", "qpoly"):
+        code, out, err = run(capsys, command, "--builtin", "sym:3",
+                             "--degree", "5")
+        assert code == 3 and not out
+        assert "undetermined" in err and "--degree" in err
+
+
+def test_two_path_difference_within_the_window_is_exit_4(capsys, monkeypatch):
+    import agealg.cli as cli
+    from agealg.hilbert import HilbertForm
+
+    # 1/(1-Z) and 1/(1-Z)(1-Z^2) differ at degree 2
+    forms = (HilbertForm.make([1], [1]), HilbertForm.make([1], [1, 2]), False)
+    monkeypatch.setattr(cli, "two_path_hilbert", lambda *a, **k: forms)
+    code, out, err = run(capsys, "hilbert", "--builtin", "sym:2",
+                         "--degree", "4")
+    assert code == 4 and not out
+    assert "two-path disagreement" in err
+
+
 def test_unknown_builtin_is_exit_2(capsys):
     code, _, err = run(capsys, "profile", "--builtin", "nope")
     assert code == 2 and "unknown builtin" in err

@@ -1,0 +1,261 @@
+"""Arithmetic on compositions against the subset computations it replaces.
+
+A subset of an instantiation with block counts c' induces exactly the
+instantiation of c'.  The age algebra and the block coarsening rely on that
+identity instead of canonicalizing every subset of one instantiation; here
+the subset computations are kept as oracles at small sizes, and the identity
+itself is a property test over random templates.
+"""
+
+import itertools
+import json
+import random
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agealg.algebra import (OrbitSum, TypeRegistry, _e_rows,
+                            kernel_elements_bounded, orbit_product,
+                            profile_series, structure_constant)
+from agealg.cli import main
+from agealg.decomposition import _block_coarsening, minimal_decomposition
+from agealg.gallery import GALLERY
+from agealg.structures import IsoType, Signature, SubsetCodes, restrict
+from agealg.templates import (INF, BlockTemplate, TuplePattern, block_spans,
+                              instantiate)
+
+MAX_DEGREE = 4
+
+
+# ---------------------------------------------------------------------------
+# random templates
+
+
+def pattern_universe(caps, arity):
+    """Every normalized pattern of `arity` that fits the capacities."""
+    pats = set()
+    for blocks in itertools.product(range(len(caps)), repeat=arity):
+        for ranks in itertools.product(range(arity), repeat=arity):
+            p = TuplePattern.make(blocks, ranks)
+            if all(caps[b] is None or r < caps[b]
+                   for b, r in zip(p.blocks, p.ranks)):
+                pats.add(p)
+    return sorted(pats, key=lambda p: (p.blocks, p.ranks))
+
+
+def make_template(caps, arities, keep):
+    """Template on blocks of capacities `caps`, one symbol per arity; the
+    callable `keep()` decides pattern by pattern which ones are accepted."""
+    sig = Signature(tuple((f"r{i}", a) for i, a in enumerate(arities)))
+    accepted = {f"r{i}": [p for p in pattern_universe(caps, a) if keep()]
+                for i, a in enumerate(arities)}
+    blocks = [(f"b{i}", cap) for i, cap in enumerate(caps)]
+    return BlockTemplate.make(sig, blocks, accepted)
+
+
+def seeded_templates(count=4, seed=2718):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        caps = [rng.choice([INF, INF, 1, 2, 3])
+                for _ in range(rng.randint(2, 3))]
+        arities = rng.choice([(2,), (1, 2)])
+        out.append(make_template(caps, arities, lambda: rng.random() < 0.4))
+    return out
+
+
+def oracle_templates():
+    return ([(name, entry.build()) for name, entry in GALLERY.items()]
+            + [(f"random{i}", t) for i, t in enumerate(seeded_templates())])
+
+
+# ---------------------------------------------------------------------------
+# the subset computations, as they were before compositions replaced them
+
+
+def subset_splits(t, comp, m):
+    """Counts of (type(A1), type(A2)) over ordered splits with |A1| = m of
+    the instantiation of `comp`, one canonical code per subset."""
+    s = instantiate(t, comp)
+    codes = SubsetCodes(s)
+    out = Counter()
+    for left in itertools.combinations(range(s.size), m):
+        right = tuple(x for x in range(s.size) if x not in left)
+        out[(codes.code(left), codes.code(right))] += 1
+    return out
+
+
+def subset_e_rows(t, registry, n):
+    cols = list(registry.types_at(n))
+    rows = []
+    for entry in registry.types_at(n + 1).values():
+        s = instantiate(t, entry.reps[0])
+        codes = SubsetCodes(s)
+        row = [0] * len(cols)
+        for a in range(s.size):
+            rest = [x for x in range(s.size) if x != a]
+            row[cols.index(codes.code(rest))] += 1
+        rows.append(row)
+    return rows
+
+
+def subset_block_coarsening(t, level):
+    """Block classes read off the minimal decomposition of the instantiation
+    of t.max_composition(level); every element class must be a union of
+    whole blocks."""
+    comp = t.max_composition(level)
+    owner = [b for b, d in enumerate(comp) for _ in range(d)]
+    spans = block_spans(comp)
+    classes = []
+    for cls in minimal_decomposition(instantiate(t, comp)):
+        blocks = sorted({owner[x] for x in cls})
+        assert sorted(cls) == [x for b in blocks for x in range(*spans[b])]
+        classes.append(blocks)
+    return sorted(classes)
+
+
+# ---------------------------------------------------------------------------
+# oracle tests
+
+
+def test_structure_constants_match_subset_splits():
+    for name, t in oracle_templates():
+        registry = TypeRegistry(t)
+        for n in range(MAX_DEGREE + 1):
+            for code, entry in registry.types_at(n).items():
+                tau = IsoType(code, n)
+                for m in range(n + 1):
+                    want = subset_splits(t, entry.reps[0], m)
+                    for c1 in registry.types_at(m):
+                        for c2 in registry.types_at(n - m):
+                            got = structure_constant(
+                                t, IsoType(c1, m), IsoType(c2, n - m), tau,
+                                registry)
+                            assert got == want.get((c1, c2), 0), (name, n, m)
+
+
+def test_orbit_products_match_subset_splits():
+    rng = random.Random(1618)
+    for name, t in oracle_templates():
+        registry = TypeRegistry(t)
+        for d1, d2 in ((1, 1), (1, 2), (2, 2), (1, 3)):
+            o1 = OrbitSum({c: rng.randint(-3, 3)
+                           for c in registry.types_at(d1)}, d1)
+            o2 = OrbitSum({c: rng.randint(-3, 3)
+                           for c in registry.types_at(d2)}, d2)
+            want = {}
+            for code, entry in registry.types_at(d1 + d2).items():
+                census = subset_splits(t, entry.reps[0], d1)
+                want[code] = sum(
+                    mult * o1.coeffs.get(c1, 0) * o2.coeffs.get(c2, 0)
+                    for (c1, c2), mult in census.items())
+            assert orbit_product(t, o1, o2, registry) == OrbitSum(
+                want, d1 + d2), name
+
+
+def test_e_matrix_matches_subset_removals():
+    for name, t in oracle_templates():
+        registry = TypeRegistry(t)
+        for n in range(MAX_DEGREE):
+            assert _e_rows(registry, n) == subset_e_rows(t, registry, n), \
+                (name, n)
+
+
+def test_block_coarsening_matches_minimal_decomposition():
+    for name, entry in GALLERY.items():
+        t = entry.build()
+        for level in (1, 2, 3):
+            assert _block_coarsening(t, level) == \
+                subset_block_coarsening(t, level), (name, level)
+
+
+# ---------------------------------------------------------------------------
+# kernel on a capacity-2 block whose patterns use both of its elements
+
+
+def shrunk_template(t, b):
+    """`t` with block b one element smaller; the patterns needing more
+    distinct elements of b than remain are dropped, and a block shrunk to
+    nothing is removed."""
+    cap = t.capacities[b] - 1
+    data = t.to_json_dict()
+    for pats in data["accepted"].values():
+        pats[:] = [p for p in pats
+                   if len({r for x, r in zip(p["blocks"], p["ranks"])
+                           if x == b}) <= cap]
+        if cap == 0:
+            for p in pats:
+                p["blocks"] = [x - (x > b) for x in p["blocks"]]
+    if cap == 0:
+        del data["blocks"][b]
+    else:
+        data["blocks"][b]["capacity"] = cap
+    return BlockTemplate.from_json_dict(data)
+
+
+def profile_oracle_kernel(t, degree):
+    """Finite blocks whose shrinking lowers the profile at some degree."""
+    base = profile_series(t, degree)
+    return [t.block_names[b] for b, cap in enumerate(t.capacities)
+            if cap is not None
+            and profile_series(shrunk_template(t, b), degree) != base]
+
+
+def pair_next_to_pool(pool_is_clique):
+    """A capacity-2 clique block next to an infinite pool.  Next to a
+    coclique pool with arcs into the pair, the pair's edge is realized only
+    by the full pair; joined to a clique pool, the pair is part of one big
+    clique, which the pool alone realizes at every degree."""
+    sig = Signature((("adj", 2),))
+    edges = [((1, 1), (0, 1)), ((1, 1), (1, 0)), ((0, 1), (0, 0))]
+    if pool_is_clique:
+        edges += [((0, 0), (0, 1)), ((0, 0), (1, 0)), ((1, 0), (0, 0))]
+    return BlockTemplate.make(sig, [("pool", INF), ("pair", 2)],
+                              {"adj": edges})
+
+
+def test_kernel_on_capacity_two_clique_block(tmp_path, capsys):
+    for pool_is_clique, want in ((False, ["pair"]), (True, [])):
+        t = pair_next_to_pool(pool_is_clique)
+        assert profile_oracle_kernel(t, 4) == want
+        assert kernel_elements_bounded(t, 4)["blocks"] == want
+        path = tmp_path / "pair.json"
+        path.write_text(t.to_json())
+        code = main(["kernel", "--input", str(path), "--degree", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out)["blocks"] == want
+
+
+def test_kernel_matches_profile_oracle_on_random_templates():
+    for t in seeded_templates(count=6, seed=577):
+        assert kernel_elements_bounded(t, 4)["blocks"] == \
+            profile_oracle_kernel(t, 4)
+
+
+# ---------------------------------------------------------------------------
+# the restriction identity
+
+
+@st.composite
+def template_and_subset(draw):
+    caps = draw(st.lists(st.sampled_from([INF, 1, 2, 3]),
+                         min_size=1, max_size=3))
+    arities = draw(st.sampled_from([(1,), (2,), (1, 2)]))
+    t = make_template(caps, arities, lambda: draw(st.booleans()))
+    comp = tuple(draw(st.integers(0, 3 if cap is None else cap))
+                 for cap in caps)
+    size = sum(comp)
+    subset = draw(st.lists(st.integers(0, max(size - 1, 0)), unique=True,
+                           max_size=size)) if size else []
+    return t, comp, subset
+
+
+@settings(max_examples=150, deadline=None)
+@given(template_and_subset())
+def test_restriction_equals_instantiation_of_counts(case):
+    t, comp, subset = case
+    counts = tuple(sum(lo <= x < hi for x in subset)
+                   for lo, hi in block_spans(comp))
+    assert restrict(instantiate(t, comp), subset) == instantiate(t, counts)
