@@ -16,8 +16,7 @@ from .errors import (AgeAlgError, ConsistencyError, InputError,
 from .hilbert import (HilbertForm, IntSeries, QuasiPolynomial,
                       WeightedMonomialIdeal, check_addlayer, compare_monomials,
                       fit_rational, hilbert_via_leading, ideal_hilbert, layers,
-                      leading_monomial, nonnegative_form, quasi_polynomial,
-                      two_path_hilbert)
+                      nonnegative_form, quasi_polynomial, two_path_hilbert)
 from .structures import (FiniteRelStruct, IsoType, Signature, canonical_code,
                          find_isomorphism, iso_type, isomorphic, restrict,
                          subset_types)

@@ -150,30 +150,32 @@ def _splits(registry, comp, m):
     return out
 
 
+def split_census(registry, entry, m, check_representative=True):
+    """`_splits` of a representative of the type `entry` into halves of
+    degree m and the rest.  The census of a second realizing composition,
+    when there is one, must be the same."""
+    census = _splits(registry, entry.reps[0], m)
+    if check_representative and len(entry.reps) > 1:
+        other = _splits(registry, entry.reps[1], m)
+        if other != census:
+            raise ConsistencyError(
+                f"split census depends on the representative: "
+                f"{entry.reps[0]} vs {entry.reps[1]}")
+    return census
+
+
 def structure_constant(t, tau1, tau2, tau, registry=None,
                        check_representative=True):
     """c^tau_{tau1,tau2}: ordered splits of a representative of tau whose
-    halves realize tau1 and tau2, counted on sub-compositions.  Independence
-    of the representative is spot-checked on a second realizing composition
-    when one exists.
+    halves realize tau1 and tau2, read from its split census.
 
     The tau arguments are IsoType values (code + degree)."""
     if tau.degree != tau1.degree + tau2.degree:
         raise InputError("degree mismatch: deg tau must be deg tau1 + deg tau2")
     registry = registry or TypeRegistry(t)
-    entry = registry.entry(tau.code, tau.degree)
-
-    def count_on(comp):
-        splits = _splits(registry, comp, tau1.degree)
-        return splits.get((tau1.code, tau2.code), 0)
-
-    c = count_on(entry.reps[0])
-    if check_representative and len(entry.reps) > 1:
-        c2 = count_on(entry.reps[1])
-        if c2 != c:
-            raise ConsistencyError(
-                f"structure constant depends on the representative: {c} != {c2}")
-    return c
+    census = split_census(registry, registry.entry(tau.code, tau.degree),
+                          tau1.degree, check_representative)
+    return census.get((tau1.code, tau2.code), 0)
 
 
 def orbit_product(t, o1, o2, registry=None):
@@ -273,7 +275,7 @@ def mult_by_e_rank(t, n, registry=None):
 # bounded kernel
 
 
-def kernel_elements_bounded(t, degree_bound, d_max=6):
+def kernel_elements_bounded(t, degree_bound):
     """Certified kernel members among finite-block elements.
 
     A finite block is flagged when dropping one of its elements (capacity

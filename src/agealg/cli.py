@@ -15,16 +15,15 @@ import json
 import sys
 
 from . import __version__
-from .algebra import TypeRegistry, kernel_elements_bounded, profile_series, structure_constant
+from .algebra import TypeRegistry, kernel_elements_bounded, profile_series, split_census
 from .decomposition import profile_floor_params, template_components
 from .errors import (ConsistencyError, InputError, NotRationalError,
                      UndeterminedError)
 from .gallery import builtin_names, resolve_builtin
 from .hilbert import nonnegative_form, quasi_polynomial, two_path_hilbert
 from .planar import SCHRODER, enumerate_reduced, planar_profile_report
-from .structures import FiniteRelStruct, IsoType
+from .structures import FiniteRelStruct
 from .templates import BlockTemplate
-from .verify import run_all
 
 EXIT_INPUT = 2
 EXIT_UNDETERMINED = 3
@@ -114,27 +113,14 @@ def cmd_decompose(args):
     }
 
 
-def _agreed_hilbert(args, t):
-    """The fitted and the leading form, refused unless they agree.  Each has
-    been checked against the profile through --degree, so forms that differ
-    only beyond it ask for a larger --degree, and a difference within it is
-    a bug."""
-    fitted, lead, agree = two_path_hilbert(
-        t, args.degree, gen_bound=args.gen_bound, guard=args.guard,
-        dimension=args.dim)
-    if not agree:
-        detail = f"{fitted.pretty()} vs {lead.pretty()}"
-        if fitted.series(args.degree) != lead.series(args.degree):
-            raise ConsistencyError(f"two-path disagreement: {detail}")
-        raise UndeterminedError(
-            f"the two routes agree through degree {args.degree} and differ "
-            f"beyond it: {detail}; retry with --degree raised")
-    return fitted, lead
+def _two_path(args, t):
+    return two_path_hilbert(t, args.degree, gen_bound=args.gen_bound,
+                            guard=args.guard, dimension=args.dim)
 
 
 def cmd_hilbert(args):
     t, source = _load_template(args)
-    fitted, lead = _agreed_hilbert(args, t)
+    fitted, lead = _two_path(args, t)
     nonneg = nonnegative_form(fitted)
     return {
         "command": "hilbert",
@@ -150,7 +136,7 @@ def cmd_hilbert(args):
 
 def cmd_qpoly(args):
     t, source = _load_template(args)
-    fitted, _ = _agreed_hilbert(args, t)
+    fitted, _ = _two_path(args, t)
     qp = quasi_polynomial(fitted)
     payload = qp.to_json_dict()
     payload.update({
@@ -180,15 +166,16 @@ def cmd_constants(args):
     def named(code, degree):
         # sidecar decodes the short type id to a representative composition
         sidecar[_short(code)] = list(registry.entry(code, degree).reps[0])
-        return IsoType(code, degree)
 
     rows = []
-    for code in registry.types_at(n):
-        tau = named(code, n)
+    for code, entry in registry.types_at(n).items():
+        named(code, n)
+        census = split_census(registry, entry, m)
         for c1 in registry.types_at(m):
+            named(c1, m)
             for c2 in registry.types_at(n - m):
-                c = structure_constant(t, named(c1, m), named(c2, n - m),
-                                       tau, registry)
+                named(c2, n - m)
+                c = census.get((c1, c2), 0)
                 if c:
                     rows.append({"tau1": _short(c1), "tau2": _short(c2),
                                  "tau": _short(code), "c": c})
@@ -227,7 +214,11 @@ def cmd_planar(args):
 
 
 def cmd_verify(args):
-    results = run_all(degree=args.degree, threads=args.threads)
+    # imported here, as no other command needs the criteria table
+    from dataclasses import replace
+
+    from .verify import BUDGET, run_all
+    results = run_all(replace(BUDGET, degree=args.degree), args.threads)
     ok = all(r[1] for r in results)
     return {
         "command": "verify",

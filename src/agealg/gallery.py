@@ -1,6 +1,6 @@
 """Builtin template registry: each entry realizes one worked example, with
-the published Hilbert fraction (when there is one) and the expected
-decomposition data used by the verify suite."""
+the published Hilbert fraction and the expected decomposition data used by
+the verify suite."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ class GalleryEntry:
     name: str
     build: object
     description: str
-    expected_hilbert: object    # HilbertForm or None
+    expected_hilbert: object    # HilbertForm
     expected_components: int
     expected_dimension: int
 

@@ -136,16 +136,6 @@ class IntSeries:
             raise InputError(f"series index {n} beyond truncation {self.order}")
         return self.coefficients[n]
 
-    def add(self, other):
-        order = min(self.order, other.order)
-        return IntSeries.make(
-            [self.coefficients[i] + other.coefficients[i] for i in range(order + 1)])
-
-    def sub(self, other):
-        order = min(self.order, other.order)
-        return IntSeries.make(
-            [self.coefficients[i] - other.coefficients[i] for i in range(order + 1)])
-
 
 @dataclass(frozen=True)
 class HilbertForm:
@@ -257,11 +247,6 @@ def compare_monomials(a, b):
         # at the largest differing index, the larger entry loses
         return -1 if sa[i] > sb[i] else 1
     return -1 if a < b else 1
-
-
-def leading_monomial(t, tau, registry):
-    """Maximal composition realizing the type, under compare_monomials."""
-    return registry.entry(tau.code, tau.degree).lead
 
 
 def layers(comp):
@@ -728,11 +713,14 @@ def nonnegative_form(form, max_part=None, count=None):
 
 def two_path_hilbert(t, degree, gen_bound=None, guard=DEFAULT_GUARD,
                      registry=None, dimension=None):
-    """Run both routes to the Hilbert series and compare.
+    """Run both routes to the Hilbert series and return (fitted, leading)
+    when they agree.  The fitted form uses the monomorphic dimension
+    computed from the template unless `dimension` overrides it.
 
-    Returns (fit_form, leading_form, agree).  The fitted form uses the
-    monomorphic dimension computed from the template unless `dimension`
-    overrides it.
+    Each route has been checked against the profile through `degree`, so
+    forms that differ only beyond it ask for a larger degree
+    (UndeterminedError), and a difference within it is a bug
+    (ConsistencyError).
     """
     from .algebra import TypeRegistry, profile_series
     from .decomposition import template_components
@@ -743,4 +731,11 @@ def two_path_hilbert(t, degree, gen_bound=None, guard=DEFAULT_GUARD,
     series = profile_series(t, degree, registry)
     fitted = fit_rational(series, k, guard)
     lead = hilbert_via_leading(t, degree, gen_bound, registry, comps)
-    return fitted, lead, fitted.same_series(lead)
+    if not fitted.same_series(lead):
+        detail = f"{fitted.pretty()} vs {lead.pretty()}"
+        if fitted.series(degree) != lead.series(degree):
+            raise ConsistencyError(f"two-path disagreement: {detail}")
+        raise UndeterminedError(
+            f"the two routes agree through degree {degree} and differ "
+            f"beyond it: {detail}; retry with --degree raised")
+    return fitted, lead

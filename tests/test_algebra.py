@@ -57,22 +57,15 @@ def test_profile_cross_checks_subset_types(registries):
 def test_registry_agrees_with_pure_code_classification():
     # the registry buckets by invariant and settles with isomorphism search;
     # classifying every composition by its canonical code must coincide
-    import itertools
     import random
 
     from agealg.structures import canonical_code
-    from agealg.templates import TuplePattern, compositions
+    from agealg.templates import compositions
+    from agealg.verify import random_template
 
     rng = random.Random(31415)
-    sig = Signature((("r", 2),))
-    universe = sorted(
-        {TuplePattern.make(b, k)
-         for b in itertools.product(range(2), repeat=2)
-         for k in itertools.product(range(2), repeat=2)},
-        key=lambda p: (p.blocks, p.ranks))
     for _ in range(8):
-        picked = [p for p in universe if rng.random() < 0.45]
-        t = BlockTemplate.make(sig, [("a", INF), ("b", INF)], {"r": picked})
+        t = random_template(rng, 0.45)
         registry = TypeRegistry(t)
         for n in range(6):
             by_registry = {}

@@ -53,12 +53,14 @@ def test_two_path_difference_beyond_the_window_is_exit_3(capsys):
 
 
 def test_two_path_difference_within_the_window_is_exit_4(capsys, monkeypatch):
-    import agealg.cli as cli
+    import agealg.hilbert as hilbert
     from agealg.hilbert import HilbertForm
 
     # 1/(1-Z) and 1/(1-Z)(1-Z^2) differ at degree 2
-    forms = (HilbertForm.make([1], [1]), HilbertForm.make([1], [1, 2]), False)
-    monkeypatch.setattr(cli, "two_path_hilbert", lambda *a, **k: forms)
+    monkeypatch.setattr(hilbert, "fit_rational",
+                        lambda *a, **k: HilbertForm.make([1], [1]))
+    monkeypatch.setattr(hilbert, "hilbert_via_leading",
+                        lambda *a, **k: HilbertForm.make([1], [1, 2]))
     code, out, err = run(capsys, "hilbert", "--builtin", "sym:2",
                          "--degree", "4")
     assert code == 4 and not out
@@ -203,12 +205,19 @@ def test_decompose_undetermined_fatness_is_exit_3(capsys):
 
 
 def test_verify_failure_is_exit_4(capsys, monkeypatch):
-    import agealg.cli as cli
-    monkeypatch.setattr(cli, "run_all",
-                        lambda degree, threads: [("stub", False, "boom")])
+    import agealg.verify as verify
+    monkeypatch.setattr(verify, "run_all",
+                        lambda bounds, threads: [("stub", False, "boom")])
     code, out, _ = run(capsys, "verify")
     assert code == 4
     assert json.loads(out)["ok"] is False
+
+
+def test_verify_with_too_small_a_degree_is_exit_3(capsys):
+    # sym:3's two routes agree through degree 5 and differ beyond it
+    code, out, err = run(capsys, "verify", "--degree", "5")
+    assert code == 3 and not out
+    assert "undetermined" in err
 
 
 def test_verify_default_budget(capsys):

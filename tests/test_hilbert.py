@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from agealg.algebra import TypeRegistry, profile_series
-from agealg.errors import InputError, NotRationalError
+from agealg.errors import InputError, NotRationalError, UndeterminedError
+from agealg.gallery import GALLERY
 from agealg.hilbert import (HilbertForm, WeightedMonomialIdeal, chain_support,
                             check_addlayer, compare_monomials, expand,
                             fit_rational, hilbert_via_leading, ideal_hilbert,
-                            layers, leading_monomial, nonnegative_form,
-                            quasi_polynomial, two_path_hilbert)
+                            layers, nonnegative_form, quasi_polynomial,
+                            two_path_hilbert)
 from agealg.structures import iso_type
 from agealg.templates import clique_plus_coclique, instantiate
 
@@ -48,9 +49,9 @@ def test_leading_monomial_cpc():
     t = clique_plus_coclique()
     registry = TypeRegistry(t)
     s = instantiate(t, (0, 2))  # edgeless pair
-    assert leading_monomial(t, iso_type(s), registry) == (0, 2)
+    assert registry.entry(iso_type(s).code, 2).lead == (0, 2)
     e = instantiate(t, (2, 0))  # edge: unique realization
-    assert leading_monomial(t, iso_type(e), registry) == (2, 0)
+    assert registry.entry(iso_type(e).code, 2).lead == (2, 0)
 
 
 def test_leading_monomials_partition_profile(registries):
@@ -252,24 +253,50 @@ def test_qpoly_groupoid():
 ])
 def test_two_paths_match_published_forms(name, published, registries):
     t, registry = registries(name)
-    fitted, lead, agree = two_path_hilbert(t, 10, registry=registry)
-    assert agree
+    fitted, lead = two_path_hilbert(t, 10, registry=registry)
+    assert fitted.same_series(lead)
     assert fitted.same_series(HilbertForm.make(*published))
 
 
 def test_groupoid_two_paths_and_published_forms(registries):
     t, registry = registries("groupoid")
-    fitted, lead, agree = two_path_hilbert(t, 12, registry=registry)
-    assert agree
+    fitted, lead = two_path_hilbert(t, 12, registry=registry)
+    assert fitted.same_series(lead)
     assert fitted.same_series(HilbertForm.make([1, -1, 2, -1], [1, 1, 1]))
     assert fitted.same_series(HilbertForm.make([1, 0, 1, 1, -1], [1, 1, 2]))
+
+
+def test_two_paths_differing_beyond_the_degree_are_undetermined(registries):
+    # the leading route scanned to degree 5 misses sym(3)'s generator of
+    # weighted degree 6; both forms match the profile through degree 5
+    t, registry = registries("sym:3")
+    with pytest.raises(UndeterminedError):
+        two_path_hilbert(t, 5, registry=registry)
+
+
+def test_gallery_forms_are_the_published_fractions():
+    # written out independently of the gallery
+    published = {
+        "coclique": ([1], [1]),
+        "sym:1": ([1], [1]),
+        "sym:2": ([1], [1, 2]),
+        "sym:3": ([1], [1, 2, 3]),
+        "sym:4": ([1], [1, 2, 3, 4]),
+        "clique_plus_coclique": ([1, 0, 0, 1], [1, 2]),
+        "wheel_plus_coclique": ([1, 0, 0, 1], [1, 2]),
+        "qsym:2": ([1, 0, 0, 1], [1, 2]),
+        "groupoid": ([1, -1, 2, -1], [1, 1, 1]),
+    }
+    assert set(published) == set(GALLERY)
+    for name, form in published.items():
+        assert GALLERY[name].expected_hilbert.same_series(HilbertForm.make(*form)), name
 
 
 def test_pole_order_equals_dimension(registries):
     for name, k in [("sym:3", 3), ("clique_plus_coclique", 2),
                     ("wheel_plus_coclique", 2), ("groupoid", 3)]:
         t, registry = registries(name)
-        fitted, _, _ = two_path_hilbert(t, 12, registry=registry)
+        fitted, _ = two_path_hilbert(t, 12, registry=registry)
         assert fitted.numerator_at_one() != 0
         assert fitted.pole_order_at_one() == k
 
@@ -291,7 +318,6 @@ def test_via_leading_with_dimension_hint_mismatch(registries):
 def test_via_leading_small_gen_bound_is_undetermined(registries):
     # sym(3) has a chain generator of weighted degree 6; a bound of 4 misses
     # it and the assembled series diverges from the profile beyond 4
-    from agealg.errors import UndeterminedError
     t, registry = registries("sym:3")
     with pytest.raises(UndeterminedError):
         hilbert_via_leading(t, 12, gen_bound=4, registry=registry)
