@@ -150,12 +150,12 @@ def _splits(registry, comp, m):
     return out
 
 
-def split_census(registry, entry, m, check_representative=True):
+def split_census(registry, entry, m):
     """`_splits` of a representative of the type `entry` into halves of
     degree m and the rest.  The census of a second realizing composition,
     when there is one, must be the same."""
     census = _splits(registry, entry.reps[0], m)
-    if check_representative and len(entry.reps) > 1:
+    if len(entry.reps) > 1:
         other = _splits(registry, entry.reps[1], m)
         if other != census:
             raise ConsistencyError(
@@ -164,8 +164,7 @@ def split_census(registry, entry, m, check_representative=True):
     return census
 
 
-def structure_constant(t, tau1, tau2, tau, registry=None,
-                       check_representative=True):
+def structure_constant(t, tau1, tau2, tau, registry=None):
     """c^tau_{tau1,tau2}: ordered splits of a representative of tau whose
     halves realize tau1 and tau2, read from its split census.
 
@@ -174,7 +173,7 @@ def structure_constant(t, tau1, tau2, tau, registry=None,
         raise InputError("degree mismatch: deg tau must be deg tau1 + deg tau2")
     registry = registry or TypeRegistry(t)
     census = split_census(registry, registry.entry(tau.code, tau.degree),
-                          tau1.degree, check_representative)
+                          tau1.degree)
     return census.get((tau1.code, tau2.code), 0)
 
 

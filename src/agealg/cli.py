@@ -84,7 +84,7 @@ def cmd_decompose(args):
         # a finite structure file is also accepted here
         text = _read_input(args.input)
         data = json.loads(text)
-        if "blocks" not in data:
+        if not isinstance(data, dict) or "blocks" not in data:
             from .decomposition import minimal_decomposition
             s = FiniteRelStruct.from_json_dict(data)
             blocks = minimal_decomposition(s)

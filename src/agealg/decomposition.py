@@ -3,153 +3,131 @@
 A subset F of a finite structure is a monomorphic part when the isomorphism
 type of an induced substructure depends only on its trace outside F together
 with its size.  The maximal monomorphic parts partition the base set (the
-minimal monomorphic decomposition); testing is exhaustive, which is fine at
-desk scale (sizes up to ~12) thanks to memoized subset codes.
+minimal monomorphic decomposition).
+
+Both finite structures and templates are decomposed by one routine,
+`_coarsening`, over a composition: a vector of block counts.  The
+instantiation of a template's composition c has blocks of c_i elements, and
+its subset with block counts c' induces exactly the instantiation of c'.  A
+finite structure of size n has the decomposition into n singletons, so its
+subsets are the 0/1 compositions of (1,)*n.  Either way the pair and part
+tests are exhaustive over sub-compositions, one memoized canonical code
+each, which is fine at desk scale (finite sizes up to ~12).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConsistencyError, InputError, UndeterminedError
-from .structures import (SubsetCodes, _UnionFind, canonical_code,
-                         find_isomorphism, restrict)
+from .structures import _UnionFind, canonical_code, find_isomorphism, restrict
 from .templates import block_spans, instantiate, subcompositions
 
 
-def is_monomorphic_part(struct, part, codes=None):
+def _memoized_code(build):
+    """Composition -> canonical code of the structure `build` makes of it,
+    each composition built and canonicalized once."""
+    memo = {}
+
+    def code(c):
+        found = memo.get(c)
+        if found is None:
+            found = memo[c] = canonical_code(build(c))
+        return found
+    return code
+
+
+def _subset_code(struct):
+    """Code oracle of a finite structure: a 0/1 composition picks a subset."""
+    return _memoized_code(
+        lambda c: restrict(struct, [x for x, d in enumerate(c) if d]))
+
+
+def is_monomorphic_part(struct, part):
     """Exhaustively test the defining property of a monomorphic part:
     equal-size subsets with the same trace outside `part` are isomorphic."""
-    part = sorted(set(part))
+    part = set(part)
     if any(x < 0 or x >= struct.size for x in part):
         raise InputError("part out of range")
-    codes = codes or SubsetCodes(struct)
-    rest = [x for x in range(struct.size) if x not in part]
-    for b_size in range(len(rest) + 1):
-        for b in itertools.combinations(rest, b_size):
-            for j in range(1, len(part) + 1):
-                ref = None
-                for inside in itertools.combinations(part, j):
-                    c = codes.code(b + inside)
-                    if ref is None:
-                        ref = c
-                    elif c != ref:
-                        return False
-    return True
+    return _is_part((1,) * struct.size, part, _subset_code(struct))
 
 
-def pair_mergeable(struct, a, b, codes=None):
+def pair_mergeable(struct, a, b):
     """Whether {a, b} is a monomorphic part: every B avoiding both satisfies
     restrict(B+{a}) isomorphic to restrict(B+{b}).  Exits on first witness."""
     if a == b:
         raise InputError("pair_mergeable needs two distinct elements")
     if not (0 <= a < struct.size and 0 <= b < struct.size):
         raise InputError("element out of range")
-    codes = codes or SubsetCodes(struct)
-    rest = [x for x in range(struct.size) if x != a and x != b]
-    for size in range(len(rest) + 1):
-        for back in itertools.combinations(rest, size):
-            if codes.code(back + (a,)) != codes.code(back + (b,)):
-                return False
-    return True
+    return _mergeable((1,) * struct.size, a, b, _subset_code(struct))
 
 
-def minimal_decomposition(struct, codes=None):
-    """Blocks of the minimal monomorphic decomposition, as sorted lists.
+def minimal_decomposition(struct):
+    """Blocks of the minimal monomorphic decomposition, as sorted lists."""
+    return _coarsening((1,) * struct.size, _subset_code(struct))
 
-    Equivalence classes of pair mergeability; transitivity and the goodness
-    of every class are re-verified (a failure would be a library bug).
+
+def _coarsening(comp, code):
+    """Partition of the blocks of `comp` into the monomorphic components of
+    the structure it stands for, as sorted lists of block indices.
+
+    `code` maps every composition c' <= comp to the canonical code of the
+    substructure with block counts c'.  Two elements of one block are always
+    mergeable, so the minimal decomposition is a coarsening of the blocks:
+    the classes of pair mergeability between blocks.  Transitivity and the
+    part test of every class are re-verified (a failure would be a library
+    bug).
     """
-    n = struct.size
-    codes = codes or SubsetCodes(struct)
-    merge = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            merge[(a, b)] = pair_mergeable(struct, a, b, codes)
-    blocks = _merge_classes(n, merge)
-    for block in blocks:
-        for a, b in itertools.combinations(block, 2):
-            if not merge[(a, b)]:
-                raise ConsistencyError(
-                    f"pair mergeability is not transitive on {block}: ({a},{b})")
-        if not is_monomorphic_part(struct, block, codes):
-            raise ConsistencyError(f"class {block} fails the part test")
-    return blocks
-
-
-def _merge_classes(n, merge):
-    """Classes of the equivalence generated by the true pairs of `merge`."""
-    uf = _UnionFind(n)
-    for (a, b), ok in merge.items():
-        if ok:
-            uf.union(a, b)
-    classes = {}
-    for x in range(n):
-        classes.setdefault(uf.find(x), []).append(x)
-    return sorted(sorted(c) for c in classes.values())
-
-
-# ---------------------------------------------------------------------------
-# template-level decompositions
-#
-# A subset of an instantiation with block counts c' induces exactly the
-# instantiation of c', so the pair and part tests below run over
-# sub-compositions, one canonical code each, instead of over subsets.
-
-
-def _block_coarsening(t, level, codes=None):
-    """Partition of the template's blocks into the monomorphic components of
-    the instantiation of t.max_composition(level).
-
-    An element of block i and one of block j are mergeable iff c' + e_i and
-    c' + e_j have the same type for every c' <= comp - e_i - e_j; two
-    elements of one block always are, so the minimal decomposition of the
-    instantiation is a coarsening of the blocks.  Transitivity and the part
-    test of every class are re-verified (a failure would be a library bug).
-    `codes` memoizes composition -> canonical code across calls.
-    """
-    comp = t.max_composition(level)
-    codes = {} if codes is None else codes
-
-    def code(c):
-        if c not in codes:
-            codes[c] = canonical_code(instantiate(t, c))
-        return codes[c]
-
-    def plus(c, b):
-        return c[:b] + (c[b] + 1,) + c[b + 1:]
-
     nblocks = len(comp)
-    merge = {}
-    for i, j in itertools.combinations(range(nblocks), 2):
-        rest = tuple(d - (b in (i, j)) for b, d in enumerate(comp))
-        merge[(i, j)] = all(code(plus(c, i)) == code(plus(c, j))
-                            for c in subcompositions(rest))
-    classes = _merge_classes(nblocks, merge)
+    merge = {(i, j): _mergeable(comp, i, j, code)
+             for i, j in itertools.combinations(range(nblocks), 2)}
+    uf = _UnionFind(nblocks)
+    for (i, j), ok in merge.items():
+        if ok:
+            uf.union(i, j)
+    classes = {}
+    for b in range(nblocks):
+        classes.setdefault(uf.find(b), []).append(b)
+    classes = sorted(classes.values())
     for cls in classes:
         for i, j in itertools.combinations(cls, 2):
             if not merge[(i, j)]:
                 raise ConsistencyError(
-                    f"pair mergeability is not transitive on blocks {cls}: "
-                    f"({i},{j})")
-        if not _is_part_of_composition(comp, cls, code):
-            raise ConsistencyError(f"block class {cls} fails the part test")
+                    f"pair mergeability is not transitive on {cls}: ({i},{j})")
+        if not _is_part(comp, set(cls), code):
+            raise ConsistencyError(f"class {cls} fails the part test")
     return classes
 
 
-def _is_part_of_composition(comp, cls, code):
-    """The part test of `is_monomorphic_part` for the union of the blocks in
-    `cls`: for every trace c_out outside the class, all inside counts c_in
-    of one size give the same type."""
+def _mergeable(comp, i, j, code):
+    """Whether an element of block i and one of block j are mergeable:
+    c' + e_i and c' + e_j have the same type for every c' <= comp - e_i - e_j.
+
+    Both sides are enumerated directly, in the same lex order of c'."""
+    def plus(up, other):
+        # c' + e_up for every c' <= comp - e_up - e_other
+        return itertools.product(*(range(b == up, d + (b != other))
+                                   for b, d in enumerate(comp)))
+    return all(code(x) == code(y) for x, y in zip(plus(i, j), plus(j, i)))
+
+
+def _is_part(comp, cls, code):
+    """The part test for the union of the blocks in the set `cls`: for every
+    trace c_out outside the class, all nonzero inside counts c_in of one size
+    give the same type."""
     inside = tuple(d if b in cls else 0 for b, d in enumerate(comp))
     outside = tuple(d - x for d, x in zip(comp, inside))
+    by_size = {}
+    for c_in in subcompositions(inside):
+        if any(c_in):
+            by_size.setdefault(sum(c_in), []).append(c_in)
     for c_out in subcompositions(outside):
-        by_size = {}
-        for c_in in subcompositions(inside):
-            c = code(tuple(a + b for a, b in zip(c_out, c_in)))
-            if by_size.setdefault(sum(c_in), c) != c:
+        for group in by_size.values():
+            if len({code(tuple(map(operator.add, c_out, c_in)))
+                    for c_in in group}) > 1:
                 return False
     return True
 
@@ -157,10 +135,10 @@ def _is_part_of_composition(comp, cls, code):
 def _fatness(t, d_max):
     """(d, certificate, classes at level d) for `fatness_threshold`; the
     levels share one canonical code per composition."""
-    codes = {}
-    prev = _block_coarsening(t, 1, codes)
+    code = _memoized_code(lambda c: instantiate(t, c))
+    prev = _coarsening(t.max_composition(1), code)
     for d in range(1, d_max + 1):
-        nxt = _block_coarsening(t, d + 1, codes)
+        nxt = _coarsening(t.max_composition(d + 1), code)
         if nxt == prev:
             return d, (d, d + 1), prev
         prev = nxt

@@ -310,7 +310,7 @@ def _lcm_exp(gens):
     return tuple(max(col) for col in zip(*gens))
 
 
-def ideal_hilbert(ideal, degree, cross_check=True):
+def ideal_hilbert(ideal, degree):
     """Hilbert series of the ideal (the span of its monomials).
 
     Inclusion-exclusion over subsets of the minimal generators; pairwise
@@ -336,11 +336,9 @@ def ideal_hilbert(ideal, degree, cross_check=True):
         numerator[d] = c
     form = HilbertForm.make(numerator, dens)
     series = IntSeries.make(form.series(degree))
-    if cross_check:
-        brute = _brute_ideal_series(ideal, degree)
-        if list(series.coefficients) != brute:
-            raise ConsistencyError(
-                "inclusion-exclusion disagrees with direct monomial counting")
+    if list(series.coefficients) != _brute_ideal_series(ideal, degree):
+        raise ConsistencyError(
+            "inclusion-exclusion disagrees with direct monomial counting")
     return form, series
 
 

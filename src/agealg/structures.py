@@ -142,9 +142,9 @@ class FiniteRelStruct:
             sig = Signature(tuple((s["name"], s["arity"]) for s in data["signature"]))
             size = int(data["size"])
             relations = {k: [tuple(t) for t in v] for k, v in data.get("relations", {}).items()}
+            return FiniteRelStruct(sig, size, relations)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed structure JSON: {exc}") from exc
-        return FiniteRelStruct(sig, size, relations)
 
     @staticmethod
     def from_json(text):
@@ -468,18 +468,3 @@ def subset_types(struct, n):
         out[code] = out.get(code, 0) + 1
     return out
 
-
-class SubsetCodes:
-    """Memoized canonical codes of all induced substructures of one structure."""
-
-    def __init__(self, struct):
-        self.struct = struct
-        self._cache = {}
-
-    def code(self, subset):
-        key = frozenset(subset)
-        c = self._cache.get(key)
-        if c is None:
-            c = canonical_code(restrict(self.struct, key))
-            self._cache[key] = c
-        return c

@@ -55,6 +55,15 @@ class TuplePattern:
         return {"blocks": list(self.blocks), "ranks": list(self.ranks)}
 
 
+def _pattern_from_json(blocks, ranks):
+    """A pattern read from JSON, whose ranks must already be normalized."""
+    p = TuplePattern.make(blocks, ranks)
+    if p.ranks != tuple(int(r) for r in ranks):
+        raise InputError(f"pattern ranks {list(ranks)} on blocks {list(blocks)} "
+                         f"do not form an initial segment 0..r in each block")
+    return p
+
+
 def pattern_of_tuple(tup, block_of, pos_of):
     """Pattern realized by a concrete tuple of instantiation elements."""
     blocks = tuple(block_of[x] for x in tup)
@@ -133,15 +142,15 @@ class BlockTemplate:
             sig = Signature(tuple((s["name"], s["arity"]) for s in data["signature"]))
             blocks = [(b["name"], b["capacity"]) for b in data["blocks"]]
             accepted = {
-                name: [(p["blocks"], p["ranks"]) for p in pats]
+                name: [_pattern_from_json(p["blocks"], p["ranks"]) for p in pats]
                 for name, pats in data.get("accepted", {}).items()
             }
+            extra = set(accepted) - set(sig.names)
+            if extra:
+                raise InputError(f"accepted patterns for unknown symbols: {sorted(extra)}")
+            return BlockTemplate.make(sig, blocks, accepted)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed template JSON: {exc}") from exc
-        extra = set(accepted) - set(sig.names)
-        if extra:
-            raise InputError(f"accepted patterns for unknown symbols: {sorted(extra)}")
-        return BlockTemplate.make(sig, blocks, accepted)
 
     @staticmethod
     def from_json(text):

@@ -130,8 +130,7 @@ def test_split_census_identity(registries):
             for m in range(n + 1):
                 for target in all_taus(registry, n):
                     total = sum(
-                        structure_constant(t, t1, t2, target, registry,
-                                           check_representative=False)
+                        structure_constant(t, t1, t2, target, registry)
                         for t1 in all_taus(registry, m)
                         for t2 in all_taus(registry, n - m))
                     assert total == comb(n, m)

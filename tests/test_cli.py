@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from agealg.cli import main
 from agealg.templates import wheel_plus_coclique
 
@@ -40,6 +42,36 @@ def test_missing_input_file_is_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, command, "--input", missing)
         assert code == 2 and not out
         assert err.startswith(f"error: cannot read {missing}")
+
+
+def _template_with(**change):
+    data = json.loads(wheel_plus_coclique().to_json())
+    if "capacity" in change:
+        data["blocks"][0]["capacity"] = change["capacity"]
+    if "ranks" in change:
+        data["accepted"]["adj"][0]["ranks"] = change["ranks"]
+    return json.dumps(data)
+
+
+STRUCTURE = {"signature": [{"name": "adj", "arity": 2}], "size": 2,
+             "relations": {"adj": [[0, 1]]}}
+
+
+@pytest.mark.parametrize("command, text", [
+    ("decompose", "5"),
+    ("decompose", "null"),
+    ("decompose", json.dumps(dict(STRUCTURE, relations={"adj": [["a", "b"]]}))),
+    ("profile", _template_with(capacity="many")),
+    ("profile", _template_with(ranks=["x", 1])),
+    ("profile", _template_with(ranks=[0, 5])),
+], ids=["int", "null", "string-elements", "string-capacity", "string-rank",
+        "rank-gap"])
+def test_bad_values_in_input_json_are_exit_2(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ")
 
 
 def test_two_path_difference_beyond_the_window_is_exit_3(capsys):

@@ -19,9 +19,10 @@ from agealg.algebra import (OrbitSum, TypeRegistry, _e_rows,
                             kernel_elements_bounded, orbit_product,
                             profile_series, structure_constant)
 from agealg.cli import main
-from agealg.decomposition import _block_coarsening, minimal_decomposition
+from agealg.decomposition import (_coarsening, _memoized_code,
+                                  minimal_decomposition)
 from agealg.gallery import GALLERY
-from agealg.structures import IsoType, Signature, SubsetCodes, restrict
+from agealg.structures import IsoType, Signature, canonical_code, restrict
 from agealg.templates import (INF, BlockTemplate, TuplePattern, block_spans,
                               instantiate)
 
@@ -78,11 +79,11 @@ def subset_splits(t, comp, m):
     """Counts of (type(A1), type(A2)) over ordered splits with |A1| = m of
     the instantiation of `comp`, one canonical code per subset."""
     s = instantiate(t, comp)
-    codes = SubsetCodes(s)
     out = Counter()
     for left in itertools.combinations(range(s.size), m):
         right = tuple(x for x in range(s.size) if x not in left)
-        out[(codes.code(left), codes.code(right))] += 1
+        out[(canonical_code(restrict(s, left)),
+             canonical_code(restrict(s, right)))] += 1
     return out
 
 
@@ -91,11 +92,10 @@ def subset_e_rows(t, registry, n):
     rows = []
     for entry in registry.types_at(n + 1).values():
         s = instantiate(t, entry.reps[0])
-        codes = SubsetCodes(s)
         row = [0] * len(cols)
         for a in range(s.size):
             rest = [x for x in range(s.size) if x != a]
-            row[cols.index(codes.code(rest))] += 1
+            row[cols.index(canonical_code(restrict(s, rest)))] += 1
         rows.append(row)
     return rows
 
@@ -165,8 +165,9 @@ def test_e_matrix_matches_subset_removals():
 def test_block_coarsening_matches_minimal_decomposition():
     for name, entry in GALLERY.items():
         t = entry.build()
+        code = _memoized_code(lambda c, t=t: instantiate(t, c))
         for level in (1, 2, 3):
-            assert _block_coarsening(t, level) == \
+            assert _coarsening(t.max_composition(level), code) == \
                 subset_block_coarsening(t, level), (name, level)
 
 

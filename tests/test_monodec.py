@@ -4,13 +4,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agealg.decomposition import (fatness_threshold, is_F_monomorphic_up_to,
                                   is_monomorphic_part, minimal_decomposition,
                                   pair_mergeable, partition_lower_bound,
                                   profile_floor_params, template_components)
 from agealg.errors import InputError
-from agealg.structures import FiniteRelStruct, Signature, isomorphic, restrict
+from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
+                               isomorphic, restrict)
 from agealg.templates import (clique_plus_coclique, clique_sum, coclique,
                               groupoid_example, instantiate, qsym, sym,
                               wheel_plus_coclique)
@@ -39,6 +42,34 @@ def oracle_part(s, part):
                 continue
             if not isomorphic(restrict(s, a), restrict(s, b)):
                 return False
+    return True
+
+
+def subset_code(s, subset):
+    return canonical_code(restrict(s, subset))
+
+
+def subset_pair_mergeable(s, a, b):
+    """The pair test over subsets: every B avoiding a and b has
+    B+{a} isomorphic to B+{b}."""
+    rest = [x for x in range(s.size) if x not in (a, b)]
+    return all(subset_code(s, back + (a,)) == subset_code(s, back + (b,))
+               for size in range(len(rest) + 1)
+               for back in itertools.combinations(rest, size))
+
+
+def subset_is_part(s, part):
+    """The part test over subsets: for every trace B outside the part, the
+    nonempty inside subsets of one size give one type."""
+    part = sorted(set(part))
+    rest = [x for x in range(s.size) if x not in part]
+    for size in range(len(rest) + 1):
+        for back in itertools.combinations(rest, size):
+            for j in range(1, len(part) + 1):
+                codes = {subset_code(s, back + inside)
+                         for inside in itertools.combinations(part, j)}
+                if len(codes) > 1:
+                    return False
     return True
 
 
@@ -104,6 +135,35 @@ def test_minimal_decomposition_agrees_with_oracle_on_random_graphs():
         # maximality: no union of two blocks is again a part
         for b1, b2 in itertools.combinations(blocks, 2):
             assert not oracle_part(s, b1 + b2)
+
+
+@st.composite
+def digraph_and_part(draw):
+    n = draw(st.integers(1, 6))
+    arcs = [(a, b) for a in range(n) for b in range(n) if draw(st.booleans())]
+    part = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return FiniteRelStruct(GRAPH, n, {"adj": arcs}), part
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraph_and_part())
+def test_decomposition_matches_subset_oracles_on_random_digraphs(case):
+    s, part = case
+    blocks = minimal_decomposition(s)
+    assert sorted(x for block in blocks for x in block) == list(range(s.size))
+    owner = {x: i for i, block in enumerate(blocks) for x in block}
+    for a, b in itertools.combinations(range(s.size), 2):
+        mergeable = subset_pair_mergeable(s, a, b)
+        assert pair_mergeable(s, a, b) == mergeable
+        assert (owner[a] == owner[b]) == mergeable
+    for block in blocks:
+        assert is_monomorphic_part(s, block)
+        assert subset_is_part(s, block)
+        assert oracle_part(s, block)
+    for b1, b2 in itertools.combinations(blocks, 2):
+        assert not subset_is_part(s, b1 + b2)
+    assert is_monomorphic_part(s, part) == subset_is_part(s, part) \
+        == oracle_part(s, part)
 
 
 # ---------------------------------------------------------------------------

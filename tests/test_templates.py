@@ -183,3 +183,15 @@ def test_malformed_template_json():
         BlockTemplate.from_json("{nope")
     with pytest.raises(InputError):
         BlockTemplate.from_json('{"signature": [], "blocks": []}')
+
+
+def test_template_json_ranks_must_be_an_initial_segment():
+    data = clique_plus_coclique().to_json_dict()
+    good = BlockTemplate.from_json_dict(data)
+    assert good == clique_plus_coclique()
+    for ranks in ([0, 5], [1, 2], [1, 1]):
+        data["accepted"]["adj"][0]["ranks"] = ranks
+        with pytest.raises(InputError, match="initial segment"):
+            BlockTemplate.from_json_dict(data)
+    # the builders still normalize
+    assert TuplePattern.make([0, 0], [0, 5]).ranks == (0, 1)
