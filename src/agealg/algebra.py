@@ -2,7 +2,8 @@
 
 The registry classifies, degree by degree, the instantiations of all
 capacity-respecting compositions of a template into isomorphism types.
-Classification buckets structures by a refinement invariant and settles
+Classification buckets structures by their refined quotient (the sorted
+colour-refinement signatures, equal for isomorphic structures) and settles
 membership with genuine isomorphism searches; the canonical code is computed
 once per type and keys everything downstream (orbit sums, products, reports).
 """
@@ -15,7 +16,7 @@ from math import comb, prod
 
 from .errors import ConsistencyError, InputError
 from .hilbert import compare_monomials
-from .structures import _refine, canonical_code, find_isomorphism
+from .structures import canonical_code, find_isomorphism, refined_quotient
 from .templates import compositions, instantiate, subcompositions
 
 
@@ -43,14 +44,6 @@ class TypeRegistry:
         while self._built < n:
             self._build(self._built + 1)
 
-    def _invariant(self, struct):
-        colors = _refine(struct, [0] * struct.size)
-        return (
-            struct.size,
-            tuple(len(r) for r in struct.rels),
-            tuple(sorted(Counter(colors).items())),
-        )
-
     def _build(self, n):
         entries = {}
         buckets = {}
@@ -60,7 +53,7 @@ class TypeRegistry:
             code = by_struct.get(s)  # permuted compositions often coincide
             inv = None
             if code is None:
-                inv = self._invariant(s)
+                inv = refined_quotient(s, [0] * s.size)[1]
                 for cand in buckets.get(inv, ()):
                     if find_isomorphism(entries[cand].struct, s) is not None:
                         code = cand
@@ -68,7 +61,7 @@ class TypeRegistry:
             if code is None:
                 code = canonical_code(s)
                 if code in entries:  # same code must mean isomorphic
-                    raise InputError("canonical code collision across buckets")
+                    raise ConsistencyError("two types share a canonical code")
                 entries[code] = TypeEntry(code, [comp], comp, s)
                 buckets.setdefault(inv, []).append(code)
             else:

@@ -5,11 +5,14 @@ a fixed signature, a set of tuples of that symbol's arity (repeated entries
 allowed).  Element identity is purely positional; structures never carry
 external labels.
 
-Canonical forms are computed by backtracking over vertex orderings, pruned by
-iterated colour refinement and by automorphisms discovered along the way
-(a small individualization-refinement canonicalizer).  Two structures get the
-same code if and only if they are isomorphic; this is asserted against the
-witness-search oracle in the test suite at small sizes.
+One colour refinement, `_refine`, serves everything here.  Canonical forms
+are computed by backtracking over vertex orderings, pruned by it and by
+automorphisms discovered along the way (a small individualization-refinement
+canonicalizer).  Two structures get the same code if and only if they are
+isomorphic; this is asserted against the witness-search oracle in the test
+suite at small sizes.  `refined_quotient` exposes the refinement's quotient,
+which isomorphic structures share: `find_isomorphism` refuses on differing
+quotients before it searches, and the type registry buckets by it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,14 @@ from .errors import InputError
 # Bump whenever the canonicalization algorithm changes: codes are only
 # comparable within one version.
 CODE_VERSION = "rs1"
+
+
+def json_int(value, what):
+    """An integer read from JSON: exact ints only, so 2.9, 2.0 and true are
+    refused instead of truncated."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -139,9 +150,11 @@ class FiniteRelStruct:
     @staticmethod
     def from_json_dict(data):
         try:
-            sig = Signature(tuple((s["name"], s["arity"]) for s in data["signature"]))
-            size = int(data["size"])
-            relations = {k: [tuple(t) for t in v] for k, v in data.get("relations", {}).items()}
+            sig = Signature(tuple((s["name"], json_int(s["arity"], "arity"))
+                                  for s in data["signature"]))
+            size = json_int(data["size"], "size")
+            relations = {k: [tuple(json_int(x, "tuple entry") for x in t) for t in v]
+                         for k, v in data.get("relations", {}).items()}
             return FiniteRelStruct(sig, size, relations)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed structure JSON: {exc}") from exc
@@ -210,7 +223,9 @@ def _refine(struct, colors):
     The signature of an element combines its colour with, for every tuple it
     occurs in, the symbol, its positions inside the tuple and the colours of
     all entries.  New colours are ranks of sorted signatures, so the result
-    is isomorphism-invariant.
+    is isomorphism-invariant.  Returns (colours, signatures of the last
+    round); `refined_quotient` sorts the latter into a quotient that can be
+    compared across structures.
     """
     n = struct.size
     occ = struct._occurrences()
@@ -225,10 +240,21 @@ def _refine(struct, colors):
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranks[s] for s in sigs]
         if new == colors:
-            return colors
+            return colors, sigs
         colors = new
         if len(set(colors)) == n:
-            return colors
+            return colors, sigs
+
+
+def refined_quotient(struct, colors):
+    """The refined colouring of `struct` from the seed `colors`, and its
+    quotient: the sorted signatures of the last refinement round.
+
+    Isomorphic structures refined from corresponding seeds have equal
+    quotients, and a colour then names the same cell on both sides.
+    """
+    colors, sigs = _refine(struct, colors)
+    return colors, tuple(sorted(sigs))
 
 
 def _individualized(colors, v):
@@ -273,7 +299,7 @@ def canonical_code(struct):
         struct._code = code
         return code
 
-    start = _refine(struct, [0] * n)
+    start = _refine(struct, [0] * n)[0]
     best = [None, None]  # encoding, perm
     autos = []
 
@@ -320,7 +346,7 @@ def canonical_code(struct):
                 rv = uf.find(v)
                 if any(uf.find(u) == rv for u in explored):
                     continue
-            search(_refine(struct, _individualized(colors, v)), prefix + (v,))
+            search(_refine(struct, _individualized(colors, v))[0], prefix + (v,))
             explored.append(v)
 
     search(start, ())
@@ -335,34 +361,6 @@ def iso_type(struct):
 
 # ---------------------------------------------------------------------------
 # isomorphism search
-
-
-def _joint_refine(s1, s2, colors1, colors2):
-    """Refine two structures against a shared colour universe.
-
-    Returns stable (colors1, colors2) or None when the colour histograms
-    diverge (certificate of non-isomorphism).
-    """
-    occ1, occ2 = s1._occurrences(), s2._occurrences()
-    while True:
-        sigs1 = [
-            (colors1[e], tuple(sorted(
-                (si, pos, tuple(colors1[x] for x in t)) for (si, pos, t) in occ1[e])))
-            for e in range(s1.size)
-        ]
-        sigs2 = [
-            (colors2[e], tuple(sorted(
-                (si, pos, tuple(colors2[x] for x in t)) for (si, pos, t) in occ2[e])))
-            for e in range(s2.size)
-        ]
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs1) | set(sigs2)))}
-        new1 = [ranks[s] for s in sigs1]
-        new2 = [ranks[s] for s in sigs2]
-        if Counter(new1) != Counter(new2):
-            return None
-        if new1 == colors1 and new2 == colors2:
-            return colors1, colors2
-        colors1, colors2 = new1, new2
 
 
 def find_isomorphism(s1, s2, fixed=None):
@@ -391,10 +389,10 @@ def find_isomorphism(s1, s2, fixed=None):
             colors2[b] = i + 1
         if len(set(fixed.values())) != len(fixed):
             return None
-    refined = _joint_refine(s1, s2, colors1, colors2)
-    if refined is None:
+    colors1, quotient1 = refined_quotient(s1, colors1)
+    colors2, quotient2 = refined_quotient(s2, colors2)
+    if quotient1 != quotient2:
         return None
-    colors1, colors2 = refined
 
     cell_size = Counter(colors1)
     order = sorted(range(n), key=lambda e: (cell_size[colors1[e]], colors1[e], e))
@@ -402,17 +400,12 @@ def find_isomorphism(s1, s2, fixed=None):
     for e in range(n):
         by_color2.setdefault(colors2[e], []).append(e)
 
-    tuples_of = [[] for _ in range(n)]
-    for si, rel in enumerate(s1.rels):
-        for t in rel:
-            for e in set(t):
-                tuples_of[e].append((si, t))
-
+    occ = s1._occurrences()
     mapping = [-1] * n
     used = [False] * n
 
     def consistent(e):
-        for si, t in tuples_of[e]:
+        for si, _, t in occ[e]:
             img = []
             for x in t:
                 m = mapping[x]

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .structures import FiniteRelStruct, Signature, restrict
+from .structures import FiniteRelStruct, Signature, json_int, restrict
 
 INF = None  # capacity marker for infinite blocks
 
@@ -57,9 +57,11 @@ class TuplePattern:
 
 def _pattern_from_json(blocks, ranks):
     """A pattern read from JSON, whose ranks must already be normalized."""
+    blocks = [json_int(b, "pattern block") for b in blocks]
+    ranks = [json_int(r, "pattern rank") for r in ranks]
     p = TuplePattern.make(blocks, ranks)
-    if p.ranks != tuple(int(r) for r in ranks):
-        raise InputError(f"pattern ranks {list(ranks)} on blocks {list(blocks)} "
+    if p.ranks != tuple(ranks):
+        raise InputError(f"pattern ranks {ranks} on blocks {blocks} "
                          f"do not form an initial segment 0..r in each block")
     return p
 
@@ -139,8 +141,10 @@ class BlockTemplate:
     @staticmethod
     def from_json_dict(data):
         try:
-            sig = Signature(tuple((s["name"], s["arity"]) for s in data["signature"]))
-            blocks = [(b["name"], b["capacity"]) for b in data["blocks"]]
+            sig = Signature(tuple((s["name"], json_int(s["arity"], "arity"))
+                                  for s in data["signature"]))
+            blocks = [(b["name"], b["capacity"] if b["capacity"] in (None, "inf")
+                       else json_int(b["capacity"], "capacity")) for b in data["blocks"]]
             accepted = {
                 name: [_pattern_from_json(p["blocks"], p["ranks"]) for p in pats]
                 for name, pats in data.get("accepted", {}).items()

@@ -9,9 +9,9 @@ from agealg.algebra import (OrbitSum, TypeRegistry, e_orbit,
                             kernel_elements_bounded, mult_by_e_rank,
                             orbit_product, profile, profile_series,
                             structure_constant, unit_orbit)
-from agealg.errors import InputError
+from agealg.errors import ConsistencyError, InputError
 from agealg.structures import IsoType, Signature, subset_types
-from agealg.templates import (INF, BlockTemplate, instantiate)
+from agealg.templates import (INF, BlockTemplate, instantiate, sym)
 
 
 def tau(registry, n, index=0):
@@ -75,6 +75,16 @@ def test_registry_agrees_with_pure_code_classification():
                 by_code.setdefault(
                     canonical_code(instantiate(t, comp)), []).append(comp)
             assert by_registry == by_code
+
+
+def test_missed_isomorphism_is_a_consistency_error(monkeypatch):
+    # (2,1) and (1,2) of sym:2 instantiate to isomorphic, unequal structures:
+    # if the isomorphism search misses that, their codes collide, a library bug
+    import agealg.algebra
+
+    monkeypatch.setattr(agealg.algebra, "find_isomorphism", lambda *a, **k: None)
+    with pytest.raises(ConsistencyError):
+        TypeRegistry(sym(2)).types_at(3)
 
 
 def test_profile_bounded_by_composition_count(registries):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from agealg.cli import main
-from agealg.templates import wheel_plus_coclique
+from agealg.templates import clique_plus_coclique, wheel_plus_coclique
 
 
 def run(capsys, *argv):
@@ -44,8 +44,8 @@ def test_missing_input_file_is_exit_2(tmp_path, capsys):
         assert err.startswith(f"error: cannot read {missing}")
 
 
-def _template_with(**change):
-    data = json.loads(wheel_plus_coclique().to_json())
+def _template_with(template=wheel_plus_coclique, **change):
+    data = json.loads(template().to_json())
     if "capacity" in change:
         data["blocks"][0]["capacity"] = change["capacity"]
     if "ranks" in change:
@@ -64,8 +64,15 @@ STRUCTURE = {"signature": [{"name": "adj", "arity": 2}], "size": 2,
     ("profile", _template_with(capacity="many")),
     ("profile", _template_with(ranks=["x", 1])),
     ("profile", _template_with(ranks=[0, 5])),
+    ("profile", _template_with(clique_plus_coclique, ranks=[0, 1.9])),
+    ("profile", _template_with(capacity=2.5)),
+    ("decompose", json.dumps(dict(STRUCTURE, signature=[{"name": "adj", "arity": 2.0}]))),
+    ("decompose", json.dumps(dict(STRUCTURE, size=2.9))),
+    ("decompose", json.dumps(dict(STRUCTURE, relations={"adj": [[0, 1.7]]}))),
+    ("decompose", json.dumps(dict(STRUCTURE, size=True, relations={"adj": [[0, 0]]}))),
 ], ids=["int", "null", "string-elements", "string-capacity", "string-rank",
-        "rank-gap"])
+        "rank-gap", "fractional-rank", "fractional-capacity", "float-arity",
+        "fractional-size", "fractional-element", "boolean-size"])
 def test_bad_values_in_input_json_are_exit_2(tmp_path, capsys, command, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
