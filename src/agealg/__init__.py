@@ -17,9 +17,8 @@ from .hilbert import (HilbertForm, IntSeries, QuasiPolynomial,
                       WeightedMonomialIdeal, check_addlayer, compare_monomials,
                       fit_rational, hilbert_via_leading, ideal_hilbert, layers,
                       nonnegative_form, quasi_polynomial, two_path_hilbert)
-from .structures import (FiniteRelStruct, IsoType, Signature, canonical_code,
-                         find_isomorphism, iso_type, isomorphic, restrict,
-                         subset_types)
+from .structures import (FiniteRelStruct, Signature, canonical_code,
+                         find_isomorphism, isomorphic, restrict, subset_types)
 from .templates import (BlockTemplate, TuplePattern, c3_chains,
                         clique_plus_coclique, clique_sum, coclique,
                         compositions, groupoid_example, instantiate, lex_sum,

@@ -1,11 +1,15 @@
 """Profiles and the age algebra: orbit sums, structure constants, e-rank.
 
 The registry classifies, degree by degree, the instantiations of all
-capacity-respecting compositions of a template into isomorphism types.
-Classification buckets structures by their refined quotient (the sorted
-colour-refinement signatures, equal for isomorphic structures) and settles
-membership with genuine isomorphism searches; the canonical code is computed
-once per type and keys everything downstream (orbit sums, products, reports).
+capacity-respecting compositions of a template into isomorphism types, and
+names the types of each degree by dense ids in discovery order.  Removing an
+element of block i from the instantiation of c leaves the instantiation of
+c - e_i, so the deck of c (the ids of the c - e_i, each counted c_i times)
+is read off the degree below without building a structure.  Different decks
+prove two compositions non-isomorphic; within a deck, isomorphism searches
+against the types found so far settle membership.  Canonical codes are
+labels, computed on request (the type ids of `constants` reports) and to
+check that a new type sharing its deck with others is really new.
 """
 
 from __future__ import annotations
@@ -16,28 +20,47 @@ from math import comb, prod
 
 from .errors import ConsistencyError, InputError
 from .hilbert import compare_monomials
-from .structures import canonical_code, find_isomorphism, refined_quotient
+from .structures import canonical_code, find_isomorphism
 from .templates import compositions, instantiate, subcompositions
 
 
-@dataclass
+@dataclass(eq=False)
 class TypeEntry:
-    """One isomorphism type: canonical code, realizing compositions (in
-    discovery = graded-lex order), the maximal one, and a representative."""
+    """One isomorphism type: its id among the types of its degree, its deck
+    (sorted (id, multiplicity) pairs), the realizing compositions (in
+    discovery = graded-lex order) and the maximal one.  The representative
+    structure, the instantiation of reps[0], and its canonical code are
+    computed on first use."""
 
-    code: str
+    template: object = field(repr=False)
+    id: int
+    deck: tuple
     reps: list
     lead: tuple
-    struct: object = field(repr=False)
+    _struct: object = field(default=None, repr=False)
+
+    @property
+    def degree(self):
+        return sum(self.reps[0])
+
+    @property
+    def struct(self):
+        if self._struct is None:
+            self._struct = instantiate(self.template, self.reps[0])
+        return self._struct
+
+    @property
+    def code(self):
+        return canonical_code(self.struct)
 
 
 class TypeRegistry:
-    """Per-degree map IsoType code -> TypeEntry, built incrementally."""
+    """Per-degree lists of TypeEntry, indexed by type id, built incrementally."""
 
     def __init__(self, template):
         self.template = template
         self._by_degree = {}
-        self._comp_code = {}
+        self._comp_id = {}
         self._built = -1
 
     def ensure_degree(self, n):
@@ -45,32 +68,35 @@ class TypeRegistry:
             self._build(self._built + 1)
 
     def _build(self, n):
-        entries = {}
+        t = self.template
+        entries = []
         buckets = {}
-        by_struct = {}
-        for comp in compositions(self.template, n):
-            s = instantiate(self.template, comp)
-            code = by_struct.get(s)  # permuted compositions often coincide
-            inv = None
-            if code is None:
-                inv = refined_quotient(s, [0] * s.size)[1]
-                for cand in buckets.get(inv, ()):
-                    if find_isomorphism(entries[cand].struct, s) is not None:
-                        code = cand
-                        break
-            if code is None:
-                code = canonical_code(s)
-                if code in entries:  # same code must mean isomorphic
-                    raise ConsistencyError("two types share a canonical code")
-                entries[code] = TypeEntry(code, [comp], comp, s)
-                buckets.setdefault(inv, []).append(code)
+        for comp in compositions(t, n):
+            deck = Counter()
+            for i, d in enumerate(comp):
+                if d:
+                    deck[self._comp_id[comp[:i] + (d - 1,) + comp[i + 1:]]] += d
+            deck = tuple(sorted(deck.items()))
+            bucket = buckets.setdefault(deck, [])
+            entry = s = None
+            if bucket:
+                s = instantiate(t, comp)
+                entry = next((e for e in bucket
+                              if find_isomorphism(e.struct, s) is not None), None)
+                if entry is None:
+                    code = canonical_code(s)
+                    if any(e.code == code for e in bucket):
+                        # same code must mean isomorphic
+                        raise ConsistencyError("two types share a canonical code")
+            if entry is None:
+                entry = TypeEntry(t, len(entries), deck, [comp], comp, s)
+                entries.append(entry)
+                bucket.append(entry)
             else:
-                e = entries[code]
-                e.reps.append(comp)
-                if compare_monomials(comp, e.lead) > 0:
-                    e.lead = comp
-            by_struct[s] = code
-            self._comp_code[comp] = code
+                entry.reps.append(comp)
+                if compare_monomials(comp, entry.lead) > 0:
+                    entry.lead = comp
+            self._comp_id[comp] = entry.id
         self._by_degree[n] = entries
         self._built = n
 
@@ -78,24 +104,18 @@ class TypeRegistry:
         self.ensure_degree(n)
         return self._by_degree[n]
 
-    def code_of(self, comp):
+    def id_of(self, comp):
         self.ensure_degree(sum(comp))
         try:
-            return self._comp_code[tuple(comp)]
+            return self._comp_id[tuple(comp)]
         except KeyError:
             raise InputError(f"composition {comp} not realizable") from None
-
-    def entry(self, code, degree):
-        e = self.types_at(degree).get(code)
-        if e is None:
-            raise InputError(f"type of degree {degree} not realized in this age")
-        return e
 
     def profile(self, n):
         return len(self.types_at(n))
 
     def leading_monomials(self, n):
-        return {e.lead: code for code, e in self.types_at(n).items()}
+        return {e.lead: e.id for e in self.types_at(n)}
 
 
 def profile(t, n, registry=None):
@@ -115,7 +135,8 @@ def profile_series(t, degree, registry=None):
 
 
 class OrbitSum:
-    """Finitely supported integer combination of isomorphism-type codes."""
+    """Finitely supported integer combination of the isomorphism types of
+    one degree, keyed by type id."""
 
     def __init__(self, coeffs, degree=None):
         self.coeffs = {c: int(v) for c, v in dict(coeffs).items() if v}
@@ -139,7 +160,7 @@ def _splits(registry, comp, m):
     for c1 in subcompositions(comp, m):
         c2 = tuple(d - x for d, x in zip(comp, c1))
         weight = prod(comb(d, x) for d, x in zip(comp, c1))
-        out[(registry.code_of(c1), registry.code_of(c2))] += weight
+        out[(registry.id_of(c1), registry.id_of(c2))] += weight
     return out
 
 
@@ -161,13 +182,13 @@ def structure_constant(t, tau1, tau2, tau, registry=None):
     """c^tau_{tau1,tau2}: ordered splits of a representative of tau whose
     halves realize tau1 and tau2, read from its split census.
 
-    The tau arguments are IsoType values (code + degree)."""
+    The tau arguments are TypeEntry values of a registry of `t`; every
+    registry of `t` numbers the types alike, in discovery order."""
     if tau.degree != tau1.degree + tau2.degree:
         raise InputError("degree mismatch: deg tau must be deg tau1 + deg tau2")
     registry = registry or TypeRegistry(t)
-    census = split_census(registry, registry.entry(tau.code, tau.degree),
-                          tau1.degree)
-    return census.get((tau1.code, tau2.code), 0)
+    census = split_census(registry, tau, tau1.degree)
+    return census.get((tau1.id, tau2.id), 0)
 
 
 def orbit_product(t, o1, o2, registry=None):
@@ -178,7 +199,7 @@ def orbit_product(t, o1, o2, registry=None):
     registry = registry or TypeRegistry(t)
     n = o1.degree + o2.degree
     out = {}
-    for code, entry in registry.types_at(n).items():
+    for entry in registry.types_at(n):
         total = 0
         splits = _splits(registry, entry.reps[0], o1.degree)
         for (c1, c2), mult in splits.items():
@@ -189,20 +210,20 @@ def orbit_product(t, o1, o2, registry=None):
             if v2:
                 total += mult * v1 * v2
         if total:
-            out[code] = total
+            out[entry.id] = total
     return OrbitSum(out, n)
 
 
 def unit_orbit(t, registry=None):
     registry = registry or TypeRegistry(t)
-    (code,) = registry.types_at(0).keys()
-    return OrbitSum({code: 1}, 0)
+    (entry,) = registry.types_at(0)
+    return OrbitSum({entry.id: 1}, 0)
 
 
 def e_orbit(t, registry=None):
     """e = sum of all degree-1 types (the sum of singletons)."""
     registry = registry or TypeRegistry(t)
-    return OrbitSum({c: 1 for c in registry.types_at(1)}, 1)
+    return OrbitSum({e.id: 1 for e in registry.types_at(1)}, 1)
 
 
 def _int_matrix_rank(rows):
@@ -237,21 +258,16 @@ def _int_matrix_rank(rows):
 
 def _e_rows(registry, n):
     """Matrix of multiplication by e from degree n to n+1: one row per type
-    of degree n+1, one column per type of degree n (registry order).
+    of degree n+1, one column per type of degree n (in id order).
 
     The entry at (tau', tau) counts elements a of a representative A' of
-    tau' with type(A' - a) = tau.  Dropping any of the c_i elements of block
-    i from the instantiation of c leaves the instantiation of c - e_i, so
-    the row of c is sum_i c_i [type(c - e_i)]."""
-    col_index = {c: i for i, c in enumerate(registry.types_at(n))}
+    tau' with type(A' - a) = tau, so the row of tau' is its deck."""
+    width = registry.profile(n)
     rows = []
-    for entry in registry.types_at(n + 1).values():
-        comp = entry.reps[0]
-        row = [0] * len(col_index)
-        for i, d in enumerate(comp):
-            if d:
-                below = comp[:i] + (d - 1,) + comp[i + 1:]
-                row[col_index[registry.code_of(below)]] += d
+    for entry in registry.types_at(n + 1):
+        row = [0] * width
+        for i, mult in entry.deck:
+            row[i] = mult
         rows.append(row)
     return rows
 
@@ -286,7 +302,7 @@ def kernel_elements_bounded(t, degree_bound):
             continue
         if any(all(comp[bi] == cap for comp in entry.reps)
                for m in range(degree_bound + 1)
-               for entry in registry.types_at(m).values()):
+               for entry in registry.types_at(m)):
             flagged.append(bi)
     elements = [(bi, pos) for bi in flagged for pos in range(t.capacities[bi])]
     return {

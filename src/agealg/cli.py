@@ -158,27 +158,25 @@ def cmd_constants(args):
     t, source = _load_template(args)
     registry = TypeRegistry(t)
     n = args.degree
-    m = args.left if args.left is not None else 1
+    m = args.left if args.left is not None else min(1, n)
     if not 0 <= m <= n:
         raise InputError("--left must be between 0 and --degree")
+    # a type is labelled by the short id of its canonical code; the sidecar
+    # decodes each label to a representative composition
+    labels = {}
     sidecar = {}
-
-    def named(code, degree):
-        # sidecar decodes the short type id to a representative composition
-        sidecar[_short(code)] = list(registry.entry(code, degree).reps[0])
-
+    if registry.types_at(n):
+        for d in {n, m, n - m}:
+            labels[d] = [_short(e.code) for e in registry.types_at(d)]
+            for label, e in zip(labels[d], registry.types_at(d)):
+                sidecar[label] = list(e.reps[0])
     rows = []
-    for code, entry in registry.types_at(n).items():
-        named(code, n)
-        census = split_census(registry, entry, m)
-        for c1 in registry.types_at(m):
-            named(c1, m)
-            for c2 in registry.types_at(n - m):
-                named(c2, n - m)
-                c = census.get((c1, c2), 0)
-                if c:
-                    rows.append({"tau1": _short(c1), "tau2": _short(c2),
-                                 "tau": _short(code), "c": c})
+    for entry in registry.types_at(n):
+        # ids follow registry order, so sorting the census keeps the rows
+        # in (tau1, tau2) registry order
+        for (i1, i2), c in sorted(split_census(registry, entry, m).items()):
+            rows.append({"tau1": labels[m][i1], "tau2": labels[n - m][i2],
+                         "tau": labels[n][entry.id], "c": c})
     return {
         "command": "constants",
         "source": source,
@@ -245,7 +243,8 @@ def build_parser():
     parser.add_argument("--degree", type=int, default=12,
                         help="degree bound D (default 12)")
     parser.add_argument("--left", type=int, default=None,
-                        help="left degree for structure constants (default 1)")
+                        help="left degree for structure constants "
+                        "(default 1, or 0 at degree 0)")
     parser.add_argument("--dim", type=int, default=None,
                         help="dimension hint k (default: computed)")
     parser.add_argument("--gen-bound", type=int, default=None,

@@ -105,7 +105,3 @@ def resolve_builtin(spec):
 
 def builtin_names():
     return sorted(_BUILDERS)
-
-
-def gallery_names():
-    return list(GALLERY)

@@ -10,9 +10,9 @@ are computed by backtracking over vertex orderings, pruned by it and by
 automorphisms discovered along the way (a small individualization-refinement
 canonicalizer).  Two structures get the same code if and only if they are
 isomorphic; this is asserted against the witness-search oracle in the test
-suite at small sizes.  `refined_quotient` exposes the refinement's quotient,
-which isomorphic structures share: `find_isomorphism` refuses on differing
-quotients before it searches, and the type registry buckets by it.
+suite at small sizes.  `find_isomorphism` compares the two structures'
+refinement quotients (their sorted last-round signatures, which isomorphic
+structures share) before it searches.
 """
 
 from __future__ import annotations
@@ -69,17 +69,6 @@ class Signature:
             if n == name:
                 return i
         raise InputError(f"unknown symbol {name!r}")
-
-
-@dataclass(frozen=True)
-class IsoType:
-    """Opaque canonical code plus the degree (size) of the structure."""
-
-    code: str
-    degree: int
-
-    def __str__(self):
-        return f"IsoType(deg={self.degree})"
 
 
 class FiniteRelStruct:
@@ -224,8 +213,8 @@ def _refine(struct, colors):
     occurs in, the symbol, its positions inside the tuple and the colours of
     all entries.  New colours are ranks of sorted signatures, so the result
     is isomorphism-invariant.  Returns (colours, signatures of the last
-    round); `refined_quotient` sorts the latter into a quotient that can be
-    compared across structures.
+    round); sorted, the latter form a quotient that can be compared across
+    structures.
     """
     n = struct.size
     occ = struct._occurrences()
@@ -244,17 +233,6 @@ def _refine(struct, colors):
         colors = new
         if len(set(colors)) == n:
             return colors, sigs
-
-
-def refined_quotient(struct, colors):
-    """The refined colouring of `struct` from the seed `colors`, and its
-    quotient: the sorted signatures of the last refinement round.
-
-    Isomorphic structures refined from corresponding seeds have equal
-    quotients, and a colour then names the same cell on both sides.
-    """
-    colors, sigs = _refine(struct, colors)
-    return colors, tuple(sorted(sigs))
 
 
 def _individualized(colors, v):
@@ -355,10 +333,6 @@ def canonical_code(struct):
     return code
 
 
-def iso_type(struct):
-    return IsoType(canonical_code(struct), struct.size)
-
-
 # ---------------------------------------------------------------------------
 # isomorphism search
 
@@ -389,9 +363,11 @@ def find_isomorphism(s1, s2, fixed=None):
             colors2[b] = i + 1
         if len(set(fixed.values())) != len(fixed):
             return None
-    colors1, quotient1 = refined_quotient(s1, colors1)
-    colors2, quotient2 = refined_quotient(s2, colors2)
-    if quotient1 != quotient2:
+    # isomorphic structures refined from corresponding seeds have equal
+    # quotients, and a colour then names the same cell on both sides
+    colors1, sigs1 = _refine(s1, colors1)
+    colors2, sigs2 = _refine(s2, colors2)
+    if sorted(sigs1) != sorted(sigs2):
         return None
 
     cell_size = Counter(colors1)

@@ -113,10 +113,6 @@ class BlockTemplate:
     def capacities(self):
         return tuple(c for _, c in self.blocks)
 
-    @property
-    def infinite_blocks(self):
-        return tuple(i for i, (_, c) in enumerate(self.blocks) if c is None)
-
     def max_composition(self, n):
         """Per-block cap for degree-n subsets: min(capacity, n)."""
         return tuple(n if c is None else min(c, n) for c in self.capacities)

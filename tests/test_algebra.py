@@ -10,17 +10,16 @@ from agealg.algebra import (OrbitSum, TypeRegistry, e_orbit,
                             orbit_product, profile, profile_series,
                             structure_constant, unit_orbit)
 from agealg.errors import ConsistencyError, InputError
-from agealg.structures import IsoType, Signature, subset_types
+from agealg.structures import Signature, subset_types
 from agealg.templates import (INF, BlockTemplate, instantiate, sym)
 
 
 def tau(registry, n, index=0):
-    codes = list(registry.types_at(n))
-    return IsoType(codes[index], n)
+    return registry.types_at(n)[index]
 
 
 def all_taus(registry, n):
-    return [IsoType(c, n) for c in registry.types_at(n)]
+    return registry.types_at(n)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +54,7 @@ def test_profile_cross_checks_subset_types(registries):
 
 
 def test_registry_agrees_with_pure_code_classification():
-    # the registry buckets by invariant and settles with isomorphism search;
+    # the registry buckets by deck and settles with isomorphism search;
     # classifying every composition by its canonical code must coincide
     import random
 
@@ -71,10 +70,10 @@ def test_registry_agrees_with_pure_code_classification():
             by_registry = {}
             by_code = {}
             for comp in compositions(t, n):
-                by_registry.setdefault(registry.code_of(comp), []).append(comp)
+                by_registry.setdefault(registry.id_of(comp), []).append(comp)
                 by_code.setdefault(
                     canonical_code(instantiate(t, comp)), []).append(comp)
-            assert by_registry == by_code
+            assert list(by_registry.values()) == list(by_code.values())
 
 
 def test_missed_isomorphism_is_a_consistency_error(monkeypatch):
@@ -120,7 +119,7 @@ def test_sym2_edgeless_pair_split(registries):
     pair_types = all_taus(registry, 2)
     # the x1*x2 type (two points in distinct blocks) splits in 2 ways
     cross = [p for p in pair_types
-             if registry.entry(p.code, 2).reps[0] == (1, 1)]
+             if p.reps[0] == (1, 1)]
     assert len(cross) == 1
     assert structure_constant(t, point, point, cross[0], registry) == 2
 
@@ -153,7 +152,7 @@ def test_split_census_identity(registries):
 def test_product_with_unit(registries):
     t, registry = registries("wheel_plus_coclique")
     one = unit_orbit(t, registry)
-    o = OrbitSum({c: 3 for c in registry.types_at(2)}, 2)
+    o = OrbitSum({e.id: 3 for e in registry.types_at(2)}, 2)
     assert orbit_product(t, o, one, registry) == o
 
 
@@ -167,20 +166,20 @@ def test_e_squared_in_coclique(registries):
 
 def test_product_commutes(registries):
     t, registry = registries("groupoid")
-    o1 = OrbitSum({c: i + 1 for i, c in enumerate(registry.types_at(1))}, 1)
-    o2 = OrbitSum({c: 2 * i + 1 for i, c in enumerate(registry.types_at(2))}, 2)
+    o1 = OrbitSum({e.id: e.id + 1 for e in registry.types_at(1)}, 1)
+    o2 = OrbitSum({e.id: 2 * e.id + 1 for e in registry.types_at(2)}, 2)
     assert orbit_product(t, o1, o2, registry) == orbit_product(t, o2, o1, registry)
 
 
 def test_product_associates_on_sampled_triples(registries):
     t, registry = registries("clique_plus_coclique")
     e = e_orbit(t, registry)
-    o2 = OrbitSum({c: 1 for c in registry.types_at(2)}, 2)
+    o2 = OrbitSum({e.id: 1 for e in registry.types_at(2)}, 2)
     left = orbit_product(t, orbit_product(t, e, e, registry), o2, registry)
     right = orbit_product(t, e, orbit_product(t, e, o2, registry), registry)
     assert left == right
     # a triple of total degree 6
-    o3 = OrbitSum({c: i + 1 for i, c in enumerate(registry.types_at(3))}, 3)
+    o3 = OrbitSum({e.id: e.id + 1 for e in registry.types_at(3)}, 3)
     left = orbit_product(t, orbit_product(t, e, o2, registry), o3, registry)
     right = orbit_product(t, e, orbit_product(t, o2, o3, registry), registry)
     assert left == right

@@ -181,6 +181,43 @@ def test_constants_report(capsys):
     assert sorted(row["c"] for row in data["constants"]) == [2, 2]
 
 
+def test_constants_at_degree_zero_defaults_left_to_zero(capsys):
+    # --left defaults to min(1, --degree): the empty type is its own square
+    code, out, err = run(capsys, "constants", "--builtin", "coclique",
+                         "--degree", "0")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["left_degree"] == 0
+    assert [row["c"] for row in data["constants"]] == [1]
+    assert list(data["types"].values()) == [[0]]
+    code, _, err = run(capsys, "constants", "--builtin", "coclique",
+                       "--degree", "0", "--left", "1")
+    assert code == 2 and "--left" in err
+
+
+# sha256 of stdout, pinned when canonical codes keyed the type registry;
+# the `constants` rows and sidecar carry sha256 prefixes of the rs1 codes
+GOLDEN_STDOUT = {
+    ("constants", "--builtin", "groupoid", "--degree", "4", "--left", "2"):
+        "19d60f4f5bc9ade133b73028e4b64cec160127303a10ce3af7aceb94696d1e5c",
+    ("constants", "--builtin", "sym:3", "--degree", "6", "--left", "2"):
+        "42ada7aadb9b5f893c3a9e9d6cf2fac8a6c2fb112cd0236ad8e7ee74c586b09f",
+    ("hilbert", "--builtin", "groupoid", "--degree", "11"):
+        "748fb5f3055a0c24368c851873063b10e986afc95e4f8afb8d155eae38f31f95",
+    ("kernel", "--builtin", "wheel_plus_coclique", "--degree", "3"):
+        "6f9824e23bfa0ce669b3d4235100830f4161e068dcea6f651fc39db659693fbf",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT), ids=" ".join)
+def test_stdout_bytes_are_pinned(capsys, argv):
+    import hashlib
+
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
 def test_kernel_wheel(capsys):
     code, out, _ = run(capsys, "kernel", "--builtin", "wheel_plus_coclique",
                        "--degree", "3")

@@ -12,7 +12,9 @@ import json
 import random
 from collections import Counter
 
-from hypothesis import given, settings
+from functools import cmp_to_key
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agealg.algebra import (OrbitSum, TypeRegistry, _e_rows,
@@ -22,9 +24,10 @@ from agealg.cli import main
 from agealg.decomposition import (_coarsening, _memoized_code,
                                   minimal_decomposition)
 from agealg.gallery import GALLERY
-from agealg.structures import IsoType, Signature, canonical_code, restrict
+from agealg.structures import Signature, canonical_code, restrict
+from agealg.hilbert import compare_monomials
 from agealg.templates import (INF, BlockTemplate, TuplePattern, block_spans,
-                              instantiate)
+                              compositions, instantiate)
 
 MAX_DEGREE = 4
 
@@ -75,22 +78,30 @@ def oracle_templates():
 # the subset computations, as they were before compositions replaced them
 
 
-def subset_splits(t, comp, m):
+def id_by_code(registry, n):
+    """Type id of each degree-n canonical code."""
+    return {entry.code: entry.id for entry in registry.types_at(n)}
+
+
+def subset_splits(t, registry, comp, m):
     """Counts of (type(A1), type(A2)) over ordered splits with |A1| = m of
-    the instantiation of `comp`, one canonical code per subset."""
+    the instantiation of `comp`, one canonical code per subset, translated
+    to registry ids."""
     s = instantiate(t, comp)
+    left_ids = id_by_code(registry, m)
+    right_ids = id_by_code(registry, s.size - m)
     out = Counter()
     for left in itertools.combinations(range(s.size), m):
         right = tuple(x for x in range(s.size) if x not in left)
-        out[(canonical_code(restrict(s, left)),
-             canonical_code(restrict(s, right)))] += 1
+        out[(left_ids[canonical_code(restrict(s, left))],
+             right_ids[canonical_code(restrict(s, right))])] += 1
     return out
 
 
 def subset_e_rows(t, registry, n):
-    cols = list(registry.types_at(n))
+    cols = [entry.code for entry in registry.types_at(n)]
     rows = []
-    for entry in registry.types_at(n + 1).values():
+    for entry in registry.types_at(n + 1):
         s = instantiate(t, entry.reps[0])
         row = [0] * len(cols)
         for a in range(s.size):
@@ -123,16 +134,15 @@ def test_structure_constants_match_subset_splits():
     for name, t in oracle_templates():
         registry = TypeRegistry(t)
         for n in range(MAX_DEGREE + 1):
-            for code, entry in registry.types_at(n).items():
-                tau = IsoType(code, n)
+            for tau in registry.types_at(n):
                 for m in range(n + 1):
-                    want = subset_splits(t, entry.reps[0], m)
-                    for c1 in registry.types_at(m):
-                        for c2 in registry.types_at(n - m):
-                            got = structure_constant(
-                                t, IsoType(c1, m), IsoType(c2, n - m), tau,
-                                registry)
-                            assert got == want.get((c1, c2), 0), (name, n, m)
+                    want = subset_splits(t, registry, tau.reps[0], m)
+                    for tau1 in registry.types_at(m):
+                        for tau2 in registry.types_at(n - m):
+                            got = structure_constant(t, tau1, tau2, tau,
+                                                     registry)
+                            assert got == want.get((tau1.id, tau2.id), 0), \
+                                (name, n, m)
 
 
 def test_orbit_products_match_subset_splits():
@@ -140,14 +150,14 @@ def test_orbit_products_match_subset_splits():
     for name, t in oracle_templates():
         registry = TypeRegistry(t)
         for d1, d2 in ((1, 1), (1, 2), (2, 2), (1, 3)):
-            o1 = OrbitSum({c: rng.randint(-3, 3)
-                           for c in registry.types_at(d1)}, d1)
-            o2 = OrbitSum({c: rng.randint(-3, 3)
-                           for c in registry.types_at(d2)}, d2)
+            o1 = OrbitSum({e.id: rng.randint(-3, 3)
+                           for e in registry.types_at(d1)}, d1)
+            o2 = OrbitSum({e.id: rng.randint(-3, 3)
+                           for e in registry.types_at(d2)}, d2)
             want = {}
-            for code, entry in registry.types_at(d1 + d2).items():
-                census = subset_splits(t, entry.reps[0], d1)
-                want[code] = sum(
+            for entry in registry.types_at(d1 + d2):
+                census = subset_splits(t, registry, entry.reps[0], d1)
+                want[entry.id] = sum(
                     mult * o1.coeffs.get(c1, 0) * o2.coeffs.get(c2, 0)
                     for (c1, c2), mult in census.items())
             assert orbit_product(t, o1, o2, registry) == OrbitSum(
@@ -260,3 +270,49 @@ def test_restriction_equals_instantiation_of_counts(case):
     counts = tuple(sum(lo <= x < hi for x in subset)
                    for lo, hi in block_spans(comp))
     assert restrict(instantiate(t, comp), subset) == instantiate(t, counts)
+
+
+# ---------------------------------------------------------------------------
+# the deck registry against classification by canonical code
+
+
+def code_classes(t, n):
+    """Degree-n compositions grouped by the canonical code of their
+    instantiations, classes in order of first appearance."""
+    classes = {}
+    for comp in compositions(t, n):
+        classes.setdefault(canonical_code(instantiate(t, comp)), []).append(comp)
+    return list(classes.values())
+
+
+# two infinite blocks and no relation: all compositions of a degree, such
+# as (2, 1) and (3, 0), instantiate to one edgeless structure, so a deck
+# must sum the multiplicities of equal ids, not list them block by block
+RELATION_FREE = make_template([INF, INF], (2,), lambda: False)
+
+
+@st.composite
+def template_and_degree(draw):
+    caps = draw(st.lists(st.sampled_from([INF, 1, 2, 3]),
+                         min_size=1, max_size=3))
+    arities = draw(st.sampled_from([(1,), (2,), (1, 2)]))
+    t = make_template(caps, arities, lambda: draw(st.booleans()))
+    return t, draw(st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(template_and_degree())
+@example((RELATION_FREE, 5))
+def test_registry_matches_code_classification(case):
+    t, degree = case
+    registry = TypeRegistry(t)
+    by_monomial = cmp_to_key(compare_monomials)
+    for n in range(degree + 1):
+        classes = code_classes(t, n)
+        types = registry.types_at(n)
+        assert [e.id for e in types] == list(range(len(types)))
+        assert [e.reps for e in types] == classes
+        assert [e.lead for e in types] == [max(c, key=by_monomial)
+                                           for c in classes]
+        if n:
+            assert _e_rows(registry, n - 1) == subset_e_rows(t, registry, n - 1)

@@ -14,7 +14,7 @@ from agealg.hilbert import (HilbertForm, WeightedMonomialIdeal, chain_support,
                             fit_rational, hilbert_via_leading, ideal_hilbert,
                             layers, nonnegative_form, quasi_polynomial,
                             two_path_hilbert)
-from agealg.structures import iso_type
+from agealg.structures import canonical_code
 from agealg.templates import clique_plus_coclique, instantiate
 
 
@@ -48,10 +48,11 @@ def test_total_order_properties():
 def test_leading_monomial_cpc():
     t = clique_plus_coclique()
     registry = TypeRegistry(t)
+    by_code = {entry.code: entry for entry in registry.types_at(2)}
     s = instantiate(t, (0, 2))  # edgeless pair
-    assert registry.entry(iso_type(s).code, 2).lead == (0, 2)
+    assert by_code[canonical_code(s)].lead == (0, 2)
     e = instantiate(t, (2, 0))  # edge: unique realization
-    assert registry.entry(iso_type(e).code, 2).lead == (2, 0)
+    assert by_code[canonical_code(e)].lead == (2, 0)
 
 
 def test_leading_monomials_partition_profile(registries):
