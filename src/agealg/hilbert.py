@@ -7,7 +7,7 @@ but not a monomial order, so all ideal computations happen per chain support
 in the layer-variable ring: for each chain S_1 c ... c S_l arising among
 leading monomials, the span of those leading monomials together with the
 over-capacity monomials is a monomial ideal there, and its Hilbert series
-comes out of inclusion-exclusion over the minimal generators.  Summing the
+comes out of Bigatti's pivot recursion on the minimal generators.  Summing the
 per-chain series over all chains rebuilds the profile generating series as
 an explicit rational function with denominator (1-Z)...(1-Z^k).
 
@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ConsistencyError, InputError, NotRationalError, UndeterminedError
+from .structures import json_int
 
 DEFAULT_GUARD = 5
 
@@ -282,22 +283,18 @@ class WeightedMonomialIdeal:
 
     @staticmethod
     def make(degrees, generators):
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(json_int(d, "variable degree") for d in degrees)
         if any(d < 1 for d in degrees):
             raise InputError("variable degrees must be positive")
         gens = []
         for g in generators:
-            g = tuple(int(e) for e in g)
+            g = tuple(json_int(e, "generator exponent") for e in g)
             if len(g) != len(degrees):
                 raise InputError("generator length != number of variables")
             if any(e < 0 for e in g):
                 raise InputError("negative exponent in generator")
             gens.append(g)
-        minimal = []
-        for g in sorted(set(gens), key=lambda g: (sum(e * d for e, d in zip(g, degrees)), g)):
-            if not any(all(x <= y for x, y in zip(h, g)) for h in minimal):
-                minimal.append(g)
-        return WeightedMonomialIdeal(degrees, tuple(minimal))
+        return WeightedMonomialIdeal(degrees, _minimal(degrees, gens))
 
     def weighted_degree(self, mono):
         return sum(e * d for e, d in zip(mono, self.degrees))
@@ -306,39 +303,66 @@ class WeightedMonomialIdeal:
         return any(all(x <= y for x, y in zip(g, mono)) for g in self.generators)
 
 
-def _lcm_exp(gens):
-    return tuple(max(col) for col in zip(*gens))
+def _minimal(degrees, gens):
+    """The minimal ones among the exponent vectors `gens`, in the order of
+    (weighted degree, vector); a divisor comes before its multiples."""
+    minimal = []
+    for g in sorted(set(gens), key=lambda g: (sum(e * d for e, d in zip(g, degrees)), g)):
+        if not any(all(x <= y for x, y in zip(h, g)) for h in minimal):
+            minimal.append(g)
+    return tuple(minimal)
+
+
+def _quotient_numerator(degrees, gens):
+    """N(I) with HS(R/I) = N(I) / prod (1 - Z^{d_i}), for minimal `gens`.
+
+    Bigatti's pivot recursion: for a pivot p = x_i^e,
+    N(I) = N(I + (p)) + Z^{e d_i} N(I : p).  x_i is the variable found in the
+    most generators that involve two or more variables, and e the median of
+    their x_i exponents.  Both branches have a smaller exponent sum over
+    their minimal generators than I, so the recursion ends, at ideals of
+    pure powers, whose numerator is prod (1 - Z^{deg g}).  A worklist keeps
+    the recursion off the stack.
+    """
+    nvars = len(degrees)
+    total = []
+    work = [(gens, 0)]
+    while work:
+        gens, shift = work.pop()
+        mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+        if not mixed:
+            leaf = [0] * shift + [1]
+            for g in gens:  # times (1 - Z^{deg g})
+                leaf = psub(leaf, [0] * sum(e * d for e, d in zip(g, degrees)) + leaf)
+            total = padd(total, leaf)
+            continue
+        i = max(range(nvars), key=lambda i: sum(1 for g in mixed if g[i]))
+        exps = sorted(g[i] for g in mixed if g[i])
+        e = exps[len(exps) // 2]
+        pivot = tuple(e if j == i else 0 for j in range(nvars))
+        work.append((_minimal(degrees, gens + (pivot,)), shift))
+        colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
+        work.append((_minimal(degrees, colon), shift + e * degrees[i]))
+    return total
 
 
 def ideal_hilbert(ideal, degree):
     """Hilbert series of the ideal (the span of its monomials).
 
-    Inclusion-exclusion over subsets of the minimal generators; pairwise
-    intersections of principal ideals are principal (lcm), so each subset
-    contributes (+/-) Z^{deg lcm} over the full denominator.  The expansion
-    is cross-checked against brute-force divisibility counting.
+    Over prod (1 - Z^{d_i}) the ideal's numerator is 1 - N(I), with N(I)
+    the numerator of the quotient ring from `_quotient_numerator`.  The
+    expansion is cross-checked against brute-force divisibility counting.
     """
-    dens = list(ideal.degrees)
     gens = ideal.generators
     if not gens:
         form = HilbertForm.make([], [])
         return form, IntSeries.make([0] * (degree + 1))
-    if len(gens) > 20:
-        raise InputError("too many generators for inclusion-exclusion")
-    num = {}
-    for r in range(1, len(gens) + 1):
-        sign = 1 if r % 2 == 1 else -1
-        for sub in itertools.combinations(gens, r):
-            d = ideal.weighted_degree(_lcm_exp(sub))
-            num[d] = num.get(d, 0) + sign
-    numerator = [0] * (max(num) + 1)
-    for d, c in num.items():
-        numerator[d] = c
-    form = HilbertForm.make(numerator, dens)
+    form = HilbertForm.make(psub([1], _quotient_numerator(ideal.degrees, gens)),
+                            ideal.degrees)
     series = IntSeries.make(form.series(degree))
     if list(series.coefficients) != _brute_ideal_series(ideal, degree):
         raise ConsistencyError(
-            "inclusion-exclusion disagrees with direct monomial counting")
+            "pivot recursion disagrees with direct monomial counting")
     return form, series
 
 

@@ -5,15 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agealg.algebra import TypeRegistry, profile_series
 from agealg.errors import InputError, NotRationalError, UndeterminedError
 from agealg.gallery import GALLERY
-from agealg.hilbert import (HilbertForm, WeightedMonomialIdeal, chain_support,
-                            check_addlayer, compare_monomials, expand,
-                            fit_rational, hilbert_via_leading, ideal_hilbert,
-                            layers, nonnegative_form, quasi_polynomial,
-                            two_path_hilbert)
+from agealg.hilbert import (HilbertForm, WeightedMonomialIdeal, _brute_ideal_series,
+                            chain_support, check_addlayer, compare_monomials,
+                            expand, fit_rational, hilbert_via_leading,
+                            ideal_hilbert, layers, nonnegative_form, ptrim,
+                            quasi_polynomial, two_path_hilbert)
 from agealg.structures import canonical_code
 from agealg.templates import clique_plus_coclique, instantiate
 
@@ -136,6 +139,90 @@ def test_ideal_oracle_randomized():
             continue
         ideal = WeightedMonomialIdeal.make(degrees, gens)
         ideal_hilbert(ideal, 10)  # internal cross-check raises on mismatch
+
+
+def inclusion_exclusion_numerator(ideal):
+    """The ideal's numerator over prod (1 - Z^{d_i}) by inclusion-exclusion
+    over the subsets of its minimal generators: the principal ideals meet in
+    the principal ideal of their lcm, so each subset adds (+/-) Z^{deg lcm}.
+    2^g terms."""
+    num = [0]
+    for r in range(1, len(ideal.generators) + 1):
+        for sub in itertools.combinations(ideal.generators, r):
+            d = ideal.weighted_degree(tuple(max(col) for col in zip(*sub)))
+            num += [0] * (d + 1 - len(num))
+            num[d] += 1 if r % 2 else -1
+    return tuple(ptrim(num))
+
+
+def sympy_series(form, degree):
+    """Coefficients 0..degree of the form, expanded by sympy."""
+    z = sympy.Symbol("z")
+    expr = sympy.Add(*(c * z**i for i, c in enumerate(form.numerator)))
+    expr /= sympy.Mul(*(1 - z**d for d in form.denominators))
+    poly = sympy.series(expr, z, 0, degree + 1).removeO()
+    return [int(poly.coeff(z, n)) for n in range(degree + 1)]
+
+
+@st.composite
+def random_ideals(draw):
+    nvars = draw(st.integers(1, 4))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), max_size=10))
+    return WeightedMonomialIdeal.make(degrees, gens)
+
+
+def ideal_examples(test):
+    """The empty ideal, a single generator, pure powers only, and an ideal
+    containing a variable, besides the random ones."""
+    for ideal in (WeightedMonomialIdeal.make((1, 2), []),
+                  WeightedMonomialIdeal.make((1, 2, 3), [(2, 1, 1)]),
+                  WeightedMonomialIdeal.make((1, 2, 3), [(3, 0, 0), (0, 2, 0), (0, 0, 4)]),
+                  WeightedMonomialIdeal.make((2, 1, 3), [(0, 1, 0), (2, 0, 3), (1, 2, 2)])):
+        test = example(ideal)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_ideals())
+@ideal_examples
+def test_ideal_hilbert_matches_inclusion_exclusion(ideal):
+    form, series = ideal_hilbert(ideal, 12)
+    assert form.numerator == inclusion_exclusion_numerator(ideal)
+    assert form.denominators == (tuple(sorted(ideal.degrees))
+                                 if ideal.generators else ())
+    assert list(series.coefficients) == _brute_ideal_series(ideal, 12)
+
+
+# sympy's expansion costs about 0.1 s a form, hence fewer examples
+@settings(max_examples=30, deadline=None)
+@given(random_ideals())
+@ideal_examples
+def test_ideal_form_series_matches_sympy(ideal):
+    form, _ = ideal_hilbert(ideal, 12)
+    assert form.series(12) == sympy_series(form, 12)
+
+
+def test_ideal_beyond_twenty_generators():
+    # 24 of the 28 degree-6 monomials in three variables: 2^24 lcm terms
+    vectors = [v for v in itertools.product(range(7), repeat=3) if sum(v) == 6]
+    ideal = WeightedMonomialIdeal.make((1, 1, 1), vectors[:24])
+    assert len(ideal.generators) == 24
+    form, _ = ideal_hilbert(ideal, 14)
+    assert form.series(14) == _brute_ideal_series(ideal, 14)
+
+
+@pytest.mark.parametrize("degrees,gens", [
+    ((1.9, True), [(1.7, 2)]),
+    ((2.0, 1), [(1, 1)]),
+    ((True, 1), [(1, 1)]),
+    ((1, 1), [(1.0, 2)]),
+    ((1, 1), [(False, 2)]),
+    ((1, 1), [("1", 2)]),
+])
+def test_ideal_refuses_non_integers(degrees, gens):
+    with pytest.raises(InputError, match="must be an integer"):
+        WeightedMonomialIdeal.make(degrees, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +378,12 @@ def test_gallery_forms_are_the_published_fractions():
     assert set(published) == set(GALLERY)
     for name, form in published.items():
         assert GALLERY[name].expected_hilbert.same_series(HilbertForm.make(*form)), name
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_gallery_form_series_matches_sympy(name):
+    form = GALLERY[name].expected_hilbert
+    assert form.series(12) == sympy_series(form, 12)
 
 
 def test_pole_order_equals_dimension(registries):
