@@ -1,13 +1,24 @@
 """Profiles and the age algebra: orbit sums, structure constants, e-rank.
 
-The registry classifies, degree by degree, the instantiations of all
-capacity-respecting compositions of a template into isomorphism types, and
-names the types of each degree by dense ids in discovery order.  Removing an
-element of block i from the instantiation of c leaves the instantiation of
-c - e_i, so the deck of c (the ids of the c - e_i, each counted c_i times)
-is read off the degree below without building a structure.  Different decks
-prove two compositions non-isomorphic; within a deck, isomorphism searches
-against the types found so far settle membership.  Canonical codes are
+The registry classifies, degree by degree, the structures of all
+capacity-respecting compositions of a source into isomorphism types, and
+names the types of each degree by dense ids in discovery order.  A source is
+a template, whose composition c stands for its instantiation, or a finite
+structure of size n, read as n blocks of capacity 1: a 0/1 composition picks
+a subset and stands for the substructure induced on it.  Either way the
+elements of block i come in a run after those of the blocks before it, and
+removing the last element of block i leaves the structure of c - e_i.  So
+the deck of c (the ids of the c - e_i, each counted c_i times) is read off
+the degree below without building a structure, and different decks prove two
+compositions non-isomorphic.
+
+Within a deck, membership is certified by an isomorphism.  The registry
+keeps for every composition a witness: an isomorphism from its structure
+onto that of its type's first composition.  The witnesses of c - e_i and of
+r - e_j, when both have one type, give a bijection from c to r that sends
+the removed element to the removed element; a bijection that maps every
+relation onto r's is an isomorphism, however it was found.  Isomorphism
+searches run only when no such bijection passes.  Canonical codes are
 labels, computed on request (the type ids of `constants` reports) and to
 check that a new type sharing its deck with others is really new.
 """
@@ -20,7 +31,8 @@ from math import comb, prod
 
 from .errors import ConsistencyError, InputError
 from .hilbert import compare_monomials
-from .structures import canonical_code, find_isomorphism
+from .structures import (FiniteRelStruct, canonical_code, find_isomorphism,
+                         is_isomorphism, restrict)
 from .templates import compositions, instantiate, subcompositions
 
 
@@ -29,8 +41,8 @@ class TypeEntry:
     """One isomorphism type: its id among the types of its degree, its deck
     (sorted (id, multiplicity) pairs), the realizing compositions (in
     discovery = graded-lex order) and the maximal one.  The representative
-    structure, the instantiation of reps[0], and its canonical code are
-    computed on first use."""
+    structure, that of reps[0], and its canonical code are computed on first
+    use."""
 
     template: object = field(repr=False)
     id: int
@@ -46,7 +58,7 @@ class TypeEntry:
     @property
     def struct(self):
         if self._struct is None:
-            self._struct = instantiate(self.template, self.reps[0])
+            self._struct = _structure(self.template, self.reps[0])
         return self._struct
 
     @property
@@ -54,13 +66,44 @@ class TypeEntry:
         return canonical_code(self.struct)
 
 
-class TypeRegistry:
-    """Per-degree lists of TypeEntry, indexed by type id, built incrementally."""
+@dataclass(frozen=True)
+class Singletons:
+    """A finite structure as a registry source: one block of capacity 1 per
+    element."""
 
-    def __init__(self, template):
-        self.template = template
+    struct: FiniteRelStruct
+
+    @property
+    def capacities(self):
+        return (1,) * self.struct.size
+
+
+def _structure(source, comp):
+    """The structure a composition of a registry source stands for."""
+    if isinstance(source, Singletons):
+        return restrict(source.struct, [x for x, d in enumerate(comp) if d])
+    return instantiate(source, comp)
+
+
+def _last_of_block(comp, i):
+    """Position of the last element of block i in the structure of comp."""
+    return sum(comp[:i + 1]) - 1
+
+
+class TypeRegistry:
+    """Per-degree lists of TypeEntry, indexed by type id, built incrementally.
+
+    The source is a template or a finite structure (see the module
+    docstring); `template` is the template, or the `Singletons` of the
+    structure."""
+
+    def __init__(self, source):
+        if isinstance(source, FiniteRelStruct):
+            source = Singletons(source)
+        self.template = source
         self._by_degree = {}
         self._comp_id = {}
+        self._witness = {}
         self._built = -1
 
     def ensure_degree(self, n):
@@ -68,28 +111,27 @@ class TypeRegistry:
             self._build(self._built + 1)
 
     def _build(self, n):
-        t = self.template
         entries = []
         buckets = {}
-        for comp in compositions(t, n):
+        for comp in compositions(self.template, n):
             deck = Counter()
             for i, d in enumerate(comp):
                 if d:
                     deck[self._comp_id[comp[:i] + (d - 1,) + comp[i + 1:]]] += d
             deck = tuple(sorted(deck.items()))
             bucket = buckets.setdefault(deck, [])
-            entry = s = None
+            entry = s = witness = None
             if bucket:
-                s = instantiate(t, comp)
-                entry = next((e for e in bucket
-                              if find_isomorphism(e.struct, s) is not None), None)
+                s = _structure(self.template, comp)
+                entry, witness = self._match(comp, s, bucket)
                 if entry is None:
                     code = canonical_code(s)
                     if any(e.code == code for e in bucket):
                         # same code must mean isomorphic
                         raise ConsistencyError("two types share a canonical code")
             if entry is None:
-                entry = TypeEntry(t, len(entries), deck, [comp], comp, s)
+                witness = tuple(range(n))
+                entry = TypeEntry(self.template, len(entries), deck, [comp], comp, s)
                 entries.append(entry)
                 bucket.append(entry)
             else:
@@ -97,8 +139,54 @@ class TypeRegistry:
                 if compare_monomials(comp, entry.lead) > 0:
                     entry.lead = comp
             self._comp_id[comp] = entry.id
+            self._witness[comp] = witness
         self._by_degree[n] = entries
         self._built = n
+
+    def _match(self, comp, s, bucket):
+        """(entry, isomorphism from s onto entry.struct) for the type of the
+        bucket that s, the structure of comp, belongs to, or (None, None).
+        The types of a bucket are pairwise non-isomorphic, so at most one
+        can match, whichever route finds it."""
+        for entry in bucket:
+            for perm in self._extensions(comp, entry.reps[0]):
+                if is_isomorphism(s, entry.struct, perm):
+                    return entry, perm
+        for entry in bucket:
+            perm = find_isomorphism(s, entry.struct)
+            if perm is not None:
+                return entry, perm
+        return None, None
+
+    def _extensions(self, comp, rep):
+        """Candidate bijections from the structure of comp onto that of rep,
+        one for each block i of comp and block j of rep such that comp - e_i
+        and rep - e_j have one type.  Their witnesses sigma and tau map both
+        onto the structure of that type's first composition, so tau^-1 sigma
+        is an isomorphism between them; the candidate extends it, shifted
+        past the removed positions, by sending the last element of block i
+        to the last element of block j."""
+        ids, witness = self._comp_id, self._witness
+        by_rest_type = {}
+        for j, d in enumerate(rep):
+            if d:
+                rest = rep[:j] + (d - 1,) + rep[j + 1:]
+                tau_inv = [0] * len(witness[rest])
+                for x, y in enumerate(witness[rest]):
+                    tau_inv[y] = x
+                by_rest_type.setdefault(ids[rest], []).append(
+                    (_last_of_block(rep, j), tau_inv))
+        for i, d in enumerate(comp):
+            if not d:
+                continue
+            rest = comp[:i] + (d - 1,) + comp[i + 1:]
+            p = _last_of_block(comp, i)
+            for q, tau_inv in by_rest_type.get(ids[rest], ()):
+                perm = [q] * (len(tau_inv) + 1)
+                for x, y in enumerate(witness[rest]):
+                    y = tau_inv[y]
+                    perm[x + (x >= p)] = y + (y >= q)
+                yield perm
 
     def types_at(self, n):
         self.ensure_degree(n)

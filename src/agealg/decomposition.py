@@ -10,9 +10,12 @@ Both finite structures and templates are decomposed by one routine,
 instantiation of a template's composition c has blocks of c_i elements, and
 its subset with block counts c' induces exactly the instantiation of c'.  A
 finite structure of size n has the decomposition into n singletons, so its
-subsets are the 0/1 compositions of (1,)*n.  Either way the pair and part
-tests are exhaustive over sub-compositions, one memoized canonical code
-each, which is fine at desk scale (finite sizes up to ~12).
+subsets are the 0/1 compositions of (1,)*n, classified by a `TypeRegistry`
+of the structure: one pass per degree, isomorphism witnesses extended from
+the degree below, and no canonical code per subset.  The template fatness
+levels classify only their level boxes, by one memoized canonical code per
+composition.  Either way the pair and part tests are exhaustive over
+sub-compositions, which is fine at desk scale (finite sizes up to ~12).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .algebra import TypeRegistry
 from .errors import ConsistencyError, InputError, UndeterminedError
 from .structures import _UnionFind, canonical_code, find_isomorphism, restrict
 from .templates import block_spans, instantiate, subcompositions
@@ -40,19 +44,13 @@ def _memoized_code(build):
     return code
 
 
-def _subset_code(struct):
-    """Code oracle of a finite structure: a 0/1 composition picks a subset."""
-    return _memoized_code(
-        lambda c: restrict(struct, [x for x, d in enumerate(c) if d]))
-
-
 def is_monomorphic_part(struct, part):
     """Exhaustively test the defining property of a monomorphic part:
     equal-size subsets with the same trace outside `part` are isomorphic."""
     part = set(part)
     if any(x < 0 or x >= struct.size for x in part):
         raise InputError("part out of range")
-    return _is_part((1,) * struct.size, part, _subset_code(struct))
+    return _is_part((1,) * struct.size, part, TypeRegistry(struct).id_of)
 
 
 def pair_mergeable(struct, a, b):
@@ -62,27 +60,28 @@ def pair_mergeable(struct, a, b):
         raise InputError("pair_mergeable needs two distinct elements")
     if not (0 <= a < struct.size and 0 <= b < struct.size):
         raise InputError("element out of range")
-    return _mergeable((1,) * struct.size, a, b, _subset_code(struct))
+    return _mergeable((1,) * struct.size, a, b, TypeRegistry(struct).id_of)
 
 
 def minimal_decomposition(struct):
     """Blocks of the minimal monomorphic decomposition, as sorted lists."""
-    return _coarsening((1,) * struct.size, _subset_code(struct))
+    return _coarsening((1,) * struct.size, TypeRegistry(struct).id_of)
 
 
-def _coarsening(comp, code):
+def _coarsening(comp, type_of):
     """Partition of the blocks of `comp` into the monomorphic components of
     the structure it stands for, as sorted lists of block indices.
 
-    `code` maps every composition c' <= comp to the canonical code of the
-    substructure with block counts c'.  Two elements of one block are always
+    `type_of` maps every composition c' <= comp to a label of the type of
+    the substructure with block counts c'; labels are compared only between
+    compositions of one degree.  Two elements of one block are always
     mergeable, so the minimal decomposition is a coarsening of the blocks:
     the classes of pair mergeability between blocks.  Transitivity and the
     part test of every class are re-verified (a failure would be a library
     bug).
     """
     nblocks = len(comp)
-    merge = {(i, j): _mergeable(comp, i, j, code)
+    merge = {(i, j): _mergeable(comp, i, j, type_of)
              for i, j in itertools.combinations(range(nblocks), 2)}
     uf = _UnionFind(nblocks)
     for (i, j), ok in merge.items():
@@ -97,12 +96,12 @@ def _coarsening(comp, code):
             if not merge[(i, j)]:
                 raise ConsistencyError(
                     f"pair mergeability is not transitive on {cls}: ({i},{j})")
-        if not _is_part(comp, set(cls), code):
+        if not _is_part(comp, set(cls), type_of):
             raise ConsistencyError(f"class {cls} fails the part test")
     return classes
 
 
-def _mergeable(comp, i, j, code):
+def _mergeable(comp, i, j, type_of):
     """Whether an element of block i and one of block j are mergeable:
     c' + e_i and c' + e_j have the same type for every c' <= comp - e_i - e_j.
 
@@ -111,10 +110,11 @@ def _mergeable(comp, i, j, code):
         # c' + e_up for every c' <= comp - e_up - e_other
         return itertools.product(*(range(b == up, d + (b != other))
                                    for b, d in enumerate(comp)))
-    return all(code(x) == code(y) for x, y in zip(plus(i, j), plus(j, i)))
+    return all(type_of(x) == type_of(y)
+               for x, y in zip(plus(i, j), plus(j, i)))
 
 
-def _is_part(comp, cls, code):
+def _is_part(comp, cls, type_of):
     """The part test for the union of the blocks in the set `cls`: for every
     trace c_out outside the class, all nonzero inside counts c_in of one size
     give the same type."""
@@ -126,7 +126,7 @@ def _is_part(comp, cls, code):
             by_size.setdefault(sum(c_in), []).append(c_in)
     for c_out in subcompositions(outside):
         for group in by_size.values():
-            if len({code(tuple(map(operator.add, c_out, c_in)))
+            if len({type_of(tuple(map(operator.add, c_out, c_in)))
                     for c_in in group}) > 1:
                 return False
     return True

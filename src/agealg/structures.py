@@ -420,6 +420,19 @@ def find_isomorphism(s1, s2, fixed=None):
     return None
 
 
+def is_isomorphism(s1, s2, perm):
+    """Whether the bijection `perm` (element of s1 -> element of s2) maps
+    every relation of s1 onto the same relation of s2.  The structures share
+    a signature and a size."""
+    for r1, r2 in zip(s1.rels, s2.rels):
+        if len(r1) != len(r2):
+            return False
+        for t in r1:
+            if tuple(perm[x] for x in t) not in r2:
+                return False
+    return True
+
+
 def isomorphic(s1, s2):
     return find_isomorphism(s1, s2) is not None
 

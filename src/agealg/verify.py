@@ -215,7 +215,7 @@ GLOBAL_CHECKS = (
     (7, "planar: profile matches Schroeder", _planar_profile),
     (7, "planar: triple reconstruction", _reconstruction),
     (7, "planar: no two-element monomorphic part", _no_pair_part),
-    (8, "ideal oracle: inclusion-exclusion vs counting", _ideal_oracle),
+    (8, "ideal oracle: pivot recursion vs counting", _ideal_oracle),
     (9, "scope replacements", _scope_replacements),
 )
 

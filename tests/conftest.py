@@ -17,3 +17,14 @@ def registries():
         return cache[name]
 
     return get
+
+
+@pytest.fixture
+def miss_every_isomorphism(monkeypatch):
+    """Make both registry routes to membership miss: witness extensions
+    never pass and the isomorphism search finds nothing."""
+    import agealg.algebra
+
+    monkeypatch.setattr(agealg.algebra, "is_isomorphism", lambda *a: False)
+    monkeypatch.setattr(agealg.algebra, "find_isomorphism",
+                        lambda *a, **k: None)

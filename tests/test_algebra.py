@@ -1,16 +1,21 @@
 """Orbit sums, structure constants, multiplication by e, bounded kernel."""
 
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agealg.algebra import (OrbitSum, TypeRegistry, e_orbit,
                             kernel_elements_bounded, mult_by_e_rank,
                             orbit_product, profile, profile_series,
                             structure_constant, unit_orbit)
+from agealg.decomposition import minimal_decomposition
 from agealg.errors import ConsistencyError, InputError
-from agealg.structures import Signature, subset_types
+from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
+                               relabel, restrict, subset_types)
 from agealg.templates import (INF, BlockTemplate, instantiate, sym)
 
 
@@ -76,14 +81,82 @@ def test_registry_agrees_with_pure_code_classification():
             assert list(by_registry.values()) == list(by_code.values())
 
 
-def test_missed_isomorphism_is_a_consistency_error(monkeypatch):
+def test_missed_isomorphism_is_a_consistency_error(miss_every_isomorphism):
     # (2,1) and (1,2) of sym:2 instantiate to isomorphic, unequal structures:
-    # if the isomorphism search misses that, their codes collide, a library bug
-    import agealg.algebra
-
-    monkeypatch.setattr(agealg.algebra, "find_isomorphism", lambda *a, **k: None)
+    # if both the witness extension and the isomorphism search miss that,
+    # their codes collide, a library bug
     with pytest.raises(ConsistencyError):
         TypeRegistry(sym(2)).types_at(3)
+
+
+# ---------------------------------------------------------------------------
+# isomorphism witnesses and the finite-structure registry
+
+ARC = Signature((("arc", 2),))
+
+
+def support(comp):
+    return [x for x, d in enumerate(comp) if d]
+
+
+@st.composite
+def looped_digraph(draw):
+    n = draw(st.integers(0, 7))
+    arcs = [(a, b) for a in range(n) for b in range(n) if draw(st.booleans())]
+    return FiniteRelStruct(ARC, n, {"arc": arcs})
+
+
+@settings(max_examples=150, deadline=None)
+@given(looped_digraph())
+@example(FiniteRelStruct(ARC, 7, {"arc": []}))
+@example(FiniteRelStruct(ARC, 7, {"arc": [(x, (x + 1) % 7) for x in range(7)]}))
+@example(FiniteRelStruct(ARC, 3, {"arc": [(0, 1), (2, 1)]}))
+def test_finite_registry_matches_subset_codes(s):
+    # the subsets of each size, grouped by the canonical code of the
+    # substructure they induce, in order of first appearance, are the types;
+    # every witness maps its subset's structure onto its type's first one
+    registry = TypeRegistry(s)
+    for n in range(s.size + 1):
+        classes = {}
+        for comp in itertools.product((0, 1), repeat=s.size):
+            if sum(comp) == n:
+                code = canonical_code(restrict(s, support(comp)))
+                classes.setdefault(code, []).append(comp)
+        types = registry.types_at(n)
+        assert [e.reps for e in types] == list(classes.values())
+        for e in types:
+            first = restrict(s, support(e.reps[0]))
+            for comp in e.reps:
+                witness = registry._witness[comp]
+                assert relabel(restrict(s, support(comp)), witness) == first
+
+
+def count_searches(monkeypatch):
+    """Counters of the canonical_code and find_isomorphism calls made
+    through the registry and the decompositions."""
+    import agealg.algebra
+    import agealg.decomposition
+
+    counts = Counter()
+    for module in (agealg.algebra, agealg.decomposition):
+        for name in ("canonical_code", "find_isomorphism"):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kw):
+                counts[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_witnesses_spare_isomorphism_searches(monkeypatch):
+    counts = count_searches(monkeypatch)
+    # 512 subsets, one code each before the finite path used the registry
+    assert minimal_decomposition(instantiate(sym(3), (3, 3, 3))) == [
+        [0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert counts["canonical_code"] < 52
+    counts.clear()
+    # 913 searches when every equal-deck composition was searched
+    TypeRegistry(sym(4)).ensure_degree(10)
+    assert counts["find_isomorphism"] <= 300
 
 
 def test_profile_bounded_by_composition_count(registries):

@@ -11,7 +11,7 @@ from agealg.decomposition import (fatness_threshold, is_F_monomorphic_up_to,
                                   is_monomorphic_part, minimal_decomposition,
                                   pair_mergeable, partition_lower_bound,
                                   profile_floor_params, template_components)
-from agealg.errors import InputError
+from agealg.errors import ConsistencyError, InputError
 from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
                                isomorphic, restrict)
 from agealg.templates import (clique_plus_coclique, clique_sum, coclique,
@@ -164,6 +164,17 @@ def test_decomposition_matches_subset_oracles_on_random_digraphs(case):
         assert not subset_is_part(s, b1 + b2)
     assert is_monomorphic_part(s, part) == subset_is_part(s, part) \
         == oracle_part(s, part)
+
+
+def test_missed_subset_isomorphism_is_a_consistency_error(
+        miss_every_isomorphism):
+    # the subsets {0, 1} and {1, 2} of 0 -> 1 <- 2 induce isomorphic, unequal
+    # structures with one deck: if both the witness extension and the
+    # isomorphism search miss that, their codes collide, a library bug
+    s = FiniteRelStruct(GRAPH, 3, {"adj": [(0, 1), (2, 1)]})
+    assert restrict(s, [0, 1]) != restrict(s, [1, 2])
+    with pytest.raises(ConsistencyError):
+        minimal_decomposition(s)
 
 
 # ---------------------------------------------------------------------------
