@@ -12,36 +12,26 @@ its subset with block counts c' induces exactly the instantiation of c'.  A
 finite structure of size n has the decomposition into n singletons, so its
 subsets are the 0/1 compositions of (1,)*n, classified by a `TypeRegistry`
 of the structure: one pass per degree, isomorphism witnesses extended from
-the degree below, and no canonical code per subset.  The template fatness
-levels classify only their level boxes, by one memoized canonical code per
-composition.  Either way the pair and part tests are exhaustive over
-sub-compositions, which is fine at desk scale (finite sizes up to ~12).
+the degree below, and no canonical code per subset.  A template's fatness
+level d classifies only the compositions inside its level box
+`t.max_composition(d)`, by a `TypeRegistry` of the template with its
+capacities cut to that box.  Either way the pair and part tests are
+exhaustive over sub-compositions, which is fine at desk scale (finite sizes
+up to ~12).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .algebra import TypeRegistry
 from .errors import ConsistencyError, InputError, UndeterminedError
-from .structures import _UnionFind, canonical_code, find_isomorphism, restrict
+from .structures import (FiniteRelStruct, Signature, _UnionFind,
+                         find_isomorphism, json_int, restrict)
 from .templates import block_spans, instantiate, subcompositions
-
-
-def _memoized_code(build):
-    """Composition -> canonical code of the structure `build` makes of it,
-    each composition built and canonicalized once."""
-    memo = {}
-
-    def code(c):
-        found = memo.get(c)
-        if found is None:
-            found = memo[c] = canonical_code(build(c))
-        return found
-    return code
 
 
 def is_monomorphic_part(struct, part):
@@ -132,13 +122,27 @@ def _is_part(comp, cls, type_of):
     return True
 
 
+def _level_classes(t, d):
+    """Block coarsening at level d: `_coarsening` over the level box
+    `t.max_composition(d)`, classified by a registry of `t` with the box as
+    its capacities.  Instantiating a composition inside the box gives the
+    same structure under either template.  The plain constructor is meant:
+    `BlockTemplate.make` would refuse patterns needing more elements of a
+    block than the box holds, and inside the box such patterns never fire."""
+    box = t.max_composition(d)
+    boxed = replace(t, blocks=tuple(
+        (name, cap) for (name, _), cap in zip(t.blocks, box)))
+    return _coarsening(box, TypeRegistry(boxed).id_of)
+
+
 def _fatness(t, d_max):
-    """(d, certificate, classes at level d) for `fatness_threshold`; the
-    levels share one canonical code per composition."""
-    code = _memoized_code(lambda c: instantiate(t, c))
-    prev = _coarsening(t.max_composition(1), code)
+    """(d, certificate, classes at level d) for `fatness_threshold`: the
+    first level whose block coarsening level d+1 repeats."""
+    if d_max < 1:
+        raise InputError("d_max must be at least 1")
+    prev = _level_classes(t, 1)
     for d in range(1, d_max + 1):
-        nxt = _coarsening(t.max_composition(d + 1), code)
+        nxt = _level_classes(t, d + 1)
         if nxt == prev:
             return d, (d, d + 1), prev
         prev = nxt
@@ -225,31 +229,33 @@ def partition_lower_bound(k, n, n0):
 # F-monomorphy up to a degree bound
 
 
+def _marked(struct, f_set):
+    """`struct` plus a fresh binary symbol (named F, primed while that name
+    is taken) holding the reflexive order of F, so that every element of F
+    has a position of its own in each restriction containing F."""
+    mark = "F"
+    while mark in struct.signature.names:
+        mark += "'"
+    sig = Signature(struct.signature.symbols + ((mark, 2),))
+    order = [(f, g) for f in f_set for g in f_set if f <= g]
+    return FiniteRelStruct(sig, struct.size, struct.rels + (order,))
+
+
 def is_F_monomorphic_struct(struct, f_set, bound):
     """For all n <= bound and A, A' of size n avoiding F: the restrictions
-    to A+F and A'+F are isomorphic by a map fixing F pointwise."""
+    to A+F and A'+F are isomorphic by a map fixing F pointwise, that is, by
+    an isomorphism of the restrictions of the structure with F marked."""
     f_set = sorted(set(f_set))
     if any(x < 0 or x >= struct.size for x in f_set):
         raise InputError("F out of range")
+    marked = _marked(struct, f_set)
     rest = [x for x in range(struct.size) if x not in f_set]
     for n in range(1, min(bound, len(rest)) + 1):
-        ref = None
-        ref_struct = None
-        for a in itertools.combinations(rest, n):
-            subset = sorted(f_set + list(a))
-            pos = {e: i for i, e in enumerate(subset)}
-            sub = restrict(struct, subset)
-            marked = {pos[f]: f for f in f_set}
-            if ref is None:
-                ref, ref_struct = marked, sub
-                continue
-            # match F by original element identity (its relative position
-            # inside the two restrictions may differ)
-            by_elem_ref = {f: p for p, f in ref.items()}
-            by_elem_cur = {f: q for q, f in marked.items()}
-            fixed = {by_elem_ref[f]: by_elem_cur[f] for f in f_set}
-            if find_isomorphism(ref_struct, sub, fixed=fixed) is None:
-                return False
+        subs = (restrict(marked, f_set + list(a))
+                for a in itertools.combinations(rest, n))
+        ref = next(subs)
+        if any(find_isomorphism(ref, sub) is None for sub in subs):
+            return False
     return True
 
 
@@ -257,22 +263,24 @@ def is_F_monomorphic_up_to(subject, f_spec, bound):
     """Bounded F-monomorphy check.
 
     For a finite structure, `f_spec` is a set of elements.  For a template,
-    `f_spec` maps block index -> number of F elements, taken as the initial
-    segment of that block's chain; the check runs on the instantiation with
-    min(capacity, f + bound) elements per block, which realizes every
-    composition a degree-<= bound subset avoiding F can have.
+    `f_spec` maps block index -> number of F elements (an int from 0 to the
+    capacity), taken as the initial segment of that block's chain; the check
+    runs on the instantiation with min(capacity, f + bound) elements per
+    block, which realizes every composition a degree-<= bound subset avoiding
+    F can have.
     """
     if hasattr(subject, "rels"):
         return is_F_monomorphic_struct(subject, f_spec, bound)
     t = subject
     f_counts = [0] * len(t.blocks)
     for b, c in dict(f_spec).items():
+        b, c = json_int(b, "F block index"), json_int(c, "F count")
         if not 0 <= b < len(t.blocks):
             raise InputError("F block index out of range")
         cap = t.capacities[b]
-        if cap is not None and c > cap:
-            raise InputError("F exceeds block capacity")
-        f_counts[b] = int(c)
+        if c < 0 or (cap is not None and c > cap):
+            raise InputError("F count must lie between 0 and the block capacity")
+        f_counts[b] = c
     comp = tuple(
         (f + bound) if cap is None else min(cap, f + bound)
         for f, cap in zip(f_counts, t.capacities)

@@ -337,12 +337,12 @@ def canonical_code(struct):
 # isomorphism search
 
 
-def find_isomorphism(s1, s2, fixed=None):
+def find_isomorphism(s1, s2):
     """First isomorphism s1 -> s2 in a fixed search order, or None.
 
-    `fixed` optionally pins images: a dict {element of s1: element of s2};
-    only bijections extending it pointwise are considered.
-    """
+    Both sides are refined from the uniform colouring, and the search maps
+    each element into the cell of its colour on the other side.  To fix
+    elements, give them a relation of their own."""
     if s1.signature != s2.signature:
         raise InputError("cannot compare structures over different signatures")
     if s1.size != s2.size:
@@ -353,20 +353,10 @@ def find_isomorphism(s1, s2, fixed=None):
     if n == 0:
         return ()
 
-    colors1 = [0] * n
-    colors2 = [0] * n
-    if fixed:
-        for i, (a, b) in enumerate(sorted(fixed.items())):
-            if not (0 <= a < n and 0 <= b < n):
-                raise InputError("fixed map out of range")
-            colors1[a] = i + 1
-            colors2[b] = i + 1
-        if len(set(fixed.values())) != len(fixed):
-            return None
     # isomorphic structures refined from corresponding seeds have equal
     # quotients, and a colour then names the same cell on both sides
-    colors1, sigs1 = _refine(s1, colors1)
-    colors2, sigs2 = _refine(s2, colors2)
+    colors1, sigs1 = _refine(s1, [0] * n)
+    colors2, sigs2 = _refine(s2, [0] * n)
     if sorted(sigs1) != sorted(sigs2):
         return None
 
@@ -407,13 +397,6 @@ def find_isomorphism(s1, s2, fixed=None):
             mapping[e] = -1
             used[cand] = False
         return False
-
-    if fixed:
-        # seeded colours are singletons, so the search is forced on them,
-        # but double-check the pinning survives refinement
-        for a, b in fixed.items():
-            if colors1[a] != colors2[b]:
-                return None
 
     if extend(0):
         return tuple(mapping)

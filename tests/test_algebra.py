@@ -1,6 +1,7 @@
 """Orbit sums, structure constants, multiplication by e, bounded kernel."""
 
 import itertools
+import sys
 from collections import Counter
 from math import comb
 
@@ -12,7 +13,7 @@ from agealg.algebra import (OrbitSum, TypeRegistry, e_orbit,
                             kernel_elements_bounded, mult_by_e_rank,
                             orbit_product, profile, profile_series,
                             structure_constant, unit_orbit)
-from agealg.decomposition import minimal_decomposition
+from agealg.decomposition import minimal_decomposition, template_components
 from agealg.errors import ConsistencyError, InputError
 from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
                                relabel, restrict, subset_types)
@@ -133,14 +134,18 @@ def test_finite_registry_matches_subset_codes(s):
 
 def count_searches(monkeypatch):
     """Counters of the canonical_code and find_isomorphism calls made
-    through the registry and the decompositions."""
-    import agealg.algebra
-    import agealg.decomposition
-
+    anywhere in the library: every loaded agealg module that binds either
+    name gets a counting wrapper."""
     counts = Counter()
-    for module in (agealg.algebra, agealg.decomposition):
+    for modname, module in list(sys.modules.items()):
+        if modname != "agealg" and not modname.startswith("agealg."):
+            continue
         for name in ("canonical_code", "find_isomorphism"):
-            def counted(*args, _fn=getattr(module, name), _name=name, **kw):
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name, **kw):
                 counts[_name] += 1
                 return _fn(*args, **kw)
             monkeypatch.setattr(module, name, counted)
@@ -157,6 +162,11 @@ def test_witnesses_spare_isomorphism_searches(monkeypatch):
     # 913 searches when every equal-deck composition was searched
     TypeRegistry(sym(4)).ensure_degree(10)
     assert counts["find_isomorphism"] <= 300
+    counts.clear()
+    # 255 codes when the fatness levels canonicalized every composition of
+    # their level boxes
+    assert template_components(sym(4)).classes == ((0,), (1,), (2,), (3,))
+    assert counts["canonical_code"] < 26
 
 
 def test_profile_bounded_by_composition_count(registries):

@@ -21,8 +21,7 @@ from agealg.algebra import (OrbitSum, TypeRegistry, _e_rows,
                             kernel_elements_bounded, orbit_product,
                             profile_series, structure_constant)
 from agealg.cli import main
-from agealg.decomposition import (_coarsening, _memoized_code,
-                                  minimal_decomposition)
+from agealg.decomposition import _level_classes, minimal_decomposition
 from agealg.gallery import GALLERY
 from agealg.structures import Signature, canonical_code, restrict
 from agealg.hilbert import compare_monomials
@@ -67,6 +66,18 @@ def seeded_templates(count=4, seed=2718):
         arities = rng.choice([(2,), (1, 2)])
         out.append(make_template(caps, arities, lambda: rng.random() < 0.4))
     return out
+
+
+def level_templates(count=24, seed=1414):
+    """Random templates of arity up to 3 for the block coarsening: their
+    patterns may need more elements of a block than a small level box
+    holds."""
+    rng = random.Random(seed)
+    return [make_template([rng.choice([INF, 1, 2, 3])
+                           for _ in range(rng.randint(1, 3))],
+                          rng.choice([(2,), (3,), (1, 3)]),
+                          lambda: rng.random() < 0.3)
+            for _ in range(count)]
 
 
 def oracle_templates():
@@ -172,12 +183,22 @@ def test_e_matrix_matches_subset_removals():
                 (name, n)
 
 
+def outgrows_box(t, level):
+    """Whether some accepted pattern needs more distinct elements of a block
+    than the level box holds."""
+    box = t.max_composition(level)
+    return any(len({r for x, r in zip(p.blocks, p.ranks) if x == b}) > d
+               for pats in t.accepted for p in pats
+               for b, d in enumerate(box))
+
+
 def test_block_coarsening_matches_minimal_decomposition():
-    for name, entry in GALLERY.items():
-        t = entry.build()
-        code = _memoized_code(lambda c, t=t: instantiate(t, c))
+    templates = ([(name, entry.build()) for name, entry in GALLERY.items()]
+                 + [(f"random{i}", t) for i, t in enumerate(level_templates())])
+    assert any(outgrows_box(t, 1) for _, t in templates[len(GALLERY):])
+    for name, t in templates:
         for level in (1, 2, 3):
-            assert _coarsening(t.max_composition(level), code) == \
+            assert _level_classes(t, level) == \
                 subset_block_coarsening(t, level), (name, level)
 
 

@@ -4,19 +4,20 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agealg.decomposition import (fatness_threshold, is_F_monomorphic_up_to,
-                                  is_monomorphic_part, minimal_decomposition,
-                                  pair_mergeable, partition_lower_bound,
-                                  profile_floor_params, template_components)
+from agealg.decomposition import (fatness_threshold, is_F_monomorphic_struct,
+                                  is_F_monomorphic_up_to, is_monomorphic_part,
+                                  minimal_decomposition, pair_mergeable,
+                                  partition_lower_bound, profile_floor_params,
+                                  template_components)
 from agealg.errors import ConsistencyError, InputError
 from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
                                isomorphic, restrict)
-from agealg.templates import (clique_plus_coclique, clique_sum, coclique,
-                              groupoid_example, instantiate, qsym, sym,
-                              wheel_plus_coclique)
+from agealg.templates import (INF, BlockTemplate, clique_plus_coclique,
+                              clique_sum, coclique, groupoid_example,
+                              instantiate, qsym, sym, wheel_plus_coclique)
 
 GRAPH = Signature((("adj", 2),))
 
@@ -334,13 +335,91 @@ def test_cpc_is_not_almost_monomorphic_at_small_bound():
     assert not is_F_monomorphic_up_to(t, {0: 2, 1: 1}, 3)
 
 
-def test_wheel_alone_is_center_monomorphic():
-    # leaves + center only (drop the coclique): fixing the center, any two
-    # equal-size leaf sets are exchangeable
-    from agealg.templates import INF, BlockTemplate
-    sig = Signature((("adj", 2),))
-    t = BlockTemplate.make(
-        sig, [("leaves", INF), ("center", 1)],
+def wheel_alone():
+    """Leaves + center of the wheel, without the coclique."""
+    return BlockTemplate.make(
+        GRAPH, [("leaves", INF), ("center", 1)],
         {"adj": [((0, 1), (0, 0)), ((1, 0), (0, 0))]})
+
+
+def test_wheel_alone_is_center_monomorphic():
+    # fixing the center, any two equal-size leaf sets are exchangeable
+    t = wheel_alone()
     assert is_F_monomorphic_up_to(t, {1: 1}, 4)
     assert not is_F_monomorphic_up_to(t, {}, 2)
+
+
+def preserves(s, m):
+    """Whether the bijection `m` (a dict from one subset onto another) maps
+    the restriction of `s` to its domain onto the restriction to its
+    range."""
+    return all((t in rel) == (tuple(m[x] for x in t) in rel)
+               for (_, arity), rel in zip(s.signature.symbols, s.rels)
+               for t in itertools.product(m, repeat=arity))
+
+
+def brute_F_monomorphic(s, f_set, bound):
+    """Oracle: for every n <= bound, the first n-set A avoiding F and every
+    other one B admit a bijection A -> B whose extension by the identity on
+    F preserves the restrictions to A+F and B+F."""
+    f_set = tuple(sorted(f_set))
+    rest = [x for x in range(s.size) if x not in f_set]
+    for n in range(1, min(bound, len(rest)) + 1):
+        first, *others = itertools.combinations(rest, n)
+        for other in others:
+            if not any(preserves(s, dict(zip(first + f_set, image + f_set)))
+                       for image in itertools.permutations(other)):
+                return False
+    return True
+
+
+@st.composite
+def digraph_F_bound(draw):
+    """A digraph with loops on up to 6 elements, its relation sometimes
+    named F, an F of up to 3 elements and a bound 1..4.  Half the digraphs
+    are circulants, whose symmetries make many restrictions isomorphic by
+    maps that move F."""
+    n = draw(st.integers(1, 6))
+    name = draw(st.sampled_from(["arc", "F"]))
+    if draw(st.booleans()):
+        offsets = draw(st.sets(st.integers(0, n - 1)))
+        arcs = [(a, (a + d) % n) for a in range(n) for d in offsets]
+    else:
+        arcs = [(a, b) for a in range(n) for b in range(n)
+                if draw(st.booleans())]
+    s = FiniteRelStruct(Signature(((name, 2),)), n, {name: arcs})
+    return s, draw(st.sets(st.integers(0, n - 1), max_size=3)), \
+        draw(st.integers(1, 4))
+
+
+# a star whose arcs are the relation F, its center 3 marked by F'
+MARKED_STAR = FiniteRelStruct(
+    Signature((("F", 2), ("F'", 1))), 4,
+    {"F": [(0, 3), (1, 3), (2, 3)], "F'": [(3,)]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraph_F_bound())
+@example((graph(3, [(0, 1), (1, 2)]), {0}, 2))
+# {0, 1} and {0, 2} are isomorphic only by a map that moves 0
+@example((FiniteRelStruct(GRAPH, 3, {"adj": [(0, 1), (2, 0)]}), {0}, 1))
+@example((MARKED_STAR, {3}, 3))
+@example((MARKED_STAR, {0}, 3))
+def test_F_monomorphy_matches_brute_force(case):
+    s, f_set, bound = case
+    assert is_F_monomorphic_struct(s, f_set, bound) == \
+        brute_F_monomorphic(s, f_set, bound)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: is_F_monomorphic_up_to(t, {1: True}, 4),
+    lambda t: is_F_monomorphic_up_to(t, {1: -1}, 4),
+    lambda t: is_F_monomorphic_up_to(t, {0: -2}, 4),
+    lambda t: is_F_monomorphic_up_to(t, {0: 1.5}, 4),
+    lambda t: fatness_threshold(t, d_max=0),
+    lambda t: template_components(t, d_max=-1),
+], ids=["bool-count", "negative-count", "negative-infinite-count",
+        "fractional-count", "d-max-0", "d-max-negative"])
+def test_bad_bounds_are_refused(call):
+    with pytest.raises(InputError):
+        call(wheel_alone())
