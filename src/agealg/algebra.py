@@ -17,10 +17,11 @@ keeps for every composition a witness: an isomorphism from its structure
 onto that of its type's first composition.  The witnesses of c - e_i and of
 r - e_j, when both have one type, give a bijection from c to r that sends
 the removed element to the removed element; a bijection that maps every
-relation onto r's is an isomorphism, however it was found.  Isomorphism
-searches run only when no such bijection passes.  Canonical codes are
-labels, computed on request (the type ids of `constants` reports) and to
-check that a new type sharing its deck with others is really new.
+relation onto r's is an isomorphism, however it was found.  When no such
+bijection passes, canonical codes decide: a type of the deck with an equal
+code is the type, and `find_isomorphism` turns the two canonical labellings
+into the witness; otherwise the composition starts a new type.  Codes are
+also labels, computed on request (the type ids of `constants` reports).
 """
 
 from __future__ import annotations
@@ -124,11 +125,6 @@ class TypeRegistry:
             if bucket:
                 s = _structure(self.template, comp)
                 entry, witness = self._match(comp, s, bucket)
-                if entry is None:
-                    code = canonical_code(s)
-                    if any(e.code == code for e in bucket):
-                        # same code must mean isomorphic
-                        raise ConsistencyError("two types share a canonical code")
             if entry is None:
                 witness = tuple(range(n))
                 entry = TypeEntry(self.template, len(entries), deck, [comp], comp, s)
@@ -147,15 +143,16 @@ class TypeRegistry:
         """(entry, isomorphism from s onto entry.struct) for the type of the
         bucket that s, the structure of comp, belongs to, or (None, None).
         The types of a bucket are pairwise non-isomorphic, so at most one
-        can match, whichever route finds it."""
+        can match, whichever route finds it: a witness extension, or else an
+        equal canonical code."""
         for entry in bucket:
             for perm in self._extensions(comp, entry.reps[0]):
                 if is_isomorphism(s, entry.struct, perm):
                     return entry, perm
+        code = canonical_code(s)
         for entry in bucket:
-            perm = find_isomorphism(s, entry.struct)
-            if perm is not None:
-                return entry, perm
+            if entry.code == code:
+                return entry, find_isomorphism(s, entry.struct)
         return None, None
 
     def _extensions(self, comp, rep):

@@ -216,7 +216,7 @@ def cmd_verify(args):
     from dataclasses import replace
 
     from .verify import BUDGET, run_all
-    results = run_all(replace(BUDGET, degree=args.degree), args.threads)
+    results = run_all(replace(BUDGET, degree=args.degree))
     ok = all(r[1] for r in results)
     return {
         "command": "verify",
@@ -254,8 +254,6 @@ def build_parser():
     parser.add_argument("--d-max", type=int, default=6,
                         help="fatness level cap")
     parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for verify")
     return parser
 
 
@@ -276,7 +274,8 @@ def _render(report, fmt):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.degree < 0 or args.guard < 1 or args.d_max < 1 or args.threads < 1:
+    if (args.degree < 0 or args.guard < 1 or args.d_max < 1
+            or (args.gen_bound is not None and args.gen_bound < 0)):
         print("error: bounds must be positive", file=sys.stderr)
         return EXIT_INPUT
     handlers = {

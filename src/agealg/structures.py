@@ -5,24 +5,23 @@ a fixed signature, a set of tuples of that symbol's arity (repeated entries
 allowed).  Element identity is purely positional; structures never carry
 external labels.
 
-One colour refinement, `_refine`, serves everything here.  Canonical forms
-are computed by backtracking over vertex orderings, pruned by it and by
-automorphisms discovered along the way (a small individualization-refinement
-canonicalizer).  Two structures get the same code if and only if they are
-isomorphic; this is asserted against the witness-search oracle in the test
-suite at small sizes.  `find_isomorphism` compares the two structures'
-refinement quotients (their sorted last-round signatures, which isomorphic
-structures share) before it searches.
+One isomorphism engine serves everything here.  Canonical forms are computed
+by backtracking over vertex orderings, pruned by colour refinement
+(`_refine`) and by automorphisms discovered along the way (a small
+individualization-refinement canonicalizer).  Two structures get the same
+code if and only if they are isomorphic, and the labelling that produced each
+code is kept, so `find_isomorphism` composes the two labellings instead of
+searching.  The test suite checks codes and isomorphisms against a
+brute-force search over all bijections and against networkx.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 
 # Bump whenever the canonicalization algorithm changes: codes are only
 # comparable within one version.
@@ -74,7 +73,7 @@ class Signature:
 class FiniteRelStruct:
     """Immutable finite relational structure over {0..size-1}."""
 
-    __slots__ = ("signature", "size", "rels", "_hash", "_occ", "_code")
+    __slots__ = ("signature", "size", "rels", "_hash", "_occ", "_code", "_label")
 
     def __init__(self, signature, size, relations):
         if size < 0:
@@ -101,6 +100,7 @@ class FiniteRelStruct:
         self._hash = None
         self._occ = None
         self._code = None
+        self._label = None
 
     # -- basic protocol ----------------------------------------------------
 
@@ -145,7 +145,7 @@ class FiniteRelStruct:
             relations = {k: [tuple(json_int(x, "tuple entry") for x in t) for t in v]
                          for k, v in data.get("relations", {}).items()}
             return FiniteRelStruct(sig, size, relations)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed structure JSON: {exc}") from exc
 
     @staticmethod
@@ -212,9 +212,7 @@ def _refine(struct, colors):
     The signature of an element combines its colour with, for every tuple it
     occurs in, the symbol, its positions inside the tuple and the colours of
     all entries.  New colours are ranks of sorted signatures, so the result
-    is isomorphism-invariant.  Returns (colours, signatures of the last
-    round); sorted, the latter form a quotient that can be compared across
-    structures.
+    is isomorphism-invariant.
     """
     n = struct.size
     occ = struct._occurrences()
@@ -229,10 +227,10 @@ def _refine(struct, colors):
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranks[s] for s in sigs]
         if new == colors:
-            return colors, sigs
+            return colors
         colors = new
         if len(set(colors)) == n:
-            return colors, sigs
+            return colors
 
 
 def _individualized(colors, v):
@@ -268,16 +266,19 @@ class _UnionFind:
 
 
 def canonical_code(struct):
-    """Version-tagged canonical form; equal iff the structures are isomorphic."""
+    """Version-tagged canonical form; equal iff the structures are isomorphic.
+
+    The labelling behind it (element -> canonical position) is kept on the
+    structure for `find_isomorphism`."""
     if struct._code is not None:
         return struct._code
     n = struct.size
     if n == 0:
-        code = CODE_VERSION + ":" + _encode(struct, [])
-        struct._code = code
-        return code
+        struct._code = CODE_VERSION + ":" + _encode(struct, [])
+        struct._label = ()
+        return struct._code
 
-    start = _refine(struct, [0] * n)[0]
+    start = _refine(struct, [0] * n)
     best = [None, None]  # encoding, perm
     autos = []
 
@@ -324,83 +325,37 @@ def canonical_code(struct):
                 rv = uf.find(v)
                 if any(uf.find(u) == rv for u in explored):
                     continue
-            search(_refine(struct, _individualized(colors, v))[0], prefix + (v,))
+            search(_refine(struct, _individualized(colors, v)), prefix + (v,))
             explored.append(v)
 
     search(start, ())
-    code = CODE_VERSION + ":" + best[0]
-    struct._code = code
-    return code
+    struct._code = CODE_VERSION + ":" + best[0]
+    struct._label = tuple(best[1])
+    return struct._code
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search
+# isomorphisms
 
 
 def find_isomorphism(s1, s2):
-    """First isomorphism s1 -> s2 in a fixed search order, or None.
+    """An isomorphism s1 -> s2 as a tuple, or None.
 
-    Both sides are refined from the uniform colouring, and the search maps
-    each element into the cell of its colour on the other side.  To fix
-    elements, give them a relation of their own."""
+    Equal codes come from canonical labellings that map both structures onto
+    one encoding, so the second labelling's inverse after the first is an
+    isomorphism; it is checked before it is returned.  To fix elements, give
+    them a relation of their own."""
     if s1.signature != s2.signature:
         raise InputError("cannot compare structures over different signatures")
-    if s1.size != s2.size:
+    if s1.size != s2.size or canonical_code(s1) != canonical_code(s2):
         return None
-    n = s1.size
-    if any(len(r1) != len(r2) for r1, r2 in zip(s1.rels, s2.rels)):
-        return None
-    if n == 0:
-        return ()
-
-    # isomorphic structures refined from corresponding seeds have equal
-    # quotients, and a colour then names the same cell on both sides
-    colors1, sigs1 = _refine(s1, [0] * n)
-    colors2, sigs2 = _refine(s2, [0] * n)
-    if sorted(sigs1) != sorted(sigs2):
-        return None
-
-    cell_size = Counter(colors1)
-    order = sorted(range(n), key=lambda e: (cell_size[colors1[e]], colors1[e], e))
-    by_color2 = {}
-    for e in range(n):
-        by_color2.setdefault(colors2[e], []).append(e)
-
-    occ = s1._occurrences()
-    mapping = [-1] * n
-    used = [False] * n
-
-    def consistent(e):
-        for si, _, t in occ[e]:
-            img = []
-            for x in t:
-                m = mapping[x]
-                if m < 0:
-                    break
-                img.append(m)
-            else:
-                if tuple(img) not in s2.rels[si]:
-                    return False
-        return True
-
-    def extend(i):
-        if i == n:
-            return True
-        e = order[i]
-        for cand in by_color2.get(colors1[e], ()):
-            if used[cand]:
-                continue
-            mapping[e] = cand
-            used[cand] = True
-            if consistent(e) and extend(i + 1):
-                return True
-            mapping[e] = -1
-            used[cand] = False
-        return False
-
-    if extend(0):
-        return tuple(mapping)
-    return None
+    inv2 = [0] * s2.size
+    for x, y in enumerate(s2._label):
+        inv2[y] = x
+    perm = tuple(inv2[y] for y in s1._label)
+    if not is_isomorphism(s1, s2, perm):
+        raise ConsistencyError("equal canonical codes without an isomorphism")
+    return perm
 
 
 def is_isomorphism(s1, s2, perm):

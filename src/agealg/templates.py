@@ -149,7 +149,7 @@ class BlockTemplate:
             if extra:
                 raise InputError(f"accepted patterns for unknown symbols: {sorted(extra)}")
             return BlockTemplate.make(sig, blocks, accepted)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed template JSON: {exc}") from exc
 
     @staticmethod

@@ -235,17 +235,9 @@ def rows(checks, subject, criterion=None):
     return out
 
 
-def _gallery_rows(job):
-    return rows(TEMPLATE_CHECKS, Case(*job))
-
-
-def run_all(bounds=BUDGET, threads=1):
+def run_all(bounds=BUDGET):
     """Every row at `bounds`: the gallery templates, then the global checks."""
-    jobs = [(name, bounds) for name in GALLERY]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_gallery_rows, jobs))
-    else:
-        chunks = map(_gallery_rows, jobs)
-    return [row for chunk in chunks for row in chunk] + rows(GLOBAL_CHECKS, bounds)
+    out = []
+    for name in GALLERY:
+        out += rows(TEMPLATE_CHECKS, Case(name, bounds))
+    return out + rows(GLOBAL_CHECKS, bounds)

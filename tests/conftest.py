@@ -21,10 +21,11 @@ def registries():
 
 @pytest.fixture
 def miss_every_isomorphism(monkeypatch):
-    """Make both registry routes to membership miss: witness extensions
-    never pass and the isomorphism search finds nothing."""
+    """Make every isomorphism check fail: witness extensions never pass, and
+    the map that `find_isomorphism` composes from two canonical labellings
+    is refused as well."""
     import agealg.algebra
+    import agealg.structures
 
-    monkeypatch.setattr(agealg.algebra, "is_isomorphism", lambda *a: False)
-    monkeypatch.setattr(agealg.algebra, "find_isomorphism",
-                        lambda *a, **k: None)
+    for module in (agealg.algebra, agealg.structures):
+        monkeypatch.setattr(module, "is_isomorphism", lambda *a: False)

@@ -60,7 +60,7 @@ def test_profile_cross_checks_subset_types(registries):
 
 
 def test_registry_agrees_with_pure_code_classification():
-    # the registry buckets by deck and settles with isomorphism search;
+    # the registry buckets by deck and settles with witnesses and codes;
     # classifying every composition by its canonical code must coincide
     import random
 
@@ -84,8 +84,8 @@ def test_registry_agrees_with_pure_code_classification():
 
 def test_missed_isomorphism_is_a_consistency_error(miss_every_isomorphism):
     # (2,1) and (1,2) of sym:2 instantiate to isomorphic, unequal structures:
-    # if both the witness extension and the isomorphism search miss that,
-    # their codes collide, a library bug
+    # if the witness extension misses that and the map composed from their
+    # equal codes' labellings fails its check too, that is a library bug
     with pytest.raises(ConsistencyError):
         TypeRegistry(sym(2)).types_at(3)
 

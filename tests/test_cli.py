@@ -70,13 +70,27 @@ STRUCTURE = {"signature": [{"name": "adj", "arity": 2}], "size": 2,
     ("decompose", json.dumps(dict(STRUCTURE, size=2.9))),
     ("decompose", json.dumps(dict(STRUCTURE, relations={"adj": [[0, 1.7]]}))),
     ("decompose", json.dumps(dict(STRUCTURE, size=True, relations={"adj": [[0, 0]]}))),
+    ("decompose", json.dumps(dict(STRUCTURE, relations=[1]))),
+    ("decompose", json.dumps(dict(STRUCTURE, relations=None))),
+    ("decompose", json.dumps(dict(STRUCTURE, relations="ab"))),
+    ("profile", json.dumps(dict(json.loads(_template_with()), accepted=[1]))),
+    ("profile", json.dumps(dict(json.loads(_template_with()), accepted=None))),
 ], ids=["int", "null", "string-elements", "string-capacity", "string-rank",
         "rank-gap", "fractional-rank", "fractional-capacity", "float-arity",
-        "fractional-size", "fractional-element", "boolean-size"])
+        "fractional-size", "fractional-element", "boolean-size",
+        "list-relations", "null-relations", "string-relations",
+        "list-accepted", "null-accepted"])
 def test_bad_values_in_input_json_are_exit_2(tmp_path, capsys, command, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ")
+
+
+def test_negative_gen_bound_is_exit_2(capsys):
+    code, out, err = run(capsys, "hilbert", "--builtin", "sym:2",
+                         "--gen-bound", "-3")
     assert code == 2 and not out
     assert err.startswith("error: ")
 
@@ -283,7 +297,7 @@ def test_decompose_undetermined_fatness_is_exit_3(capsys):
 def test_verify_failure_is_exit_4(capsys, monkeypatch):
     import agealg.verify as verify
     monkeypatch.setattr(verify, "run_all",
-                        lambda bounds, threads: [("stub", False, "boom")])
+                        lambda bounds: [("stub", False, "boom")])
     code, out, _ = run(capsys, "verify")
     assert code == 4
     assert json.loads(out)["ok"] is False
