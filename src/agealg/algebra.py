@@ -16,16 +16,24 @@ Within a deck, membership is certified by an isomorphism.  The registry
 keeps for every composition a witness: an isomorphism from its structure
 onto that of its type's first composition.  The witnesses of c - e_i and of
 r - e_j, when both have one type, give a bijection from c to r that sends
-the removed element to the removed element; a bijection that maps every
-relation onto r's is an isomorphism, however it was found.  When no such
-bijection passes, canonical codes decide: a type of the deck with an equal
-code is the type, and `find_isomorphism` turns the two canonical labellings
-into the witness; otherwise the composition starts a new type.  Codes are
-also labels, computed on request (the type ids of `constants` reports).
+p, the last element of block i, to q, the last element of block j.  Removing
+p and q leaves the structures of c - e_i and r - e_j, which the witnesses
+already map onto each other, so the bijection is an isomorphism iff it maps
+the tuples through p onto the tuples through q (`delta_isomorphism`).  Only
+those tuples are read: a template enumerates them per pattern, a finite
+structure takes them from its occurrence index.
+
+The structure of a composition is built only when no such bijection passes.
+Then canonical codes decide: a type of the deck with an equal code is the
+type, and `find_isomorphism` turns the two canonical labellings into the
+witness; otherwise the composition starts a new type, which keeps the
+structure.  The structure of any other type is built on first use.  Codes
+are also labels, computed on request (the type ids of `constants` reports).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, prod
@@ -33,8 +41,9 @@ from math import comb, prod
 from .errors import ConsistencyError, InputError
 from .hilbert import compare_monomials
 from .structures import (FiniteRelStruct, canonical_code, find_isomorphism,
-                         is_isomorphism, restrict)
-from .templates import compositions, instantiate, subcompositions
+                         restrict)
+from .templates import (compositions, instantiate, subcompositions,
+                        through_tuples)
 
 
 @dataclass(eq=False)
@@ -42,8 +51,8 @@ class TypeEntry:
     """One isomorphism type: its id among the types of its degree, its deck
     (sorted (id, multiplicity) pairs), the realizing compositions (in
     discovery = graded-lex order) and the maximal one.  The representative
-    structure, that of reps[0], and its canonical code are computed on first
-    use."""
+    structure, that of reps[0], its canonical code and its tuples through
+    the last element of each block are computed on first use."""
 
     template: object = field(repr=False)
     id: int
@@ -51,6 +60,7 @@ class TypeEntry:
     reps: list
     lead: tuple
     _struct: object = field(default=None, repr=False)
+    _through: dict = field(default_factory=dict, repr=False)
 
     @property
     def degree(self):
@@ -65,6 +75,14 @@ class TypeEntry:
     @property
     def code(self):
         return canonical_code(self.struct)
+
+    def through(self, j):
+        """Per relation, the set of tuples of the representative structure
+        that contain the last element of block j."""
+        if j not in self._through:
+            self._through[j] = [frozenset(r) for r in
+                                _through(self.template, self.reps[0], j)]
+        return self._through[j]
 
 
 @dataclass(frozen=True)
@@ -84,6 +102,35 @@ def _structure(source, comp):
     if isinstance(source, Singletons):
         return restrict(source.struct, [x for x, d in enumerate(comp) if d])
     return instantiate(source, comp)
+
+
+def _through(source, comp, i):
+    """Per relation, the tuples of the structure of comp that contain the
+    last element of block i, without building that structure.  For a finite
+    source, block i is element i: its occurrences inside the support of
+    comp, renumbered by position in the support."""
+    if isinstance(source, Singletons):
+        index = list(itertools.accumulate(comp))
+        out = [[] for _ in source.struct.rels]
+        for si, _, t in source.struct._occurrences()[i]:
+            if all(map(comp.__getitem__, t)):
+                out[si].append(tuple(index[x] - 1 for x in t))
+        return out
+    return through_tuples(source, comp, i)
+
+
+def delta_isomorphism(through_c, through_r, perm):
+    """Whether the bijection `perm` maps, relation by relation, the tuples
+    `through_c` (a list without repeats) onto the set `through_r`.  For a
+    bijection that already maps the rest isomorphically (see the module
+    docstring) this decides whether it is an isomorphism."""
+    for tuples, target in zip(through_c, through_r):
+        if len(tuples) != len(target):
+            return False
+        for t in tuples:
+            if tuple(perm[x] for x in t) not in target:
+                return False
+    return True
 
 
 def _last_of_block(comp, i):
@@ -123,8 +170,10 @@ class TypeRegistry:
             bucket = buckets.setdefault(deck, [])
             entry = s = witness = None
             if bucket:
-                s = _structure(self.template, comp)
-                entry, witness = self._match(comp, s, bucket)
+                entry, witness = self._certify(comp, bucket)
+                if entry is None:
+                    s = _structure(self.template, comp)
+                    entry, witness = self._by_code(s, bucket)
             if entry is None:
                 witness = tuple(range(n))
                 entry = TypeEntry(self.template, len(entries), deck, [comp], comp, s)
@@ -139,16 +188,24 @@ class TypeRegistry:
         self._by_degree[n] = entries
         self._built = n
 
-    def _match(self, comp, s, bucket):
-        """(entry, isomorphism from s onto entry.struct) for the type of the
-        bucket that s, the structure of comp, belongs to, or (None, None).
-        The types of a bucket are pairwise non-isomorphic, so at most one
-        can match, whichever route finds it: a witness extension, or else an
-        equal canonical code."""
+    def _certify(self, comp, bucket):
+        """(entry, isomorphism from the structure of comp onto entry.struct)
+        for the first witness extension onto a type of the bucket that
+        passes the delta check, or (None, None).  The types of a bucket are
+        pairwise non-isomorphic, so at most one can match, whichever route
+        finds it: this one, or else `_by_code`."""
+        through = {}
         for entry in bucket:
-            for perm in self._extensions(comp, entry.reps[0]):
-                if is_isomorphism(s, entry.struct, perm):
+            for i, j, perm in self._extensions(comp, entry.reps[0]):
+                if i not in through:
+                    through[i] = _through(self.template, comp, i)
+                if delta_isomorphism(through[i], entry.through(j), perm):
                     return entry, perm
+        return None, None
+
+    def _by_code(self, s, bucket):
+        """(entry, isomorphism from s onto entry.struct) for the type of the
+        bucket whose code equals that of s, or (None, None)."""
         code = canonical_code(s)
         for entry in bucket:
             if entry.code == code:
@@ -157,12 +214,13 @@ class TypeRegistry:
 
     def _extensions(self, comp, rep):
         """Candidate bijections from the structure of comp onto that of rep,
-        one for each block i of comp and block j of rep such that comp - e_i
-        and rep - e_j have one type.  Their witnesses sigma and tau map both
-        onto the structure of that type's first composition, so tau^-1 sigma
-        is an isomorphism between them; the candidate extends it, shifted
-        past the removed positions, by sending the last element of block i
-        to the last element of block j."""
+        as (i, j, bijection), one for each block i of comp and block j of
+        rep such that comp - e_i and rep - e_j have one type.  Their
+        witnesses sigma and tau map both onto the structure of that type's
+        first composition, so tau^-1 sigma is an isomorphism between them;
+        the candidate extends it, shifted past the removed positions, by
+        sending the last element of block i to the last element of block
+        j."""
         ids, witness = self._comp_id, self._witness
         by_rest_type = {}
         for j, d in enumerate(rep):
@@ -172,18 +230,18 @@ class TypeRegistry:
                 for x, y in enumerate(witness[rest]):
                     tau_inv[y] = x
                 by_rest_type.setdefault(ids[rest], []).append(
-                    (_last_of_block(rep, j), tau_inv))
+                    (j, _last_of_block(rep, j), tau_inv))
         for i, d in enumerate(comp):
             if not d:
                 continue
             rest = comp[:i] + (d - 1,) + comp[i + 1:]
             p = _last_of_block(comp, i)
-            for q, tau_inv in by_rest_type.get(ids[rest], ()):
+            for j, q, tau_inv in by_rest_type.get(ids[rest], ()):
                 perm = [q] * (len(tau_inv) + 1)
                 for x, y in enumerate(witness[rest]):
                     y = tau_inv[y]
                     perm[x + (x >= p)] = y + (y >= q)
-                yield perm
+                yield i, j, perm
 
     def types_at(self, n):
         self.ensure_degree(n)

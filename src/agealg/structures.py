@@ -343,11 +343,15 @@ def find_isomorphism(s1, s2):
 
     Equal codes come from canonical labellings that map both structures onto
     one encoding, so the second labelling's inverse after the first is an
-    isomorphism; it is checked before it is returned.  To fix elements, give
-    them a relation of their own."""
+    isomorphism; it is checked before it is returned.  Structures whose
+    sizes or relation sizes differ are refused before either code is
+    computed.  To fix elements, give them a relation of their own."""
     if s1.signature != s2.signature:
         raise InputError("cannot compare structures over different signatures")
-    if s1.size != s2.size or canonical_code(s1) != canonical_code(s2):
+    if s1.size != s2.size or any(
+            len(r1) != len(r2) for r1, r2 in zip(s1.rels, s2.rels)):
+        return None
+    if canonical_code(s1) != canonical_code(s2):
         return None
     inv2 = [0] * s2.size
     for x, y in enumerate(s2._label):

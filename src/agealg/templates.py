@@ -7,10 +7,18 @@ only among coordinates sharing a block (equal rank = equal element, rank
 order = within-block chain order).  A tuple of a concrete instantiation is
 present iff its pattern is accepted, so by construction the blocks form a
 monomorphic decomposition of every instantiation.
+
+Instantiation enumerates tuples pattern by pattern: a pattern's tuples are
+the choices of increasing positions for the distinct ranks of each block it
+uses, and no tuple outside the accepted patterns is ever looked at.  The
+same enumeration with the last element of one block held fixed gives the
+tuples through that element (`through_tuples`), which is what the type
+registry checks its isomorphism candidates on.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -54,6 +62,19 @@ class TuplePattern:
     def to_json_dict(self):
         return {"blocks": list(self.blocks), "ranks": list(self.ranks)}
 
+    @functools.cached_property
+    def shape(self):
+        """((block, number of distinct ranks) for each block the pattern
+        uses, in block order; (index of its block in that list, rank) per
+        coordinate)."""
+        width = {}
+        for b, r in zip(self.blocks, self.ranks):
+            width[b] = max(width.get(b, 0), r + 1)
+        used = sorted(width)
+        slot = {b: k for k, b in enumerate(used)}
+        return (tuple((b, width[b]) for b in used),
+                tuple((slot[b], r) for b, r in zip(self.blocks, self.ranks)))
+
 
 def _pattern_from_json(blocks, ranks):
     """A pattern read from JSON, whose ranks must already be normalized."""
@@ -64,13 +85,6 @@ def _pattern_from_json(blocks, ranks):
         raise InputError(f"pattern ranks {ranks} on blocks {blocks} "
                          f"do not form an initial segment 0..r in each block")
     return p
-
-
-def pattern_of_tuple(tup, block_of, pos_of):
-    """Pattern realized by a concrete tuple of instantiation elements."""
-    blocks = tuple(block_of[x] for x in tup)
-    ranks = tuple(pos_of[x] for x in tup)
-    return TuplePattern(blocks, normalize_ranks(blocks, ranks))
 
 
 @dataclass(frozen=True)
@@ -250,12 +264,8 @@ def block_spans(comp):
     return spans
 
 
-def instantiate(t, comp):
-    """Finite structure on the disjoint union of chains of sizes comp.
-
-    Blocks are laid out in declaration order; a tuple is present iff its
-    pattern is accepted.
-    """
+def _check_composition(t, comp):
+    """comp as a tuple of ints, after checking it against t's blocks."""
     comp = tuple(int(d) for d in comp)
     if len(comp) != len(t.blocks):
         raise InputError("composition length != number of blocks")
@@ -264,24 +274,57 @@ def instantiate(t, comp):
             raise InputError("negative block count")
         if cap is not None and d > cap:
             raise InputError(f"composition exceeds capacity of block {name!r}")
-    n = sum(comp)
-    block_of = []
-    pos_of = []
-    for bi, d in enumerate(comp):
-        for j in range(d):
-            block_of.append(bi)
-            pos_of.append(j)
-    relations = {}
-    for (name, arity), pats in zip(t.signature.symbols, t.accepted):
-        if not pats:
-            relations[name] = ()
-            continue
-        tuples = [
-            tup for tup in itertools.product(range(n), repeat=arity)
-            if pattern_of_tuple(tup, block_of, pos_of) in pats
-        ]
-        relations[name] = tuples
-    return FiniteRelStruct(t.signature, n, relations)
+    return comp
+
+
+def _pattern_tuples(pattern, spans, through=None):
+    """The tuples that realize `pattern` in the instantiation with the given
+    `block_spans`; with `through` = i, only those containing the last
+    element of block i.
+
+    A tuple of the pattern is a choice, in every block b it uses, of as many
+    increasing positions as b has distinct ranks: rank r goes to the r-th
+    chosen element.  The last element of block i can only take block i's
+    top rank, so it is fixed there and the lower ranks are chosen below it."""
+    if through is not None and through not in pattern.blocks:
+        return []
+    used, coords = pattern.shape
+    choices = []
+    for b, width in used:
+        lo, hi = spans[b]
+        if b == through:
+            choices.append([pick + (hi - 1,) for pick in
+                            itertools.combinations(range(lo, hi - 1), width - 1)])
+        else:
+            choices.append(itertools.combinations(range(lo, hi), width))
+    return [tuple(pick[k][r] for k, r in coords)
+            for pick in itertools.product(*choices)]
+
+
+def instantiate(t, comp):
+    """Finite structure on the disjoint union of chains of sizes comp.
+
+    Blocks are laid out in declaration order; a tuple is present iff its
+    pattern is accepted.  The tuples are enumerated pattern by pattern
+    (distinct patterns give disjoint tuple sets), so the work is in
+    proportion to the tuples produced, not to size**arity.
+    """
+    comp = _check_composition(t, comp)
+    spans = block_spans(comp)
+    relations = [[tup for p in pats for tup in _pattern_tuples(p, spans)]
+                 for pats in t.accepted]
+    return FiniteRelStruct(t.signature, sum(comp), relations)
+
+
+def through_tuples(t, comp, i):
+    """Per relation symbol, the list of tuples of `instantiate(t, comp)`
+    that contain the last element of block i (which needs comp[i] >= 1)."""
+    comp = _check_composition(t, comp)
+    if not comp[i]:
+        raise InputError(f"block {i} of {comp} is empty")
+    spans = block_spans(comp)
+    return [[tup for p in pats for tup in _pattern_tuples(p, spans, i)]
+            for pats in t.accepted]
 
 
 def compositions(t, n, max_degree=None):

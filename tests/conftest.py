@@ -21,11 +21,11 @@ def registries():
 
 @pytest.fixture
 def miss_every_isomorphism(monkeypatch):
-    """Make every isomorphism check fail: witness extensions never pass, and
-    the map that `find_isomorphism` composes from two canonical labellings
-    is refused as well."""
+    """Make every isomorphism check fail: witness extensions never pass the
+    delta check, and the map that `find_isomorphism` composes from two
+    canonical labellings is refused as well."""
     import agealg.algebra
     import agealg.structures
 
-    for module in (agealg.algebra, agealg.structures):
-        monkeypatch.setattr(module, "is_isomorphism", lambda *a: False)
+    monkeypatch.setattr(agealg.algebra, "delta_isomorphism", lambda *a: False)
+    monkeypatch.setattr(agealg.structures, "is_isomorphism", lambda *a: False)

@@ -9,15 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agealg.algebra import (OrbitSum, TypeRegistry, e_orbit,
+from agealg.algebra import (OrbitSum, TypeRegistry, _structure, _through,
+                            delta_isomorphism, e_orbit,
                             kernel_elements_bounded, mult_by_e_rank,
                             orbit_product, profile, profile_series,
                             structure_constant, unit_orbit)
 from agealg.decomposition import minimal_decomposition, template_components
 from agealg.errors import ConsistencyError, InputError
 from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
-                               relabel, restrict, subset_types)
-from agealg.templates import (INF, BlockTemplate, instantiate, sym)
+                               is_isomorphism, relabel, restrict,
+                               subset_types)
+from agealg.templates import (INF, BlockTemplate, compositions, instantiate,
+                              qsym, rqsym, sym)
 
 
 def tau(registry, n, index=0):
@@ -132,15 +135,52 @@ def test_finite_registry_matches_subset_codes(s):
                 assert relabel(restrict(s, support(comp)), witness) == first
 
 
+def delta_outcomes(registry, degree):
+    """(delta check, full check) for every candidate that `_extensions`
+    yields from a composition of degree 1..degree onto the first
+    composition of any type of its degree."""
+    source = registry.template
+    registry.ensure_degree(degree)
+    out = []
+    for n in range(1, degree + 1):
+        for comp in compositions(source, n):
+            s = _structure(source, comp)
+            for entry in registry.types_at(n):
+                rep = entry.reps[0]
+                for i, j, perm in registry._extensions(comp, rep):
+                    delta = delta_isomorphism(
+                        _through(source, comp, i),
+                        [frozenset(r) for r in _through(source, rep, j)], perm)
+                    out.append((delta, is_isomorphism(s, entry.struct, perm)))
+    return out
+
+
+@pytest.mark.parametrize("t", [sym(3), qsym(3), rqsym(3, 2)],
+                         ids=["sym:3", "qsym:3", "rqsym:3:2"])
+def test_delta_check_agrees_with_full_check_on_templates(t):
+    outcomes = delta_outcomes(TypeRegistry(t), 6)
+    assert all(delta == full for delta, full in outcomes)
+    assert {full for _, full in outcomes} == {False, True}
+
+
+@settings(max_examples=60, deadline=None)
+@given(looped_digraph())
+@example(FiniteRelStruct(ARC, 7, {"arc": [(x, (x + 1) % 7) for x in range(7)]}))
+@example(FiniteRelStruct(ARC, 3, {"arc": [(0, 1), (2, 1), (1, 1)]}))
+def test_delta_check_agrees_with_full_check_on_random_digraphs(s):
+    for delta, full in delta_outcomes(TypeRegistry(s), s.size):
+        assert delta == full
+
+
 def count_searches(monkeypatch):
-    """Counters of the canonical_code and find_isomorphism calls made
-    anywhere in the library: every loaded agealg module that binds either
-    name gets a counting wrapper."""
+    """Counters of the canonical_code, find_isomorphism and instantiate
+    calls made anywhere in the library: every loaded agealg module that
+    binds one of those names gets a counting wrapper."""
     counts = Counter()
     for modname, module in list(sys.modules.items()):
         if modname != "agealg" and not modname.startswith("agealg."):
             continue
-        for name in ("canonical_code", "find_isomorphism"):
+        for name in ("canonical_code", "find_isomorphism", "instantiate"):
             fn = getattr(module, name, None)
             if fn is None:
                 continue
@@ -164,9 +204,11 @@ def test_witnesses_spare_isomorphism_searches(monkeypatch):
     assert counts["find_isomorphism"] <= 300
     counts.clear()
     # 255 codes when the fatness levels canonicalized every composition of
-    # their level boxes
+    # their level boxes, and 344 instantiations when every composition that
+    # shared a deck with an earlier one was instantiated for its check
     assert template_components(sym(4)).classes == ((0,), (1,), (2,), (3,))
     assert counts["canonical_code"] < 26
+    assert counts["instantiate"] < 20
 
 
 def test_profile_bounded_by_composition_count(registries):

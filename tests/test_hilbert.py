@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from agealg.algebra import TypeRegistry, profile_series
 from agealg.errors import InputError, NotRationalError, UndeterminedError
-from agealg.gallery import GALLERY
+from agealg.gallery import GALLERY, resolve_builtin
 from agealg.hilbert import (HilbertForm, WeightedMonomialIdeal, _brute_ideal_series,
                             chain_support, check_addlayer, compare_monomials,
                             expand, fit_rational, hilbert_via_leading,
@@ -360,6 +360,16 @@ def test_two_paths_differing_beyond_the_degree_are_undetermined(registries):
     t, registry = registries("sym:3")
     with pytest.raises(UndeterminedError):
         two_path_hilbert(t, 5, registry=registry)
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "qsym:4", "rqsym:3:2"])
+def test_two_paths_agree_at_degree_16(spec):
+    # reach: registries of these templates to degree 16, one of them with a
+    # 4-ary relation, build in seconds; the routes must agree there
+    fitted, lead = two_path_hilbert(resolve_builtin(spec), 16)
+    assert fitted.same_series(lead)
+    if spec == "sym:5":
+        assert fitted.same_series(HilbertForm.make([1], [1, 2, 3, 4, 5]))
 
 
 def test_gallery_forms_are_the_published_fractions():

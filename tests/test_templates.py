@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agealg.algebra import profile_series
 from agealg.errors import InputError
@@ -10,7 +12,8 @@ from agealg.structures import FiniteRelStruct, Signature, restrict
 from agealg.templates import (INF, BlockTemplate, TuplePattern, c3_chains,
                               block_spans, clique_plus_coclique, clique_sum,
                               coclique, compositions, groupoid_example,
-                              instantiate, lex_sum, qsym, rqsym, sym, validate,
+                              instantiate, lex_sum, normalize_ranks, qsym,
+                              rqsym, sym, through_tuples, validate,
                               wheel_plus_coclique)
 
 
@@ -60,6 +63,77 @@ def test_instantiate_qsym_single_arc():
 def test_instantiate_respects_capacity():
     with pytest.raises(InputError):
         instantiate(wheel_plus_coclique(), (1, 1, 2))
+
+
+def pattern_of_tuple(tup, block_of, pos_of):
+    """Pattern realized by a concrete tuple of instantiation elements."""
+    blocks = tuple(block_of[x] for x in tup)
+    ranks = tuple(pos_of[x] for x in tup)
+    return TuplePattern(blocks, normalize_ranks(blocks, ranks))
+
+
+def filtered_relations(t, comp):
+    """Per symbol, the set of tuples of the instantiation of comp found by
+    filtering all size**arity tuples through their patterns."""
+    block_of = [b for b, d in enumerate(comp) for _ in range(d)]
+    pos_of = [j for d in comp for j in range(d)]
+    return [frozenset(tup for tup in itertools.product(range(sum(comp)),
+                                                       repeat=arity)
+                      if pattern_of_tuple(tup, block_of, pos_of) in pats)
+            for (_, arity), pats in zip(t.signature.symbols, t.accepted)]
+
+
+@st.composite
+def template_and_composition(draw):
+    """A template with 1-3 blocks of capacity 1, 2, 3 or infinite, 1-2
+    symbols of arity 1-4 and random accepted patterns that fit the
+    capacities, and a composition of at most 3 elements per block."""
+    caps = draw(st.lists(st.sampled_from([None, 1, 2, 3]), min_size=1,
+                         max_size=3))
+    nblocks = len(caps)
+    arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    sig = Signature(tuple((f"r{k}", a) for k, a in enumerate(arities)))
+    accepted = {}
+    for name, arity in sig.symbols:
+        pats = set()
+        for _ in range(draw(st.integers(0, 6))):
+            blocks = draw(st.lists(st.integers(0, nblocks - 1),
+                                   min_size=arity, max_size=arity))
+            ranks = draw(st.lists(st.integers(0, arity - 1),
+                                  min_size=arity, max_size=arity))
+            p = TuplePattern.make(blocks, ranks)
+            if all(caps[b] is None or r < caps[b]
+                   for b, r in zip(p.blocks, p.ranks)):
+                pats.add(p)
+        accepted[name] = pats
+    t = BlockTemplate.make(sig, [(f"b{b}", cap) for b, cap in enumerate(caps)],
+                           accepted)
+    comp = tuple(draw(st.integers(0, 3 if cap is None else min(cap, 3)))
+                 for cap in caps)
+    return t, comp
+
+
+@settings(max_examples=200, deadline=None)
+@given(template_and_composition())
+@example((rqsym(3, 2), (2, 3, 2)))
+@example((c3_chains(), (2, 0, 3)))
+def test_instantiate_matches_pattern_filter(case):
+    # pattern by pattern enumeration finds exactly the tuples whose pattern
+    # is accepted, and the tuples through the last element of a block are
+    # exactly those of the instantiation that contain it
+    t, comp = case
+    s = instantiate(t, comp)
+    assert list(s.rels) == filtered_relations(t, comp)
+    spans = block_spans(comp)
+    for i, (lo, hi) in enumerate(spans):
+        if hi == lo:
+            with pytest.raises(InputError):
+                through_tuples(t, comp, i)
+            continue
+        through = through_tuples(t, comp, i)
+        for rel, tuples in zip(s.rels, through):
+            assert len(set(tuples)) == len(tuples)
+            assert set(tuples) == {tup for tup in rel if hi - 1 in tup}
 
 
 def test_compositions_graded_lex_and_caps():
