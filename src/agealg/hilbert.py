@@ -52,51 +52,29 @@ def psub(p, q):
     return padd(p, [-c for c in q])
 
 
-def pmul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
+def mul_geom(p, j):
+    """p * (1 - Z^j), in O(len(p))."""
+    out = list(p) + [0] * j
+    for i, c in enumerate(p):
+        out[i + j] -= c
     return ptrim(out)
 
 
-def pdivexact(p, q):
-    """Exact quotient p/q over the integers, or None if it does not divide."""
-    p = ptrim(p)
-    q = ptrim(q)
-    if not q:
+def div_geom(p, j):
+    """Exact quotient p / (1 - Z^j) over the integers, or None if it does
+    not divide, in O(len(p)): q_i = p_i + q_{i-j}, and the top j
+    coefficients of p must be cancelled by q's top j."""
+    if j < 1:
         raise InputError("division by zero polynomial")
-    if not p:
-        return []
-    if len(p) < len(q):
-        return None
-    rem = list(p)
-    out = [0] * (len(p) - len(q) + 1)
-    lead = q[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = rem[i + len(q) - 1]
-        if c % lead != 0:
+    p = ptrim(p)
+    n = len(p)
+    q = p[: max(n - j, 0)]
+    for i in range(j, len(q)):
+        q[i] += q[i - j]
+    for i in range(max(n - j, 0), n):
+        if p[i] + (q[i - j] if i >= j else 0):
             return None
-        f = c // lead
-        out[i] = f
-        if f:
-            for j, b in enumerate(q):
-                rem[i + j] -= f * b
-    if any(rem):
-        return None
-    return ptrim(out)
-
-
-def geom_factor(j):
-    """1 - Z^j."""
-    out = [0] * (j + 1)
-    out[0] = 1
-    out[j] = -1
-    return out
+    return q
 
 
 def peval1(p):
@@ -168,7 +146,7 @@ class HilbertForm:
         while changed:
             changed = False
             for j in sorted(set(dens), reverse=True):
-                q = pdivexact(num, geom_factor(j))
+                q = div_geom(num, j)
                 if q is not None:
                     num = q
                     dens.remove(j)
@@ -180,10 +158,10 @@ class HilbertForm:
         """Exact equality as rational functions (cross-multiplication)."""
         left = list(self.numerator)
         for j in other.denominators:
-            left = pmul(left, geom_factor(j))
+            left = mul_geom(left, j)
         right = list(other.numerator)
         for j in self.denominators:
-            right = pmul(right, geom_factor(j))
+            right = mul_geom(right, j)
         return left == right
 
     def numerator_at_one(self):
@@ -193,7 +171,7 @@ class HilbertForm:
         num = list(self.numerator)
         drop = 0
         while num and peval1(num) == 0:
-            num = pdivexact(num, geom_factor(1))
+            num = div_geom(num, 1)
             drop += 1
         return len(self.denominators) - drop
 
@@ -332,8 +310,8 @@ def _quotient_numerator(degrees, gens):
         mixed = [g for g in gens if sum(1 for e in g if e) > 1]
         if not mixed:
             leaf = [0] * shift + [1]
-            for g in gens:  # times (1 - Z^{deg g})
-                leaf = psub(leaf, [0] * sum(e * d for e, d in zip(g, degrees)) + leaf)
+            for g in gens:
+                leaf = mul_geom(leaf, sum(e * d for e, d in zip(g, degrees)))
             total = padd(total, leaf)
             continue
         i = max(range(nvars), key=lambda i: sum(1 for g in mixed if g[i]))
@@ -347,12 +325,16 @@ def _quotient_numerator(degrees, gens):
 
 
 def ideal_hilbert(ideal, degree):
-    """Hilbert series of the ideal (the span of its monomials).
+    """Hilbert series of the ideal (the span of its monomials), as a form
+    and as its expansion through `degree` (InputError if negative).
 
     Over prod (1 - Z^{d_i}) the ideal's numerator is 1 - N(I), with N(I)
-    the numerator of the quotient ring from `_quotient_numerator`.  The
-    expansion is cross-checked against brute-force divisibility counting.
+    the numerator of the quotient ring from `_quotient_numerator`.  Every
+    call cross-checks the expansion against `_brute_ideal_series`, a direct
+    count that shares nothing with the pivot recursion.
     """
+    if degree < 0:
+        raise InputError(f"degree must be >= 0, got {degree}")
     gens = ideal.generators
     if not gens:
         form = HilbertForm.make([], [])
@@ -367,19 +349,37 @@ def ideal_hilbert(ideal, degree):
 
 
 def _brute_ideal_series(ideal, degree):
+    """Number of monomials of the ideal in each weighted degree 0..degree,
+    counted directly.  The exponents are chosen one variable at a time,
+    carrying the generators that divide the prefix so far (a prefix that
+    none divides is dropped with everything below it); in the last
+    variable the ideal's monomials are those whose exponent reaches the
+    least one those generators still ask for, so they are counted without
+    a test each.  With no variables the only monomial is 1, in the ideal
+    iff the ideal has a generator."""
     counts = [0] * (degree + 1)
-    nvars = len(ideal.degrees)
+    degrees = ideal.degrees
+    if not ideal.generators:
+        return counts
+    if not degrees:
+        counts[0] = 1
+        return counts
+    last = len(degrees) - 1
+    d_last = degrees[last]
 
-    def rec(i, acc, used):
-        if i == nvars:
-            if ideal.contains(acc):
-                counts[used] += 1
+    def rec(i, gens, used):
+        if i == last:
+            for e in range(min(g[last] for g in gens),
+                           (degree - used) // d_last + 1):
+                counts[used + e * d_last] += 1
             return
-        d = ideal.degrees[i]
+        d = degrees[i]
         for e in range((degree - used) // d + 1):
-            rec(i + 1, acc + (e,), used + e * d)
+            divide = [g for g in gens if g[i] <= e]
+            if divide:
+                rec(i + 1, divide, used + e * d)
 
-    rec(0, (), 0)
+    rec(0, ideal.generators, 0)
     return counts
 
 
@@ -526,7 +526,7 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
         # layers containing a finite block always cancel out of the series
         for s, w in zip(chain, weights):
             if any(caps[i] is not None for i in s):
-                q = pdivexact(num, geom_factor(w))
+                q = div_geom(num, w)
                 if q is None:
                     raise ConsistencyError(
                         f"finite-capacity layer {s} did not cancel from the "
@@ -542,20 +542,19 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
         # bring onto the running common denominator
         for w in dens:
             if w not in total_dens:
-                total_num_new = pmul(total_num, geom_factor(w))
-                total_num = total_num_new
+                total_num = mul_geom(total_num, w)
                 total_dens.append(w)
         extra = list(total_dens)
         for w in dens:
             extra.remove(w)
         for w in extra:
-            num = pmul(num, geom_factor(w))
+            num = mul_geom(num, w)
         total_num = padd(total_num, num)
 
     # normal target denominator (1-Z)...(1-Z^k)
     for w in range(1, k + 1):
         if w not in total_dens:
-            total_num = pmul(total_num, geom_factor(w))
+            total_num = mul_geom(total_num, w)
             total_dens.append(w)
     form = HilbertForm.make(total_num, total_dens)
 
@@ -593,7 +592,7 @@ def fit_rational(series, k, guard=DEFAULT_GUARD):
     degree = len(coeffs) - 1
     p = coeffs
     for j in range(1, k + 1):
-        p = pmul(p, geom_factor(j))
+        p = mul_geom(p, j)
     p = p[: degree + 1]
     p = ptrim(p)
     tail = degree - (len(p) - 1) if p else degree + 1
@@ -717,11 +716,17 @@ def nonnegative_form(form, max_part=None, count=None):
     if max_part is None:
         max_part = max(2 * max(form.denominators, default=1), 4)
     for dens in itertools.combinations_with_replacement(range(1, max_part + 1), k):
+        # a factor on both sides cancels: exact division by the others
+        # succeeds iff it does by all, with the same quotient
         num = list(form.numerator)
+        divide = list(form.denominators)
         for j in dens:
-            num = pmul(num, geom_factor(j))
-        for j in form.denominators:
-            q = pdivexact(num, geom_factor(j))
+            if j in divide:
+                divide.remove(j)
+            else:
+                num = mul_geom(num, j)
+        for j in divide:
+            q = div_geom(num, j)
             if q is None:
                 num = None
                 break

@@ -18,6 +18,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import ConsistencyError, InputError
+from .structures import json_int
 
 LEAF = "o"
 EMPTY = None
@@ -147,7 +148,7 @@ def tree_restrict(tree, keep):
 
 
 def check_address(addr):
-    addr = tuple(int(x) for x in addr)
+    addr = tuple(json_int(x, "address index") for x in addr)
     if not addr:
         raise InputError("empty address")
     if any(x < 1 for x in addr):
@@ -230,6 +231,16 @@ def planar_profile(n, depth_budget=None, sample=None):
 
 
 def planar_profile_report(n, depth_budget=None, sample=None):
+    """Count and report the contraction types of the n-subsets of a sample
+    (by default `default_sample(n)`, cut to `depth_budget` indices).
+
+    A sorted subset contracts to the Cartesian tree of its neighbours'
+    common-prefix lengths, equal minima merged: the root sits at the least
+    length and splits the subset where that length occurs.  So the tree
+    depends only on the rank pattern of those n - 1 lengths.  Each pattern
+    is contracted once, from its first subset, and checked to be a reduced
+    tree with n leaves; every other subset of the pattern has that tree.
+    """
     if n < 0:
         raise InputError("n must be >= 0")
     if sample is None:
@@ -237,15 +248,27 @@ def planar_profile_report(n, depth_budget=None, sample=None):
     sample = tuple(sorted(check_address(a) for a in sample))
     if depth_budget is not None:
         sample = tuple(a for a in sample if len(a) <= depth_budget)
+    if n >= 2 and len(sample) >= n and len(set(sample)) < len(sample):
+        raise InputError("duplicate addresses")  # some subset repeats one
+    common = [[_common_prefix(a, b) for b in sample] for a in sample]
     known = set(enumerate_reduced(n))
-    seen = set()
-    for subset in itertools.combinations(sample, n):
-        tree = contract(subset)
-        if tree not in known:
-            raise ConsistencyError(
-                f"contraction produced a non-reduced or wrong-size tree: "
-                f"{tree_to_text(tree)}")
-        seen.add(tree)
+    by_pattern = {}
+    done = set()  # the length tuples met so far, each one pattern's
+    for subset in itertools.combinations(range(len(sample)), n):
+        lengths = tuple(common[i][j] for i, j in zip(subset, subset[1:]))
+        if lengths in done:
+            continue
+        done.add(lengths)
+        ranks = sorted(set(lengths))
+        pattern = tuple(ranks.index(x) for x in lengths)
+        if pattern not in by_pattern:
+            tree = contract([sample[i] for i in subset])
+            if tree not in known:
+                raise ConsistencyError(
+                    f"contraction produced a non-reduced or wrong-size tree: "
+                    f"{tree_to_text(tree)}")
+            by_pattern[pattern] = tree
+    seen = set(by_pattern.values())
     report = {
         "sample_size": len(sample),
         "expected": len(known),
@@ -253,6 +276,13 @@ def planar_profile_report(n, depth_budget=None, sample=None):
         "missing": sorted(tree_to_text(t) for t in known - seen),
     }
     return len(seen), report
+
+
+def _common_prefix(a, b):
+    p = 0
+    while p < len(a) and p < len(b) and a[p] == b[p]:
+        p += 1
+    return p
 
 
 def reconstruct_from_triples(d, triples):
@@ -356,9 +386,7 @@ def _interposed_witness(a, b):
     adjacent in the host, falls back to a sibling fan after b, which yields
     (o,(o,o)) vs (o,o,o)."""
     a, b = sorted((check_address(a), check_address(b)))
-    p = 0
-    while p < len(a) and p < len(b) and a[p] == b[p]:
-        p += 1
+    p = _common_prefix(a, b)
     prefix = a[:p]
     ia, ib = a[p], b[p]
     # room between the next indices

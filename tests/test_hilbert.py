@@ -14,11 +14,85 @@ from agealg.errors import InputError, NotRationalError, UndeterminedError
 from agealg.gallery import GALLERY, resolve_builtin
 from agealg.hilbert import (HilbertForm, WeightedMonomialIdeal, _brute_ideal_series,
                             chain_support, check_addlayer, compare_monomials,
-                            expand, fit_rational, hilbert_via_leading,
-                            ideal_hilbert, layers, nonnegative_form, ptrim,
-                            quasi_polynomial, two_path_hilbert)
+                            div_geom, expand, fit_rational, hilbert_via_leading,
+                            ideal_hilbert, layers, mul_geom, nonnegative_form,
+                            ptrim, quasi_polynomial, two_path_hilbert)
 from agealg.structures import canonical_code
 from agealg.templates import clique_plus_coclique, instantiate
+
+
+# ---------------------------------------------------------------------------
+# long polynomial arithmetic: the oracle for the (1 - Z^j) helpers
+
+
+def pmul(p, q):
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                if b:
+                    out[i + j] += a * b
+    return ptrim(out)
+
+
+def pdivexact(p, q):
+    """Exact quotient p/q over the integers, or None if it does not divide."""
+    p = ptrim(p)
+    q = ptrim(q)
+    if not q:
+        raise InputError("division by zero polynomial")
+    if not p:
+        return []
+    if len(p) < len(q):
+        return None
+    rem = list(p)
+    out = [0] * (len(p) - len(q) + 1)
+    lead = q[-1]
+    for i in range(len(out) - 1, -1, -1):
+        c = rem[i + len(q) - 1]
+        if c % lead != 0:
+            return None
+        f = c // lead
+        out[i] = f
+        if f:
+            for j, b in enumerate(q):
+                rem[i + j] -= f * b
+    if any(rem):
+        return None
+    return ptrim(out)
+
+
+def geom_factor(j):
+    """1 - Z^j."""
+    out = [0] * (j + 1)
+    out[0] = 1
+    out[j] = -1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=12), st.integers(1, 6),
+       st.booleans(), st.integers(0, 3))
+@example([1], 3, False, 0)          # shorter than j: nothing to read below 0
+@example([0, 2, 0], 4, False, 2)    # untrimmed, and shorter than j once trimmed
+@example([1, 0, -1], 2, False, 0)   # divisible
+@example([1, 0, 0, -2], 3, False, 0)  # the remainder check refuses
+def test_geometric_factor_helpers_match_long_arithmetic(p, j, multiple, pad):
+    q = p
+    if multiple:
+        p = pmul(q, geom_factor(j))
+    p = p + [0] * pad
+    assert mul_geom(p, j) == pmul(p, geom_factor(j))
+    assert div_geom(p, j) == pdivexact(p, geom_factor(j))
+    if multiple:
+        assert div_geom(p, j) == ptrim(q)
+
+
+def test_div_geom_refuses_j_zero():
+    with pytest.raises(InputError):
+        div_geom([1, -1], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +240,7 @@ def sympy_series(form, degree):
 
 @st.composite
 def random_ideals(draw):
-    nvars = draw(st.integers(1, 4))
+    nvars = draw(st.integers(0, 4))
     degrees = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
     gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), max_size=10))
     return WeightedMonomialIdeal.make(degrees, gens)
@@ -210,6 +284,48 @@ def test_ideal_beyond_twenty_generators():
     assert len(ideal.generators) == 24
     form, _ = ideal_hilbert(ideal, 14)
     assert form.series(14) == _brute_ideal_series(ideal, 14)
+
+
+def per_monomial_count(ideal, degree):
+    """The ideal's monomials per weighted degree, every monomial up to the
+    degree tested against every generator (`contains`)."""
+    counts = [0] * (degree + 1)
+    nvars = len(ideal.degrees)
+
+    def rec(i, acc, used):
+        if i == nvars:
+            if ideal.contains(acc):
+                counts[used] += 1
+            return
+        d = ideal.degrees[i]
+        for e in range((degree - used) // d + 1):
+            rec(i + 1, acc + (e,), used + e * d)
+
+    rec(0, (), 0)
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_ideals(), st.integers(0, 16))
+@example(WeightedMonomialIdeal.make((), [()]), 0)     # the unit ideal of K
+@example(WeightedMonomialIdeal.make((), [()]), 5)
+@example(WeightedMonomialIdeal.make((), []), 3)
+@example(WeightedMonomialIdeal.make((2,), [(3,)]), 16)
+@example(WeightedMonomialIdeal.make((1, 1), [(0, 0)]), 16)  # the unit ideal
+def test_direct_count_matches_per_monomial_count(ideal, degree):
+    assert _brute_ideal_series(ideal, degree) == per_monomial_count(ideal, degree)
+
+
+def test_unit_ideal_without_variables():
+    form, series = ideal_hilbert(WeightedMonomialIdeal.make((), [()]), 4)
+    assert form == HilbertForm.make([1], [])
+    assert list(series.coefficients) == [1, 0, 0, 0, 0]
+
+
+def test_ideal_hilbert_refuses_negative_degree():
+    for gens in ([], [(1, 0)]):
+        with pytest.raises(InputError, match="degree"):
+            ideal_hilbert(WeightedMonomialIdeal.make((1, 1), gens), -1)
 
 
 @pytest.mark.parametrize("degrees,gens", [
@@ -411,6 +527,49 @@ def test_nonnegative_form_search():
     assert found is not None and all(c >= 0 for c in found.numerator)
     groupoid = HilbertForm.make([1, -1, 2, -1], [1, 1, 1])
     assert nonnegative_form(groupoid) is None  # provably impossible
+
+
+def long_nonnegative_form(form, max_part=None, count=None):
+    """`nonnegative_form` by long multiplication and division."""
+    k = count if count is not None else len(form.denominators)
+    if max_part is None:
+        max_part = max(2 * max(form.denominators, default=1), 4)
+    for dens in itertools.combinations_with_replacement(range(1, max_part + 1), k):
+        num = list(form.numerator)
+        for j in dens:
+            num = pmul(num, geom_factor(j))
+        for j in form.denominators:
+            num = pdivexact(num, geom_factor(j))
+            if num is None:
+                break
+        if num is not None and all(c >= 0 for c in num):
+            return HilbertForm.make(num, dens)
+    return None
+
+
+@st.composite
+def random_forms(draw):
+    numerator = draw(st.lists(st.integers(-3, 3), max_size=8))
+    denominators = draw(st.lists(st.integers(1, 4), max_size=3))
+    return HilbertForm.make(numerator, denominators)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_forms(), st.sampled_from([None, 1, 3, 5, 6]),
+       st.sampled_from([None, 0, 1, 2, 4]))
+@example(HilbertForm.make([1, 0, 0, 1], [1, 2]), None, None)
+@example(HilbertForm.make([1, -1, 2, -1], [1, 1, 1]), None, None)
+@example(HilbertForm.make([1, 1], [1, 2]), 4, 3)
+def test_nonnegative_form_matches_long_arithmetic(form, max_part, count):
+    assert (nonnegative_form(form, max_part, count)
+            == long_nonnegative_form(form, max_part, count))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_ideals())
+def test_nonnegative_form_of_ideal_forms_matches_long_arithmetic(ideal):
+    form, _ = ideal_hilbert(ideal, 0)
+    assert nonnegative_form(form) == long_nonnegative_form(form)
 
 
 def test_via_leading_with_dimension_hint_mismatch(registries):

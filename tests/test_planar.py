@@ -6,10 +6,11 @@ from math import comb
 
 import pytest
 
-from agealg.errors import InputError
-from agealg.planar import (EMPTY, LEAF, SCHRODER, contract, default_sample,
-                           depth, embed, enumerate_reduced, leaves,
-                           no_pair_monopart, planar_profile,
+import agealg.planar
+from agealg.errors import ConsistencyError, InputError
+from agealg.planar import (EMPTY, LEAF, SCHRODER, check_address, contract,
+                           default_sample, depth, embed, enumerate_reduced,
+                           leaves, no_pair_monopart, planar_profile,
                            planar_profile_report, reconstruct_from_triples,
                            reduce_tree, shuffle_constant, tree_from_text,
                            tree_restrict, tree_to_text)
@@ -44,6 +45,14 @@ def test_contract_rejects_duplicates_and_bad_addresses():
         contract([(2,)])      # even index cannot end an address
     with pytest.raises(InputError):
         contract([(1, 1)])    # odd index cannot continue
+
+
+@pytest.mark.parametrize("addr", [(1.5,), (True,), [2.9, 1], (2, 1.0), ("1",)])
+def test_address_indices_must_be_integers(addr):
+    with pytest.raises(InputError, match="must be an integer"):
+        check_address(addr)
+    with pytest.raises(InputError, match="must be an integer"):
+        contract([addr])
 
 
 def test_enumerate_counts_match_schroder():
@@ -98,6 +107,79 @@ def test_planar_profile_poor_sample_reports_undercount():
 
 def test_profile_one_point():
     assert planar_profile(1) == 1
+
+
+def report_by_contracting_every_subset(n, depth_budget=None, sample=None):
+    """`planar_profile_report` with one contraction per subset."""
+    if sample is None:
+        sample = default_sample(n)
+    sample = tuple(sorted(check_address(a) for a in sample))
+    if depth_budget is not None:
+        sample = tuple(a for a in sample if len(a) <= depth_budget)
+    known = set(enumerate_reduced(n))
+    seen = set()
+    for subset in itertools.combinations(sample, n):
+        tree = contract(subset)
+        if tree not in known:
+            raise ConsistencyError(tree_to_text(tree))
+        seen.add(tree)
+    return len(seen), {
+        "sample_size": len(sample),
+        "expected": len(known),
+        "found": len(seen),
+        "missing": sorted(tree_to_text(t) for t in known - seen),
+    }
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_profile_by_pattern_matches_every_subset(n):
+    # default_sample(n) is at most n - 1 indices deep, so a budget of n - 1
+    # or more keeps the whole sample
+    for budget in (None, *range(1, n - 1)):
+        assert (planar_profile_report(n, budget)
+                == report_by_contracting_every_subset(n, budget))
+
+
+def random_address(rng):
+    return tuple(rng.randrange(2, 8, 2) for _ in range(rng.randrange(4))) + (
+        rng.randrange(1, 8, 2),)
+
+
+def test_profile_by_pattern_matches_every_subset_on_random_samples():
+    rng = random.Random(2718)
+    for _ in range(60):
+        sample = {random_address(rng) for _ in range(rng.randrange(1, 12))}
+        for n in range(min(len(sample), 5) + 1):
+            assert (planar_profile_report(n, sample=sample)
+                    == report_by_contracting_every_subset(n, sample=sample))
+
+
+def test_profile_refuses_duplicate_addresses_like_contract():
+    sample = [(1,), (3,), (3,)]  # the repeated pair is not the first subset
+    for n in (2, 3):
+        with pytest.raises(InputError, match="duplicate"):
+            planar_profile_report(n, sample=sample)
+        with pytest.raises(InputError, match="duplicate"):
+            report_by_contracting_every_subset(n, sample=sample)
+    for n in (0, 1, 4):  # no subset repeats an address
+        assert (planar_profile_report(n, sample=sample)
+                == report_by_contracting_every_subset(n, sample=sample))
+
+
+def test_profile_contracts_once_per_rank_pattern(monkeypatch):
+    # four common-prefix lengths have Fubini(4) = 75 rank patterns; one
+    # contraction per subset would be C(23, 5) = 33,649 calls
+    calls = []
+    original = agealg.planar.contract
+
+    def counting(addresses):
+        calls.append(addresses)
+        return original(addresses)
+
+    monkeypatch.setattr(agealg.planar, "contract", counting)
+    count, report = planar_profile_report(5)
+    assert count == SCHRODER[5] and report["sample_size"] == 23
+    assert len(calls) <= 75
 
 
 # ---------------------------------------------------------------------------
