@@ -19,7 +19,7 @@ r - e_j, when both have one type, give a bijection from c to r that sends
 p, the last element of block i, to q, the last element of block j.  Removing
 p and q leaves the structures of c - e_i and r - e_j, which the witnesses
 already map onto each other, so the bijection is an isomorphism iff it maps
-the tuples through p onto the tuples through q (`delta_isomorphism`).  Only
+the tuples through p onto the tuples through q (`structures.maps_onto`).  Only
 those tuples are read: a template enumerates them per pattern, a finite
 structure takes them from its occurrence index.
 
@@ -41,7 +41,7 @@ from math import comb, prod
 from .errors import ConsistencyError, InputError
 from .hilbert import compare_monomials
 from .structures import (FiniteRelStruct, canonical_code, find_isomorphism,
-                         restrict)
+                         maps_onto, restrict)
 from .templates import (compositions, instantiate, subcompositions,
                         through_tuples)
 
@@ -119,20 +119,6 @@ def _through(source, comp, i):
     return through_tuples(source, comp, i)
 
 
-def delta_isomorphism(through_c, through_r, perm):
-    """Whether the bijection `perm` maps, relation by relation, the tuples
-    `through_c` (a list without repeats) onto the set `through_r`.  For a
-    bijection that already maps the rest isomorphically (see the module
-    docstring) this decides whether it is an isomorphism."""
-    for tuples, target in zip(through_c, through_r):
-        if len(tuples) != len(target):
-            return False
-        for t in tuples:
-            if tuple(perm[x] for x in t) not in target:
-                return False
-    return True
-
-
 def _last_of_block(comp, i):
     """Position of the last element of block i in the structure of comp."""
     return sum(comp[:i + 1]) - 1
@@ -199,7 +185,7 @@ class TypeRegistry:
             for i, j, perm in self._extensions(comp, entry.reps[0]):
                 if i not in through:
                     through[i] = _through(self.template, comp, i)
-                if delta_isomorphism(through[i], entry.through(j), perm):
+                if maps_onto(through[i], entry.through(j), perm):
                     return entry, perm
         return None, None
 

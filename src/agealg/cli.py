@@ -16,11 +16,12 @@ import sys
 
 from . import __version__
 from .algebra import TypeRegistry, kernel_elements_bounded, profile_series, split_census
-from .decomposition import profile_floor_params, template_components
+from .decomposition import DEFAULT_D_MAX, profile_floor_params, template_components
 from .errors import (ConsistencyError, InputError, NotRationalError,
                      UndeterminedError)
 from .gallery import builtin_names, resolve_builtin
-from .hilbert import nonnegative_form, quasi_polynomial, two_path_hilbert
+from .hilbert import (DEFAULT_GUARD, nonnegative_form, quasi_polynomial,
+                      two_path_hilbert)
 from .planar import SCHRODER, enumerate_reduced, planar_profile_report
 from .structures import FiniteRelStruct
 from .templates import BlockTemplate
@@ -115,7 +116,8 @@ def cmd_decompose(args):
 
 def _two_path(args, t):
     return two_path_hilbert(t, args.degree, gen_bound=args.gen_bound,
-                            guard=args.guard, dimension=args.dim)
+                            guard=args.guard, dimension=args.dim,
+                            components=template_components(t, d_max=args.d_max))
 
 
 def cmd_hilbert(args):
@@ -249,9 +251,9 @@ def build_parser():
                         help="dimension hint k (default: computed)")
     parser.add_argument("--gen-bound", type=int, default=None,
                         help="generator discovery bound (default: degree)")
-    parser.add_argument("--guard", type=int, default=5,
+    parser.add_argument("--guard", type=int, default=DEFAULT_GUARD,
                         help="trailing zero window for rational fits")
-    parser.add_argument("--d-max", type=int, default=6,
+    parser.add_argument("--d-max", type=int, default=DEFAULT_D_MAX,
                         help="fatness level cap")
     parser.add_argument("--format", choices=["json", "text"], default="json")
     return parser

@@ -33,6 +33,9 @@ from .structures import (FiniteRelStruct, Signature, _UnionFind,
                          find_isomorphism, json_int, restrict)
 from .templates import block_spans, instantiate, subcompositions
 
+# highest fatness level tried before the coarsening counts as undetermined
+DEFAULT_D_MAX = 6
+
 
 def is_monomorphic_part(struct, part):
     """Exhaustively test the defining property of a monomorphic part:
@@ -151,7 +154,7 @@ def _fatness(t, d_max):
         f"level-{d_max} guess: {prev}")
 
 
-def fatness_threshold(t, d_max=6):
+def fatness_threshold(t, d_max=DEFAULT_D_MAX):
     """Smallest level d <= d_max whose block coarsening agrees with level
     d+1, plus the (d, d+1) stability certificate."""
     d, cert, _ = _fatness(t, d_max)
@@ -172,7 +175,7 @@ class TemplateComponents:
         return len(self.classes)
 
 
-def template_components(t, d_max=6):
+def template_components(t, d_max=DEFAULT_D_MAX):
     """Coarsen the declared blocks into monomorphic components via pair
     tests on a fat instantiation; the dimension counts infinite classes."""
     d, cert, classes = _fatness(t, d_max)
@@ -190,7 +193,7 @@ def component_sizes(t, comps):
     return sizes
 
 
-def profile_floor_params(t, comps=None, d_max=6):
+def profile_floor_params(t, comps=None, d_max=DEFAULT_D_MAX):
     """(k, n0) for the lower bound phi(n) >= p_k(n - n0): n0 = k1*d + m with
     k1 the number of components of size >= d and m the total size of the
     remaining finite components."""

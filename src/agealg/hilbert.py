@@ -154,15 +154,28 @@ class HilbertForm:
                     break
         return HilbertForm.make(num, dens)
 
+    def over(self, dens):
+        """The numerator of this form over prod (1 - Z^j), j in the multiset
+        `dens`, or None when that is not a polynomial.  A factor on both
+        sides cancels; the others multiply or divide the numerator, and it is
+        a polynomial iff every division is exact."""
+        num = list(self.numerator)
+        divide = list(self.denominators)
+        for j in dens:
+            if j in divide:
+                divide.remove(j)
+            else:
+                num = mul_geom(num, j)
+        for j in divide:
+            num = div_geom(num, j)
+            if num is None:
+                return None
+        return num
+
     def same_series(self, other):
-        """Exact equality as rational functions (cross-multiplication)."""
-        left = list(self.numerator)
-        for j in other.denominators:
-            left = mul_geom(left, j)
-        right = list(other.numerator)
-        for j in self.denominators:
-            right = mul_geom(right, j)
-        return left == right
+        """Exact equality as rational functions, over both denominators."""
+        both = self.denominators + other.denominators
+        return self.over(both) == other.over(both)
 
     def numerator_at_one(self):
         return peval1(self.numerator)
@@ -430,29 +443,6 @@ def check_addlayer(t, degree, registry=None):
 # chain-wise assembly of the Hilbert series from leading monomials
 
 
-def _scan_minimal_generators(weights, member, bound):
-    """Minimal generators of a monomial ideal given by a membership oracle,
-    found by scanning weighted degrees <= bound.  Dickson's lemma promises
-    finitely many but no bound; completeness is certified downstream by the
-    agreement of the assembled series with the directly computed profile."""
-    gens = []
-
-    def divisible_by_gen(mono):
-        return any(all(x <= y for x, y in zip(g, mono)) for g in gens)
-
-    bounds = [bound // w for w in weights]
-    monos = sorted(
-        itertools.product(*(range(b + 1) for b in bounds)),
-        key=lambda m: (sum(e * w for e, w in zip(m, weights)), m))
-    for mono in monos:
-        d = sum(e * w for e, w in zip(mono, weights))
-        if d > bound:
-            continue
-        if member(mono) and not divisible_by_gen(mono):
-            gens.append(mono)
-    return gens
-
-
 def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
                         components=None):
     """Assemble the Hilbert series by summing per-chain monomial-ideal
@@ -483,8 +473,8 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
             by_chain.setdefault(chain_support(lm), set()).add(lm)
 
     caps = t.capacities
-    total_num = list([1] if empty_lm else [])
-    total_dens = []  # running denominator multiset of total_num
+    # the empty leading monomial's 1, then one form per chain
+    forms = [HilbertForm.make([1] if empty_lm else [], [])]
 
     def over_capacity(chain, mono):
         for i in set().union(*chain):
@@ -497,66 +487,52 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
         return False
 
     for chain in sorted(by_chain):
-        weights = [len(s) for s in chain]
-        lmset = by_chain[chain]
+        weights = tuple(len(s) for s in chain)
 
-        def to_comp(mono, chain=chain):
+        def to_comp(mono):
             out = [0] * len(caps)
             for s, e in zip(chain, mono):
                 for i in s:
                     out[i] += e
             return tuple(out)
 
-        def in_i(mono, chain=chain):
-            return over_capacity(chain, mono)
-
-        def in_j(mono, chain=chain, lmset=lmset):
-            if over_capacity(chain, mono):
-                return True
-            return all(e >= 1 for e in mono) and to_comp(mono) in lmset
-
-        gens_j = _scan_minimal_generators(weights, in_j, bound)
-        gens_i = _scan_minimal_generators(weights, in_i, bound)
-        ideal_j = WeightedMonomialIdeal.make(weights, gens_j)
-        ideal_i = WeightedMonomialIdeal.make(weights, gens_i)
+        # I is spanned by the over-capacity monomials, J by those and the
+        # leading monomials.  Dickson's lemma promises finitely many minimal
+        # generators but no bound; completeness is certified below by the
+        # agreement of the assembled series with the profile
+        box = [m for m in itertools.product(*(range(bound // w + 1) for w in weights))
+               if sum(e * w for e, w in zip(m, weights)) <= bound]
+        over = [m for m in box if over_capacity(chain, m)]
+        leading = [m for m in box if all(m) and to_comp(m) in by_chain[chain]]
+        ideal_j = WeightedMonomialIdeal(weights, _minimal(weights, over + leading))
+        ideal_i = WeightedMonomialIdeal(weights, _minimal(weights, over))
         form_j, _ = ideal_hilbert(ideal_j, bound)
         form_i, _ = ideal_hilbert(ideal_i, bound)
-        num = psub(list(form_j.numerator), list(form_i.numerator))
-        dens = list(weights)
+        chain_form = HilbertForm.make(
+            psub(list(form_j.numerator), list(form_i.numerator)), weights)
         # layers containing a finite block always cancel out of the series
-        for s, w in zip(chain, weights):
-            if any(caps[i] is not None for i in s):
-                q = div_geom(num, w)
-                if q is None:
-                    raise ConsistencyError(
-                        f"finite-capacity layer {s} did not cancel from the "
-                        f"chain series of {chain}")
-                num = q
-                dens.remove(w)
+        dens = [w for s, w in zip(chain, weights)
+                if all(caps[i] is None for i in s)]
+        num = chain_form.over(dens)
+        if num is None:
+            finite = [s for s in chain if any(caps[i] is not None for i in s)]
+            raise ConsistencyError(
+                f"finite-capacity layers {finite} did not cancel from the "
+                f"chain series of {chain}")
         if len(set(dens)) != len(dens):
             raise ConsistencyError(f"repeated layer sizes in chain {chain}")
         # for a non-minimal template an all-infinite layer may exceed the
         # dimension; the assembly target grows accordingly and the final
         # normalization brings the form back down
         k = max(k, max(dens, default=0))
-        # bring onto the running common denominator
-        for w in dens:
-            if w not in total_dens:
-                total_num = mul_geom(total_num, w)
-                total_dens.append(w)
-        extra = list(total_dens)
-        for w in dens:
-            extra.remove(w)
-        for w in extra:
-            num = mul_geom(num, w)
-        total_num = padd(total_num, num)
+        forms.append(HilbertForm.make(num, dens))
 
-    # normal target denominator (1-Z)...(1-Z^k)
-    for w in range(1, k + 1):
-        if w not in total_dens:
-            total_num = mul_geom(total_num, w)
-            total_dens.append(w)
-    form = HilbertForm.make(total_num, total_dens)
+    # every kept layer size is at most k, so each chain form has a
+    # numerator over the target denominator (1-Z)...(1-Z^k)
+    total = []
+    for f in forms:
+        total = padd(total, f.over(range(1, k + 1)))
+    form = HilbertForm.make(total, range(1, k + 1))
 
     from .algebra import profile_series
     want = profile_series(t, degree, registry)
@@ -657,20 +633,20 @@ class QuasiPolynomial:
         }
 
 
-def _solve_exact(matrix, rhs):
-    """Gaussian elimination over Fractions; matrix must be square regular."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if m[r][c] != 0)
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [m[r][n] for r in range(n)]
+def _interpolate(xs, ys):
+    """Ascending coefficients, as Fractions, of the polynomial of degree
+    < len(xs) through the points (xs[i], ys[i]): Newton's divided
+    differences, expanded by Horner's rule."""
+    coef = [Fraction(y) for y in ys]
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+    poly = [coef[-1]]
+    for c, x in zip(coef[-2::-1], xs[-2::-1]):
+        # poly * (X - x) + c
+        poly = ([c - x * poly[0]]
+                + [a - x * b for a, b in zip(poly, poly[1:])] + [poly[-1]])
+    return poly
 
 
 def quasi_polynomial(form, extra_checks=2):
@@ -696,9 +672,7 @@ def quasi_polynomial(form, extra_checks=2):
         sample = points[:k]
         if len(sample) < k:
             raise InputError("expansion too short for interpolation")
-        matrix = [[Fraction(n) ** j for j in range(k)] for n in sample]
-        rhs = [series[n] for n in sample]
-        coeffs = _solve_exact(matrix, rhs)
+        coeffs = _interpolate(sample, [series[n] for n in sample])
         for n in points[k:]:
             val = sum(c * n ** j for j, c in enumerate(coeffs))
             if val != series[n]:
@@ -716,21 +690,7 @@ def nonnegative_form(form, max_part=None, count=None):
     if max_part is None:
         max_part = max(2 * max(form.denominators, default=1), 4)
     for dens in itertools.combinations_with_replacement(range(1, max_part + 1), k):
-        # a factor on both sides cancels: exact division by the others
-        # succeeds iff it does by all, with the same quotient
-        num = list(form.numerator)
-        divide = list(form.denominators)
-        for j in dens:
-            if j in divide:
-                divide.remove(j)
-            else:
-                num = mul_geom(num, j)
-        for j in divide:
-            q = div_geom(num, j)
-            if q is None:
-                num = None
-                break
-            num = q
+        num = form.over(dens)
         if num is None:
             continue
         if all(c >= 0 for c in num):
@@ -739,10 +699,11 @@ def nonnegative_form(form, max_part=None, count=None):
 
 
 def two_path_hilbert(t, degree, gen_bound=None, guard=DEFAULT_GUARD,
-                     registry=None, dimension=None):
+                     registry=None, dimension=None, components=None):
     """Run both routes to the Hilbert series and return (fitted, leading)
-    when they agree.  The fitted form uses the monomorphic dimension
-    computed from the template unless `dimension` overrides it.
+    when they agree.  The fitted form uses the monomorphic dimension of
+    `components` (default: `template_components(t)`) unless `dimension`
+    overrides it.
 
     Each route has been checked against the profile through `degree`, so
     forms that differ only beyond it ask for a larger degree
@@ -753,11 +714,12 @@ def two_path_hilbert(t, degree, gen_bound=None, guard=DEFAULT_GUARD,
     from .decomposition import template_components
 
     registry = registry or TypeRegistry(t)
-    comps = template_components(t)
-    k = dimension if dimension is not None else comps.dimension
+    if components is None:
+        components = template_components(t)
+    k = dimension if dimension is not None else components.dimension
     series = profile_series(t, degree, registry)
     fitted = fit_rational(series, k, guard)
-    lead = hilbert_via_leading(t, degree, gen_bound, registry, comps)
+    lead = hilbert_via_leading(t, degree, gen_bound, registry, components)
     if not fitted.same_series(lead):
         detail = f"{fitted.pretty()} vs {lead.pretty()}"
         if fitted.series(degree) != lead.series(degree):

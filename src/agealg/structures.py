@@ -357,20 +357,21 @@ def find_isomorphism(s1, s2):
     for x, y in enumerate(s2._label):
         inv2[y] = x
     perm = tuple(inv2[y] for y in s1._label)
-    if not is_isomorphism(s1, s2, perm):
+    if not maps_onto(s1.rels, s2.rels, perm):
         raise ConsistencyError("equal canonical codes without an isomorphism")
     return perm
 
 
-def is_isomorphism(s1, s2, perm):
-    """Whether the bijection `perm` (element of s1 -> element of s2) maps
-    every relation of s1 onto the same relation of s2.  The structures share
-    a signature and a size."""
-    for r1, r2 in zip(s1.rels, s2.rels):
-        if len(r1) != len(r2):
+def maps_onto(source, target, perm):
+    """Whether the bijection `perm` maps, relation by relation, the tuples of
+    `source` (per relation, a collection without repeats) onto the set of
+    `target` at the same place.  On the relations of two structures of one
+    signature and size this says whether `perm` is an isomorphism."""
+    for tuples, image in zip(source, target):
+        if len(tuples) != len(image):
             return False
-        for t in r1:
-            if tuple(perm[x] for x in t) not in r2:
+        for t in tuples:
+            if tuple(perm[x] for x in t) not in image:
                 return False
     return True
 

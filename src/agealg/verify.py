@@ -76,7 +76,8 @@ class Case:
 
     @cached_property
     def forms(self):
-        return two_path_hilbert(self.t, self.bounds.degree, registry=self.registry)
+        return two_path_hilbert(self.t, self.bounds.degree, registry=self.registry,
+                                components=self.components)
 
     def valid(self):
         diags = validate(self.t, swap_degree=4)
@@ -187,10 +188,12 @@ def _scope_replacements(bounds):
     for i in range(bounds.random_templates):
         t = random_template(rng)
         registry = TypeRegistry(t)
-        fitted, _ = two_path_hilbert(t, RANDOM_DEGREE, registry=registry)
+        comps = template_components(t)
+        fitted, _ = two_path_hilbert(t, RANDOM_DEGREE, registry=registry,
+                                     components=comps)
         qp = quasi_polynomial(fitted)
         series = profile_series(t, RANDOM_DEGREE, registry)
-        if (qp.degree > template_components(t).dimension - 1
+        if (qp.degree > comps.dimension - 1
                 or any(qp.value(n) != series[n] for n in range(qp.n_min, len(series)))):
             return False, f"random template {i}: quasi-polynomial {qp.to_json_dict()}"
     # Cohen-Macaulayness is only reported, via the non-negativity search

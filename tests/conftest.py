@@ -27,5 +27,5 @@ def miss_every_isomorphism(monkeypatch):
     import agealg.algebra
     import agealg.structures
 
-    monkeypatch.setattr(agealg.algebra, "delta_isomorphism", lambda *a: False)
-    monkeypatch.setattr(agealg.structures, "is_isomorphism", lambda *a: False)
+    monkeypatch.setattr(agealg.algebra, "maps_onto", lambda *a: False)
+    monkeypatch.setattr(agealg.structures, "maps_onto", lambda *a: False)

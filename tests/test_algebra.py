@@ -10,15 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agealg.algebra import (OrbitSum, TypeRegistry, _structure, _through,
-                            delta_isomorphism, e_orbit,
-                            kernel_elements_bounded, mult_by_e_rank,
+                            e_orbit, kernel_elements_bounded, mult_by_e_rank,
                             orbit_product, profile, profile_series,
                             structure_constant, unit_orbit)
 from agealg.decomposition import minimal_decomposition, template_components
 from agealg.errors import ConsistencyError, InputError
 from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
-                               is_isomorphism, relabel, restrict,
-                               subset_types)
+                               maps_onto, relabel, restrict, subset_types)
 from agealg.templates import (INF, BlockTemplate, compositions, instantiate,
                               qsym, rqsym, sym)
 
@@ -148,10 +146,10 @@ def delta_outcomes(registry, degree):
             for entry in registry.types_at(n):
                 rep = entry.reps[0]
                 for i, j, perm in registry._extensions(comp, rep):
-                    delta = delta_isomorphism(
+                    delta = maps_onto(
                         _through(source, comp, i),
                         [frozenset(r) for r in _through(source, rep, j)], perm)
-                    out.append((delta, is_isomorphism(s, entry.struct, perm)))
+                    out.append((delta, maps_onto(s.rels, entry.struct.rels, perm)))
     return out
 
 

@@ -216,10 +216,22 @@ GOLDEN_STDOUT = {
         "19d60f4f5bc9ade133b73028e4b64cec160127303a10ce3af7aceb94696d1e5c",
     ("constants", "--builtin", "sym:3", "--degree", "6", "--left", "2"):
         "42ada7aadb9b5f893c3a9e9d6cf2fac8a6c2fb112cd0236ad8e7ee74c586b09f",
+    ("hilbert", "--builtin", "c3_chains", "--degree", "11"):
+        "0908cbff162cf32a3dae970c56b0661a969065e3a9494f604fdeb6a42fc2c812",
     ("hilbert", "--builtin", "groupoid", "--degree", "11"):
         "748fb5f3055a0c24368c851873063b10e986afc95e4f8afb8d155eae38f31f95",
+    # a non-negative form is found
+    ("hilbert", "--builtin", "qsym:2", "--degree", "9"):
+        "eec9f0a2b1f6c8724844aa053a32c263a386ecaa4cdb2011e352b0860e6d2a37",
+    # a finite layer cancels from a chain series
+    ("hilbert", "--builtin", "wheel_plus_coclique", "--degree", "10"):
+        "f3c946d923c58849d8c5d0e507c61318b941d792685c6facc1cd7118d81b204d",
     ("kernel", "--builtin", "wheel_plus_coclique", "--degree", "3"):
         "6f9824e23bfa0ce669b3d4235100830f4161e068dcea6f651fc39db659693fbf",
+    ("qpoly", "--builtin", "groupoid", "--degree", "11"):
+        "cce661dc4c64e48f5a66f0a3620f7527b36e376daefcba89579ad2dfaf058ff2",
+    ("qpoly", "--builtin", "qsym:3", "--degree", "10"):
+        "38720b785cb17de62a55b86261d5d0f0c8bdad15da3ea1b199d1db8496932e23",
 }
 
 
@@ -292,6 +304,14 @@ def test_decompose_undetermined_fatness_is_exit_3(capsys):
     code, _, err = run(capsys, "decompose", "--builtin", "wheel_plus_coclique",
                        "--d-max", "1")
     assert code == 3 and "undetermined" in err
+
+
+@pytest.mark.parametrize("command", ["hilbert", "qpoly"])
+def test_hilbert_and_qpoly_honour_d_max(capsys, command):
+    code, out, err = run(capsys, command, "--builtin", "sym:4", "--degree", "10",
+                         "--d-max", "1")
+    assert code == 3 and not out
+    assert "did not stabilize up to level 1" in err
 
 
 def test_verify_failure_is_exit_4(capsys, monkeypatch):

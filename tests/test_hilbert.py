@@ -13,7 +13,8 @@ from agealg.algebra import TypeRegistry, profile_series
 from agealg.errors import InputError, NotRationalError, UndeterminedError
 from agealg.gallery import GALLERY, resolve_builtin
 from agealg.hilbert import (HilbertForm, WeightedMonomialIdeal, _brute_ideal_series,
-                            chain_support, check_addlayer, compare_monomials,
+                            _interpolate, _minimal, chain_support,
+                            check_addlayer, compare_monomials,
                             div_geom, expand, fit_rational, hilbert_via_leading,
                             ideal_hilbert, layers, mul_geom, nonnegative_form,
                             ptrim, quasi_polynomial, two_path_hilbert)
@@ -341,6 +342,53 @@ def test_ideal_refuses_non_integers(degrees, gens):
         WeightedMonomialIdeal.make(degrees, gens)
 
 
+def scan_minimal_generators(weights, member, bound):
+    """Minimal generators of the monomial ideal given by the membership
+    oracle `member`, by scanning the monomials of weighted degree <= bound
+    in (weighted degree, vector) order: the scan `hilbert_via_leading` made
+    before it took `_minimal` of the members of that box."""
+    gens = []
+
+    def divisible_by_gen(mono):
+        return any(all(x <= y for x, y in zip(g, mono)) for g in gens)
+
+    bounds = [bound // w for w in weights]
+    monos = sorted(
+        itertools.product(*(range(b + 1) for b in bounds)),
+        key=lambda m: (sum(e * w for e, w in zip(m, weights)), m))
+    for mono in monos:
+        d = sum(e * w for e, w in zip(mono, weights))
+        if d > bound:
+            continue
+        if member(mono) and not divisible_by_gen(mono):
+            gens.append(mono)
+    return gens
+
+
+@st.composite
+def upward_closed_oracles(draw):
+    """(weights, membership oracle of the upward closure of random seeds,
+    scan bound)."""
+    nvars = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+    seeds = draw(st.lists(st.tuples(*[st.integers(0, 5)] * nvars), max_size=8))
+
+    def member(mono):
+        return any(all(x <= y for x, y in zip(g, mono)) for g in seeds)
+
+    return weights, member, draw(st.integers(0, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(upward_closed_oracles())
+def test_minimal_of_the_box_matches_the_scan(oracle):
+    weights, member, bound = oracle
+    box = [m for m in itertools.product(*(range(bound // w + 1) for w in weights))
+           if sum(e * w for e, w in zip(m, weights)) <= bound]
+    assert (list(_minimal(weights, [m for m in box if member(m)]))
+            == scan_minimal_generators(weights, member, bound))
+
+
 # ---------------------------------------------------------------------------
 # add-layer lemma
 
@@ -443,6 +491,41 @@ def test_qpoly_groupoid():
         assert qp.value(n) == series[n]
 
 
+def solve_exact(matrix, rhs):
+    """Gaussian elimination over Fractions; matrix must be square regular."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [m[r][n] for r in range(n)]
+
+
+@st.composite
+def interpolation_points(draw):
+    xs = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=7, unique=True))
+    ys = draw(st.lists(st.integers(-50, 50), min_size=len(xs), max_size=len(xs)))
+    return xs, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(interpolation_points())
+@example(([0], [7]))
+@example(([3, 9, 15, 21], [1, 4, 10, 20]))  # one residue class, period 6
+def test_interpolate_matches_the_vandermonde_solve(points):
+    xs, ys = points
+    vandermonde = [[Fraction(x) ** j for j in range(len(xs))] for x in xs]
+    coeffs = _interpolate(xs, ys)
+    assert coeffs == solve_exact(vandermonde, ys)
+    assert all(type(c) is Fraction for c in coeffs)
+
+
 # ---------------------------------------------------------------------------
 # the two paths
 
@@ -529,19 +612,25 @@ def test_nonnegative_form_search():
     assert nonnegative_form(groupoid) is None  # provably impossible
 
 
+def long_over(form, dens):
+    """`HilbertForm.over` by long multiplication and division."""
+    num = list(form.numerator)
+    for j in dens:
+        num = pmul(num, geom_factor(j))
+    for j in form.denominators:
+        num = pdivexact(num, geom_factor(j))
+        if num is None:
+            return None
+    return num
+
+
 def long_nonnegative_form(form, max_part=None, count=None):
     """`nonnegative_form` by long multiplication and division."""
     k = count if count is not None else len(form.denominators)
     if max_part is None:
         max_part = max(2 * max(form.denominators, default=1), 4)
     for dens in itertools.combinations_with_replacement(range(1, max_part + 1), k):
-        num = list(form.numerator)
-        for j in dens:
-            num = pmul(num, geom_factor(j))
-        for j in form.denominators:
-            num = pdivexact(num, geom_factor(j))
-            if num is None:
-                break
+        num = long_over(form, dens)
         if num is not None and all(c >= 0 for c in num):
             return HilbertForm.make(num, dens)
     return None
@@ -552,6 +641,22 @@ def random_forms(draw):
     numerator = draw(st.lists(st.integers(-3, 3), max_size=8))
     denominators = draw(st.lists(st.integers(1, 4), max_size=3))
     return HilbertForm.make(numerator, denominators)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_forms(), st.lists(st.integers(1, 5), max_size=4))
+@example(HilbertForm.make([1, 0, 0, 1], [1, 2]), [1])     # not a polynomial
+@example(HilbertForm.make([1, 0, 0, 1], [1, 2]), [2, 1])  # the same form
+@example(HilbertForm.make([1, -2, 1], [1, 1]), [])        # (1-Z)^2/(1-Z)^2 = 1
+def test_over_matches_long_arithmetic(form, dens):
+    assert form.over(dens) == long_over(form, dens)
+
+
+def test_over_is_none_when_the_denominator_is_too_small():
+    cpc = HilbertForm.make([1, 0, 0, 1], [1, 2])
+    assert cpc.over([1]) is None
+    assert cpc.over([1, 2]) == [1, 0, 0, 1]
+    assert cpc.over([1, 1, 2]) == [1, -1, 0, 1, -1]
 
 
 @settings(max_examples=200, deadline=None)
