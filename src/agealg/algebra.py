@@ -21,7 +21,11 @@ p and q leaves the structures of c - e_i and r - e_j, which the witnesses
 already map onto each other, so the bijection is an isomorphism iff it maps
 the tuples through p onto the tuples through q (`structures.maps_onto`).  Only
 those tuples are read: a template enumerates them per pattern, a finite
-structure takes them from its occurrence index.
+structure takes them from its occurrence index.  The inverse witnesses of
+the r - e_j, shifted past q, are the extension tables of r's type: the
+witnesses they read are fixed once the degree below is built, so they are
+built once per type, and each candidate is a lookup of the witness of
+c - e_i in one of them.
 
 The structure of a composition is built only when no such bijection passes.
 Then canonical codes decide: a type of the deck with an equal code is the
@@ -33,6 +37,7 @@ are also labels, computed on request (the type ids of `constants` reports).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -45,26 +50,35 @@ from .structures import (FiniteRelStruct, canonical_code, find_isomorphism,
 from .templates import (compositions, instantiate, subcompositions,
                         through_tuples)
 
+_MONOMIAL_ORDER = functools.cmp_to_key(compare_monomials)
+
 
 @dataclass(eq=False)
 class TypeEntry:
     """One isomorphism type: its id among the types of its degree, its deck
-    (sorted (id, multiplicity) pairs), the realizing compositions (in
-    discovery = graded-lex order) and the maximal one.  The representative
-    structure, that of reps[0], its canonical code and its tuples through
-    the last element of each block are computed on first use."""
+    (sorted (id, multiplicity) pairs) and the realizing compositions (in
+    discovery = graded-lex order); `lead` is the maximal one.  The
+    representative structure, that of reps[0], its canonical code, its
+    tuples through the last element of each block and its extension tables
+    (`TypeRegistry._tables`) are computed on first use."""
 
     template: object = field(repr=False)
     id: int
     deck: tuple
     reps: list
-    lead: tuple
     _struct: object = field(default=None, repr=False)
     _through: dict = field(default_factory=dict, repr=False)
+    _tables: dict = field(default=None, repr=False)
 
     @property
     def degree(self):
         return sum(self.reps[0])
+
+    @property
+    def lead(self):
+        """The realizing composition that is largest in the monomial order
+        (`hilbert.compare_monomials`)."""
+        return max(self.reps, key=_MONOMIAL_ORDER)
 
     @property
     def struct(self):
@@ -110,18 +124,13 @@ def _through(source, comp, i):
     source, block i is element i: its occurrences inside the support of
     comp, renumbered by position in the support."""
     if isinstance(source, Singletons):
-        index = list(itertools.accumulate(comp))
+        index = [x - 1 for x in itertools.accumulate(comp)]
         out = [[] for _ in source.struct.rels]
         for si, _, t in source.struct._occurrences()[i]:
             if all(map(comp.__getitem__, t)):
-                out[si].append(tuple(index[x] - 1 for x in t))
+                out[si].append(tuple(map(index.__getitem__, t)))
         return out
     return through_tuples(source, comp, i)
-
-
-def _last_of_block(comp, i):
-    """Position of the last element of block i in the structure of comp."""
-    return sum(comp[:i + 1]) - 1
 
 
 class TypeRegistry:
@@ -147,11 +156,13 @@ class TypeRegistry:
     def _build(self, n):
         entries = []
         buckets = {}
+        ids = self._comp_id
         for comp in compositions(self.template, n):
-            deck = Counter()
+            deck = {}
             for i, d in enumerate(comp):
                 if d:
-                    deck[self._comp_id[comp[:i] + (d - 1,) + comp[i + 1:]]] += d
+                    k = ids[comp[:i] + (d - 1,) + comp[i + 1:]]
+                    deck[k] = deck.get(k, 0) + d
             deck = tuple(sorted(deck.items()))
             bucket = buckets.setdefault(deck, [])
             entry = s = witness = None
@@ -162,14 +173,12 @@ class TypeRegistry:
                     entry, witness = self._by_code(s, bucket)
             if entry is None:
                 witness = tuple(range(n))
-                entry = TypeEntry(self.template, len(entries), deck, [comp], comp, s)
+                entry = TypeEntry(self.template, len(entries), deck, [comp], s)
                 entries.append(entry)
                 bucket.append(entry)
             else:
                 entry.reps.append(comp)
-                if compare_monomials(comp, entry.lead) > 0:
-                    entry.lead = comp
-            self._comp_id[comp] = entry.id
+            ids[comp] = entry.id
             self._witness[comp] = witness
         self._by_degree[n] = entries
         self._built = n
@@ -182,7 +191,7 @@ class TypeRegistry:
         finds it: this one, or else `_by_code`."""
         through = {}
         for entry in bucket:
-            for i, j, perm in self._extensions(comp, entry.reps[0]):
+            for i, j, perm in self._extensions(comp, entry):
                 if i not in through:
                     through[i] = _through(self.template, comp, i)
                 if maps_onto(through[i], entry.through(j), perm):
@@ -198,35 +207,55 @@ class TypeRegistry:
                 return entry, find_isomorphism(s, entry.struct)
         return None, None
 
-    def _extensions(self, comp, rep):
-        """Candidate bijections from the structure of comp onto that of rep,
-        as (i, j, bijection), one for each block i of comp and block j of
-        rep such that comp - e_i and rep - e_j have one type.  Their
-        witnesses sigma and tau map both onto the structure of that type's
-        first composition, so tau^-1 sigma is an isomorphism between them;
-        the candidate extends it, shifted past the removed positions, by
-        sending the last element of block i to the last element of block
-        j."""
+    def _tables(self, entry):
+        """The extension tables of a type: per type id of r - e_j, where r is
+        the type's first composition, the triples (j, q, table) with q the
+        last element of block j of r.  tau, the witness of r - e_j, maps its
+        structure onto that of the first composition of its type; table is
+        tau^-1 shifted past q, which maps that structure into the structure
+        of r.  The witnesses of degree sum(r) - 1 are fixed by the time r is
+        classified, so the tables are built once per type."""
+        if entry._tables is None:
+            rep = entry.reps[0]
+            tables = {}
+            q = -1
+            for j, d in enumerate(rep):
+                q += d
+                if d:
+                    rest = rep[:j] + (d - 1,) + rep[j + 1:]
+                    tau = self._witness[rest]
+                    table = [0] * len(tau)
+                    for x, y in enumerate(tau):
+                        table[y] = x + (x >= q)
+                    tables.setdefault(self._comp_id[rest], []).append(
+                        (j, q, table))
+            entry._tables = tables
+        return entry._tables
+
+    def _extensions(self, comp, entry):
+        """Candidate bijections from the structure of comp onto that of the
+        type's first composition r, as (i, j, bijection), one for each block
+        i of comp and block j of r such that comp - e_i and r - e_j have one
+        type.  Their witnesses sigma and tau map both onto the structure of
+        that type's first composition, so tau^-1 sigma is an isomorphism
+        between them; the candidate extends it, shifted past the removed
+        positions, by sending p, the last element of block i, to q, the last
+        element of block j."""
         ids, witness = self._comp_id, self._witness
-        by_rest_type = {}
-        for j, d in enumerate(rep):
-            if d:
-                rest = rep[:j] + (d - 1,) + rep[j + 1:]
-                tau_inv = [0] * len(witness[rest])
-                for x, y in enumerate(witness[rest]):
-                    tau_inv[y] = x
-                by_rest_type.setdefault(ids[rest], []).append(
-                    (j, _last_of_block(rep, j), tau_inv))
+        tables = self._tables(entry)
+        p = -1
         for i, d in enumerate(comp):
+            p += d
             if not d:
                 continue
             rest = comp[:i] + (d - 1,) + comp[i + 1:]
-            p = _last_of_block(comp, i)
-            for j, q, tau_inv in by_rest_type.get(ids[rest], ()):
-                perm = [q] * (len(tau_inv) + 1)
-                for x, y in enumerate(witness[rest]):
-                    y = tau_inv[y]
-                    perm[x + (x >= p)] = y + (y >= q)
+            candidates = tables.get(ids[rest])
+            if not candidates:
+                continue
+            sigma = witness[rest]
+            for j, q, table in candidates:
+                perm = list(map(table.__getitem__, sigma))
+                perm.insert(p, q)
                 yield i, j, perm
 
     def types_at(self, n):
@@ -234,6 +263,10 @@ class TypeRegistry:
         return self._by_degree[n]
 
     def id_of(self, comp):
+        try:
+            return self._comp_id[comp]
+        except (KeyError, TypeError):
+            pass
         self.ensure_degree(sum(comp))
         try:
             return self._comp_id[tuple(comp)]

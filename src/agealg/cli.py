@@ -140,13 +140,14 @@ def cmd_qpoly(args):
     t, source = _load_template(args)
     fitted, _ = _two_path(args, t)
     qp = quasi_polynomial(fitted)
+    lead = qp.leading_coefficient
     payload = qp.to_json_dict()
     payload.update({
         "command": "qpoly",
         "source": source,
         "degree": qp.degree,
-        "leading_coefficient": [qp.leading_coefficient.numerator,
-                                qp.leading_coefficient.denominator],
+        "leading_coefficient": (None if lead is None
+                                else [lead.numerator, lead.denominator]),
         "meta": _meta(args, t),
     })
     return payload

@@ -16,8 +16,10 @@ the degree below, and no canonical code per subset.  A template's fatness
 level d classifies only the compositions inside its level box
 `t.max_composition(d)`, by a `TypeRegistry` of the template with its
 capacities cut to that box.  Either way the pair and part tests are
-exhaustive over sub-compositions, which is fine at desk scale (finite sizes
-up to ~12).
+exhaustive over sub-compositions, which is fine at desk scale: on a 2-vCPU
+VM, `agealg decompose --input` takes about 0.15 s on a 10-element planted
+digraph, 0.25 s on 12, 0.7 s on 14 and 3 s on 16; each further element
+about doubles the 2^n subsets and the time.
 """
 
 from __future__ import annotations

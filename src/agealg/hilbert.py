@@ -612,15 +612,14 @@ class QuasiPolynomial:
 
     @property
     def leading_coefficient(self):
+        """The coefficient of n^degree, or None when it differs across
+        residues (as for 1/(1-Z^2), whose values are 1, 0, 1, 0, ...)."""
         d = self.degree
         if d < 0:
             return Fraction(0)
         tops = {poly[d] if d < len(poly) else Fraction(0)
                 for poly in self.residue_polys}
-        if len(tops) != 1:
-            raise ConsistencyError(
-                "leading coefficient differs across residues: " + repr(tops))
-        return tops.pop()
+        return tops.pop() if len(tops) == 1 else None
 
     def to_json_dict(self):
         return {

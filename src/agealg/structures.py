@@ -371,7 +371,7 @@ def maps_onto(source, target, perm):
         if len(tuples) != len(image):
             return False
         for t in tuples:
-            if tuple(perm[x] for x in t) not in image:
+            if tuple(map(perm.__getitem__, t)) not in image:
                 return False
     return True
 

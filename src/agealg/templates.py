@@ -331,30 +331,24 @@ def compositions(t, n, max_degree=None):
     """Capacity-respecting exponent vectors, in lex order within each degree.
 
     With n given, yields vectors of total degree n; with max_degree given,
-    yields all degrees 0..max_degree in graded lex order.
+    yields all degrees 0..max_degree in graded lex order.  The vectors are
+    built from the last block back: `suffix[r]` lists, in lex order, the
+    vectors of the blocks from i on that sum to r, for the r that the
+    blocks before i can complete to n.
     """
-    caps = t.capacities
     if max_degree is not None:
         for m in range(max_degree + 1):
             yield from compositions(t, m)
         return
-
-    def rec(i, remaining):
-        if i == len(caps) - 1:
-            cap = caps[i]
-            if cap is None or remaining <= cap:
-                yield (remaining,)
-            return
-        cap = remaining if caps[i] is None else min(caps[i], remaining)
-        for d in range(cap + 1):
-            for rest in rec(i + 1, remaining - d):
-                yield (d,) + rest
-
-    if len(caps) == 0:
-        if n == 0:
-            yield ()
-        return
-    yield from rec(0, n)
+    caps = [n if c is None else min(c, n) for c in t.capacities]
+    room = list(itertools.accumulate(caps, initial=0))
+    suffix = {0: [()]}
+    for i in range(len(caps) - 1, -1, -1):
+        suffix = {r: [(d,) + rest
+                      for d in range(min(caps[i], r) + 1)
+                      for rest in suffix.get(r - d, ())]
+                  for r in range(max(n - room[i], 0), n + 1)}
+    yield from suffix.get(n, ())
 
 
 # ---------------------------------------------------------------------------

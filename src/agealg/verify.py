@@ -104,9 +104,10 @@ class Case:
 
     def qpoly_degree(self):
         qp = quasi_polynomial(self.forms[0])
+        lead = qp.leading_coefficient  # None if it differs across residues
         ok = (qp.degree == self.components.dimension - 1
-              and qp.leading_coefficient > 0)  # also raises if non-constant
-        return ok, f"degree={qp.degree} lead={qp.leading_coefficient}"
+              and lead is not None and lead > 0)
+        return ok, f"degree={qp.degree} lead={lead}"
 
     def addlayer(self):
         report = check_addlayer(self.t, self.bounds.addlayer, self.registry)

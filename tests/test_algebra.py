@@ -1,5 +1,6 @@
 """Orbit sums, structure constants, multiplication by e, bounded kernel."""
 
+import hashlib
 import itertools
 import sys
 from collections import Counter
@@ -17,8 +18,8 @@ from agealg.decomposition import minimal_decomposition, template_components
 from agealg.errors import ConsistencyError, InputError
 from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
                                maps_onto, relabel, restrict, subset_types)
-from agealg.templates import (INF, BlockTemplate, compositions, instantiate,
-                              qsym, rqsym, sym)
+from agealg.templates import (INF, BlockTemplate, c3_chains, compositions,
+                              groupoid_example, instantiate, qsym, rqsym, sym)
 
 
 def tau(registry, n, index=0):
@@ -102,8 +103,8 @@ def support(comp):
 
 
 @st.composite
-def looped_digraph(draw):
-    n = draw(st.integers(0, 7))
+def looped_digraph(draw, max_size=7):
+    n = draw(st.integers(0, max_size))
     arcs = [(a, b) for a in range(n) for b in range(n) if draw(st.booleans())]
     return FiniteRelStruct(ARC, n, {"arc": arcs})
 
@@ -133,24 +134,79 @@ def test_finite_registry_matches_subset_codes(s):
                 assert relabel(restrict(s, support(comp)), witness) == first
 
 
+def candidate_pairs(registry, degree):
+    """(comp, entry) for every composition of degree 1..degree and every
+    type of its degree, with the registry built through `degree`."""
+    registry.ensure_degree(degree)
+    for n in range(1, degree + 1):
+        for comp in compositions(registry.template, n):
+            for entry in registry.types_at(n):
+                yield comp, entry
+
+
 def delta_outcomes(registry, degree):
     """(delta check, full check) for every candidate that `_extensions`
     yields from a composition of degree 1..degree onto the first
     composition of any type of its degree."""
     source = registry.template
-    registry.ensure_degree(degree)
     out = []
-    for n in range(1, degree + 1):
-        for comp in compositions(source, n):
-            s = _structure(source, comp)
-            for entry in registry.types_at(n):
-                rep = entry.reps[0]
-                for i, j, perm in registry._extensions(comp, rep):
-                    delta = maps_onto(
-                        _through(source, comp, i),
-                        [frozenset(r) for r in _through(source, rep, j)], perm)
-                    out.append((delta, maps_onto(s.rels, entry.struct.rels, perm)))
+    for comp, entry in candidate_pairs(registry, degree):
+        s = _structure(source, comp)
+        for i, j, perm in registry._extensions(comp, entry):
+            delta = maps_onto(
+                _through(source, comp, i),
+                [frozenset(r) for r in _through(source, entry.reps[0], j)],
+                perm)
+            out.append((delta, maps_onto(s.rels, entry.struct.rels, perm)))
     return out
+
+
+def full_permutation_extensions(registry, comp, rep):
+    """The candidate enumeration that the per-type extension tables
+    replaced: tau^-1 rebuilt for every block j of rep, and each candidate
+    assembled element by element.  Kept as the oracle for the
+    (i, j, bijection) sequence of `TypeRegistry._extensions`."""
+    ids, witness = registry._comp_id, registry._witness
+    by_rest_type = {}
+    for j, d in enumerate(rep):
+        if d:
+            rest = rep[:j] + (d - 1,) + rep[j + 1:]
+            tau_inv = [0] * len(witness[rest])
+            for x, y in enumerate(witness[rest]):
+                tau_inv[y] = x
+            by_rest_type.setdefault(ids[rest], []).append(
+                (j, sum(rep[:j + 1]) - 1, tau_inv))
+    for i, d in enumerate(comp):
+        if not d:
+            continue
+        rest = comp[:i] + (d - 1,) + comp[i + 1:]
+        p = sum(comp[:i + 1]) - 1
+        for j, q, tau_inv in by_rest_type.get(ids[rest], ()):
+            perm = [q] * (len(tau_inv) + 1)
+            for x, y in enumerate(witness[rest]):
+                y = tau_inv[y]
+                perm[x + (x >= p)] = y + (y >= q)
+            yield i, j, perm
+
+
+def assert_extensions_match_oracle(registry, degree):
+    for comp, entry in candidate_pairs(registry, degree):
+        assert list(registry._extensions(comp, entry)) == list(
+            full_permutation_extensions(registry, comp, entry.reps[0]))
+
+
+@pytest.mark.parametrize("t", [sym(3), qsym(3), rqsym(3, 2)],
+                         ids=["sym:3", "qsym:3", "rqsym:3:2"])
+def test_extensions_match_the_full_permutation_oracle_on_templates(t):
+    assert_extensions_match_oracle(TypeRegistry(t), 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(looped_digraph(max_size=8))
+@example(FiniteRelStruct(ARC, 8, {"arc": [(x, (x + 1) % 8) for x in range(8)]}))
+@example(FiniteRelStruct(ARC, 8, {"arc": [(0, 1), (2, 1), (1, 1), (5, 7)]}))
+def test_extensions_match_the_full_permutation_oracle_on_digraphs(s):
+    assert_extensions_match_oracle(TypeRegistry(s), s.size)
 
 
 @pytest.mark.parametrize("t", [sym(3), qsym(3), rqsym(3, 2)],
@@ -168,6 +224,87 @@ def test_delta_check_agrees_with_full_check_on_templates(t):
 def test_delta_check_agrees_with_full_check_on_random_digraphs(s):
     for delta, full in delta_outcomes(TypeRegistry(s), s.size):
         assert delta == full
+
+
+# ---------------------------------------------------------------------------
+# pinned registry output
+
+
+def planted_digraph(n, kinds, links, toggles):
+    """A lexicographic sum of chain, clique and coclique blocks of
+    near-equal sizes on 0..n-1, the members of a block spread by
+    x -> 7x + 2 mod n, blocks p < q linked as `links[p, q]` says
+    ("forward", "back", "both" or "none"), and the arcs `toggles` flipped."""
+    order = [(7 * x + 2) % n for x in range(n)]
+    blocks, start = [], 0
+    for b in range(len(kinds)):
+        size = n // len(kinds) + (b < n % len(kinds))
+        blocks.append(order[start:start + size])
+        start += size
+    arcs = set()
+    for kind, members in zip(kinds, blocks):
+        for u, v in itertools.combinations(members, 2):
+            if kind != "coclique":
+                arcs.add((u, v))
+            if kind == "clique":
+                arcs.add((v, u))
+    for (p, q), link in links.items():
+        for u in blocks[p]:
+            for v in blocks[q]:
+                if link in ("forward", "both"):
+                    arcs.add((u, v))
+                if link in ("back", "both"):
+                    arcs.add((v, u))
+    return FiniteRelStruct(ARC, n, {"arc": sorted(arcs ^ set(toggles))})
+
+
+def registry_digest(source, degree):
+    """sha256 over the types of degrees 0..degree, in id order: each one's
+    id, deck, realizing compositions, lead and the witnesses of those
+    compositions."""
+    registry = TypeRegistry(source)
+    digest = hashlib.sha256()
+    for n in range(degree + 1):
+        for e in registry.types_at(n):
+            witnesses = [tuple(registry._witness[c]) for c in e.reps]
+            digest.update(repr((e.id, e.deck, e.reps, e.lead, witnesses)).encode())
+    return digest.hexdigest()
+
+
+PINNED_SOURCES = {
+    "sym:4": (lambda: sym(4), 10),
+    "groupoid": (groupoid_example, 12),
+    "c3_chains": (c3_chains, 10),
+    "rqsym:3:2": (lambda: rqsym(3, 2), 8),
+    "planted:8": (lambda: planted_digraph(
+        8, ["chain", "clique"], {(0, 1): "forward"}, []), 8),
+    "planted:9": (lambda: planted_digraph(
+        9, ["clique", "coclique", "chain"],
+        {(0, 1): "back", (0, 2): "none", (1, 2): "both"}, [(0, 4)]), 9),
+    "planted:10": (lambda: planted_digraph(
+        10, ["coclique", "chain", "clique", "coclique"],
+        {(0, 1): "forward", (0, 2): "both", (0, 3): "forward",
+         (1, 2): "none", (1, 3): "back", (2, 3): "forward"},
+        [(1, 6), (9, 3)]), 10),
+}
+PINNED_DIGESTS = {
+    "c3_chains": "8a7d6d1baf2eb1f646c55f8f5b5f598f770695adca27afedd3fec788b4c50f04",
+    "groupoid": "52653a68de42330f1ae0d7a692a6923006be4440a4106b97cc690c2d56bf6157",
+    "planted:10": "24c2f481c541bc0489ec93bb8256396e8b146fc01e8ebd8649157ce449e3cc1c",
+    "planted:8": "462ffae4b6aaf1a89f4fc65abcd3a26d5d23e26f8c781e0241cdfabb1c9b9b60",
+    "planted:9": "8c463873a89f0ce4c4512cf07e58256ee22ecda52e203d26ef0704da8b14c2c1",
+    "rqsym:3:2": "70787e5af0073e4ec359a46976716493ee2242aa0c0dac4775bd4337963fbdaf",
+    "sym:4": "e729bfb53c53a912249f1fc09d2b3309730eb0aabd872736e2e2be8621e34c3f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SOURCES))
+def test_registry_output_is_pinned(name):
+    # ids, decks, reps, leads and witnesses as the registry produced them
+    # before its extension tables were built once per type; a speed-up
+    # must leave them unchanged
+    build, degree = PINNED_SOURCES[name]
+    assert registry_digest(build(), degree) == PINNED_DIGESTS[name]
 
 
 def count_searches(monkeypatch):

@@ -175,6 +175,20 @@ def test_qpoly_sym2(capsys):
     assert data["leading_coefficient"] == [1, 2]
 
 
+def test_qpoly_periodic_leading_coefficient_is_null(capsys, monkeypatch):
+    # a fitted form whose top coefficient depends on the residue
+    import agealg.cli
+    from agealg.hilbert import HilbertForm
+
+    monkeypatch.setattr(agealg.cli, "_two_path",
+                        lambda args, t: (HilbertForm.make([1], [2]), None))
+    code, out, _ = run(capsys, "qpoly", "--builtin", "coclique", "--degree", "6")
+    assert code == 0
+    data = json.loads(out)
+    assert data["degree"] == 0
+    assert data["leading_coefficient"] is None
+
+
 def test_planar_counts(capsys):
     code, out, _ = run(capsys, "planar", "--degree", "4")
     assert code == 0
@@ -321,6 +335,22 @@ def test_verify_failure_is_exit_4(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify")
     assert code == 4
     assert json.loads(out)["ok"] is False
+
+
+def test_verify_qpoly_row_fails_on_a_periodic_leading_coefficient():
+    # a form without a leading coefficient is a failed row, not a crash
+    from types import SimpleNamespace
+
+    import agealg.verify as verify
+    from agealg.hilbert import HilbertForm
+
+    case = verify.Case("coclique", verify.BUDGET)
+    case.forms = (HilbertForm.make([1], [2]), None)
+    case.components = SimpleNamespace(dimension=1)
+    checks = [c for c in verify.TEMPLATE_CHECKS
+              if c[1] == "quasi-polynomial degree"]
+    assert verify.rows(checks, case) == [
+        ("coclique: quasi-polynomial degree", False, "degree=0 lead=None")]
 
 
 def test_verify_with_too_small_a_degree_is_exit_3(capsys):

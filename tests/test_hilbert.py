@@ -491,6 +491,27 @@ def test_qpoly_groupoid():
         assert qp.value(n) == series[n]
 
 
+def test_qpoly_periodic_leading_coefficient_is_none():
+    # 1/(1 - Z^2) is 1, 0, 1, 0, ...: a valid form whose top coefficient
+    # depends on the residue, so there is no leading coefficient
+    qp = quasi_polynomial(HilbertForm.make([1], [2]))
+    assert (qp.period, qp.degree) == (2, 0)
+    assert qp.residue_polys == ((Fraction(1),), (Fraction(0),))
+    assert qp.leading_coefficient is None
+
+
+def test_qpoly_periodic_leading_coefficient_of_an_ideal_form():
+    # the ideal (xy) in variables of weight 2: Z^4/(1 - Z^2)^2, which
+    # counts (n - 2)/2 in even degrees and nothing in odd ones
+    form, series = ideal_hilbert(WeightedMonomialIdeal.make([2, 2], [[1, 1]]), 20)
+    assert form == HilbertForm.make([0, 0, 0, 0, 1], [2, 2])
+    qp = quasi_polynomial(form)
+    assert qp.degree == 1
+    assert qp.leading_coefficient is None
+    for n in range(qp.n_min, 21):
+        assert qp.value(n) == series.coefficients[n]
+
+
 def solve_exact(matrix, rhs):
     """Gaussian elimination over Fractions; matrix must be square regular."""
     n = len(matrix)

@@ -1,6 +1,7 @@
 """Templates: validation, instantiation semantics, builders."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -141,6 +142,45 @@ def test_compositions_graded_lex_and_caps():
     comps = list(compositions(t, 2))
     assert comps == [(0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
     assert all(c[2] <= 1 for c in comps)
+
+
+def recursive_compositions(caps, n):
+    """The recursive enumeration that the suffix tables of `compositions`
+    replaced, kept as the oracle for their order."""
+    def rec(i, remaining):
+        if i == len(caps) - 1:
+            cap = caps[i]
+            if cap is None or remaining <= cap:
+                yield (remaining,)
+            return
+        cap = remaining if caps[i] is None else min(caps[i], remaining)
+        for d in range(cap + 1):
+            for rest in rec(i + 1, remaining - d):
+                yield (d,) + rest
+
+    if len(caps) == 0:
+        if n == 0:
+            yield ()
+        return
+    yield from rec(0, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([None, 1, 2, 3]), max_size=5),
+       st.integers(0, 8))
+@example([], 0)
+@example([], 3)
+@example([None], 8)
+@example([1, 1, 1, 1, 1], 3)
+def test_compositions_match_the_recursive_oracle(caps, n):
+    # compositions reads nothing of a source but its capacities
+    source = SimpleNamespace(capacities=tuple(caps))
+    comps = list(compositions(source, n))
+    assert comps == list(recursive_compositions(caps, n))
+    bounds = [range((n if c is None else c) + 1) for c in caps]
+    assert set(comps) == {c for c in itertools.product(*bounds) if sum(c) == n}
+    assert list(compositions(source, None, max_degree=n)) == [
+        c for m in range(n + 1) for c in recursive_compositions(caps, m)]
 
 
 # ---------------------------------------------------------------------------
