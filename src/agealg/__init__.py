@@ -18,7 +18,7 @@ from .hilbert import (HilbertForm, IntSeries, QuasiPolynomial,
                       fit_rational, hilbert_via_leading, ideal_hilbert, layers,
                       nonnegative_form, quasi_polynomial, two_path_hilbert)
 from .structures import (FiniteRelStruct, Signature, canonical_code,
-                         find_isomorphism, isomorphic, restrict, subset_types)
+                         find_isomorphism, restrict)
 from .templates import (BlockTemplate, TuplePattern, c3_chains,
                         clique_plus_coclique, clique_sum, coclique,
                         compositions, groupoid_example, instantiate, lex_sum,

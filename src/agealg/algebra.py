@@ -20,8 +20,9 @@ p, the last element of block i, to q, the last element of block j.  Removing
 p and q leaves the structures of c - e_i and r - e_j, which the witnesses
 already map onto each other, so the bijection is an isomorphism iff it maps
 the tuples through p onto the tuples through q (`structures.maps_onto`).  Only
-those tuples are read: a template enumerates them per pattern, a finite
-structure takes them from its occurrence index.  The inverse witnesses of
+those tuples are read: a template enumerates them over the patterns that
+use the block, a finite structure filters its occurrence index by the
+support's bit mask, built once per composition.  The inverse witnesses of
 the r - e_j, shifted past q, are the extension tables of r's type: the
 witnesses they read are fixed once the degree below is built, so they are
 built once per type, and each candidate is a lookup of the witness of
@@ -95,7 +96,7 @@ class TypeEntry:
         that contain the last element of block j."""
         if j not in self._through:
             self._through[j] = [frozenset(r) for r in
-                                _through(self.template, self.reps[0], j)]
+                                _through(self.template, self.reps[0])(j)]
         return self._through[j]
 
 
@@ -110,6 +111,18 @@ class Singletons:
     def capacities(self):
         return (1,) * self.struct.size
 
+    @functools.cached_property
+    def occurrences(self):
+        """Per element x, per relation, the pairs (mask, t) for the tuples t
+        through x, where the mask has bit 8y set for every element y of t:
+        one byte per element, as `int.from_bytes(bytes(comp), "little")`
+        gives for the support of a 0/1 composition."""
+        out = [[[] for _ in self.struct.rels] for _ in range(self.struct.size)]
+        for x, occ in enumerate(self.struct._occurrences()):
+            for si, _, t in occ:
+                out[x][si].append((sum(1 << 8 * y for y in set(t)), t))
+        return out
+
 
 def _structure(source, comp):
     """The structure a composition of a registry source stands for."""
@@ -118,19 +131,24 @@ def _structure(source, comp):
     return instantiate(source, comp)
 
 
-def _through(source, comp, i):
-    """Per relation, the tuples of the structure of comp that contain the
-    last element of block i, without building that structure.  For a finite
-    source, block i is element i: its occurrences inside the support of
-    comp, renumbered by position in the support."""
-    if isinstance(source, Singletons):
-        index = [x - 1 for x in itertools.accumulate(comp)]
-        out = [[] for _ in source.struct.rels]
-        for si, _, t in source.struct._occurrences()[i]:
-            if all(map(comp.__getitem__, t)):
-                out[si].append(tuple(map(index.__getitem__, t)))
-        return out
-    return through_tuples(source, comp, i)
+def _through(source, comp):
+    """The function from a block i of comp to, per relation, the tuples of
+    the structure of comp that contain the last element of block i, without
+    building that structure.  For a finite source, block i is element i: its
+    occurrences inside the support of comp, renumbered by position in the
+    support (the number of support elements before it), which is indexed
+    once per composition."""
+    if not isinstance(source, Singletons):
+        return functools.partial(through_tuples, source, comp)
+    index = list(itertools.accumulate(comp, initial=0))
+    support = int.from_bytes(bytes(comp), "little")
+    occurrences = source.occurrences
+
+    def through(i):
+        return [[tuple(map(index.__getitem__, t))
+                 for mask, t in tuples if mask & support == mask]
+                for tuples in occurrences[i]]
+    return through
 
 
 class TypeRegistry:
@@ -189,11 +207,12 @@ class TypeRegistry:
         passes the delta check, or (None, None).  The types of a bucket are
         pairwise non-isomorphic, so at most one can match, whichever route
         finds it: this one, or else `_by_code`."""
+        through_of = _through(self.template, comp)
         through = {}
         for entry in bucket:
             for i, j, perm in self._extensions(comp, entry):
                 if i not in through:
-                    through[i] = _through(self.template, comp, i)
+                    through[i] = through_of(i)
                 if maps_onto(through[i], entry.through(j), perm):
                     return entry, perm
         return None, None

@@ -9,17 +9,25 @@ Both finite structures and templates are decomposed by one routine,
 `_coarsening`, over a composition: a vector of block counts.  The
 instantiation of a template's composition c has blocks of c_i elements, and
 its subset with block counts c' induces exactly the instantiation of c'.  A
-finite structure of size n has the decomposition into n singletons, so its
-subsets are the 0/1 compositions of (1,)*n, classified by a `TypeRegistry`
-of the structure: one pass per degree, isomorphism witnesses extended from
-the degree below, and no canonical code per subset.  A template's fatness
+finite structure is first presented as a template (`_presentation`): its
+blocks are the twin classes, its patterns are read off the tuples, and the
+presentation counts only if its instantiation equals the structure under
+that element order.  Its blocks are then monomorphic parts, its
+compositions stand for the subsets, and `_coarsening` runs over the
+prod(c_i + 1) compositions of the block sizes.  When no class has two
+elements or the check fails, the structure is read as n singletons, and its
+2^n subsets, the 0/1 compositions of (1,)*n, are classified by a
+`TypeRegistry` of the structure.  Either way a registry classifies one
+degree per pass and extends isomorphism witnesses from the degree below,
+without a canonical code for every composition.  A template's fatness
 level d classifies only the compositions inside its level box
 `t.max_composition(d)`, by a `TypeRegistry` of the template with its
-capacities cut to that box.  Either way the pair and part tests are
-exhaustive over sub-compositions, which is fine at desk scale: on a 2-vCPU
-VM, `agealg decompose --input` takes about 0.15 s on a 10-element planted
-digraph, 0.25 s on 12, 0.7 s on 14 and 3 s on 16; each further element
-about doubles the 2^n subsets and the time.
+capacities cut to that box.  The pair and part tests are exhaustive over
+sub-compositions; `pair_mergeable` and `is_monomorphic_part` always take
+the subsets, as the oracles of the presented route.  On a 2-vCPU VM a
+planted 16-element digraph (four blocks of four) decomposes in about
+0.03 s; the same digraph took about 3.7 s over its 2^16 subsets, whose
+number doubles with each further element.
 """
 
 from __future__ import annotations
@@ -32,8 +40,9 @@ from functools import lru_cache
 from .algebra import TypeRegistry
 from .errors import ConsistencyError, InputError, UndeterminedError
 from .structures import (FiniteRelStruct, Signature, _UnionFind,
-                         find_isomorphism, json_int, restrict)
-from .templates import block_spans, instantiate, subcompositions
+                         find_isomorphism, json_int, relabel, restrict)
+from .templates import (BlockTemplate, TuplePattern, block_spans, instantiate,
+                        normalize_ranks, subcompositions)
 
 # highest fatness level tried before the coarsening counts as undetermined
 DEFAULT_D_MAX = 6
@@ -59,8 +68,91 @@ def pair_mergeable(struct, a, b):
 
 
 def minimal_decomposition(struct):
-    """Blocks of the minimal monomorphic decomposition, as sorted lists."""
-    return _coarsening((1,) * struct.size, TypeRegistry(struct).id_of)
+    """Blocks of the minimal monomorphic decomposition, as sorted lists.
+
+    Through the template presentation of `struct` when one verifies (its
+    compositions stand for the subsets, and its blocks are parts already),
+    else over all subsets."""
+    presented = _presentation(struct)
+    if presented is None:
+        return _coarsening((1,) * struct.size, TypeRegistry(struct).id_of)
+    t, classes = presented
+    return sorted(sorted(x for b in cls for x in classes[b])
+                  for cls in _coarsening(t.capacities, TypeRegistry(t).id_of))
+
+
+def _twin_classes(struct):
+    """The classes of the union of twin pairs, as lists of elements in order
+    of their least element.  x and y are twins when every tuple through one
+    of them and not the other stays in its relation after x and y are
+    swapped.  Over a binary signature a union of overlapping twin pairs is a
+    module; whatever the arities, `_presentation` checks the classes."""
+    occurrences = struct._occurrences()
+    rels = struct.rels
+
+    def twins(x, y):
+        for a, b in ((x, y), (y, x)):
+            for si, _, t in occurrences[a]:
+                if b not in t and tuple(
+                        b if v == a else v for v in t) not in rels[si]:
+                    return False
+        return True
+
+    uf = _UnionFind(struct.size)
+    for x, y in itertools.combinations(range(struct.size), 2):
+        if uf.find(x) != uf.find(y) and twins(x, y):
+            uf.union(x, y)
+    classes = {}
+    for x in range(struct.size):
+        classes.setdefault(uf.find(x), []).append(x)
+    return list(classes.values())
+
+
+def _presentation(struct):
+    """(t, classes) with `instantiate(t, sizes of the classes)` equal to
+    `struct` relabelled to the element order the classes list, or None.
+
+    The blocks are the twin classes, each ordered by its degrees inside the
+    class: per relation and coordinate, the number of tuples inside the
+    class that hold the element there, out-degree first, larger first.  The
+    accepted patterns are read off the tuples, and the presentation is kept
+    only if instantiating it gives back the structure.  None also when every
+    class is a singleton: the template would have as many compositions as
+    the structure has subsets."""
+    classes = _twin_classes(struct)
+    if len(classes) == struct.size:
+        return None
+    owner = {x: b for b, cls in enumerate(classes) for x in cls}
+    occurrences = struct._occurrences()
+    offsets = list(itertools.accumulate(
+        (a for _, a in struct.signature.symbols), initial=0))
+
+    def degrees(x):
+        counts = [0] * offsets[-1]
+        for si, pos, t in occurrences[x]:
+            if all(owner[v] == owner[x] for v in t):
+                for p in pos:
+                    counts[offsets[si] + p] -= 1
+        return counts
+
+    classes = [sorted(cls, key=lambda x: (degrees(x), x)) for cls in classes]
+    rank = {x: r for cls in classes for r, x in enumerate(cls)}
+    accepted = []
+    for rel in struct.rels:
+        pats = set()
+        for tup in rel:
+            blocks = tuple(owner[x] for x in tup)
+            pats.add(TuplePattern(blocks, normalize_ranks(
+                blocks, tuple(rank[x] for x in tup))))
+        accepted.append(frozenset(pats))
+    blocks = tuple((f"b{b}", len(cls)) for b, cls in enumerate(classes))
+    t = BlockTemplate(struct.signature, blocks, tuple(accepted))
+    position = [0] * struct.size
+    for k, x in enumerate(x for cls in classes for x in cls):
+        position[x] = k
+    if instantiate(t, t.capacities) != relabel(struct, position):
+        return None
+    return t, classes
 
 
 def _coarsening(comp, type_of):

@@ -17,7 +17,6 @@ brute-force search over all bijections and against networkx.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -374,22 +373,4 @@ def maps_onto(source, target, perm):
             if tuple(map(perm.__getitem__, t)) not in image:
                 return False
     return True
-
-
-def isomorphic(s1, s2):
-    return find_isomorphism(s1, s2) is not None
-
-
-def subset_types(struct, n):
-    """Classify all n-element induced substructures by isomorphism type.
-
-    Returns {code: multiplicity}; multiplicities add up to C(size, n).
-    """
-    if n < 0 or n > struct.size:
-        raise InputError(f"subset size {n} out of range 0..{struct.size}")
-    out = {}
-    for comb in itertools.combinations(range(struct.size), n):
-        code = canonical_code(restrict(struct, comb))
-        out[code] = out.get(code, 0) + 1
-    return out
 

@@ -13,7 +13,8 @@ the choices of increasing positions for the distinct ranks of each block it
 uses, and no tuple outside the accepted patterns is ever looked at.  The
 same enumeration with the last element of one block held fixed gives the
 tuples through that element (`through_tuples`), which is what the type
-registry checks its isomorphism candidates on.
+registry checks its isomorphism candidates on; it visits only the patterns
+that use the block (`BlockTemplate.patterns_through`).
 """
 
 from __future__ import annotations
@@ -130,6 +131,18 @@ class BlockTemplate:
     def max_composition(self, n):
         """Per-block cap for degree-n subsets: min(capacity, n)."""
         return tuple(n if c is None else min(c, n) for c in self.capacities)
+
+    @functools.cached_property
+    def patterns_through(self):
+        """Per block b, per relation symbol, the accepted patterns that use
+        b, in the iteration order of `accepted`: the only patterns with
+        tuples through an element of b."""
+        index = [[[] for _ in self.accepted] for _ in self.blocks]
+        for si, pats in enumerate(self.accepted):
+            for p in pats:
+                for b in set(p.blocks):
+                    index[b][si].append(p)
+        return tuple(tuple(map(tuple, per_symbol)) for per_symbol in index)
 
     # -- serialization -------------------------------------------------------
 
@@ -279,19 +292,19 @@ def _check_composition(t, comp):
 
 def _pattern_tuples(pattern, spans, through=None):
     """The tuples that realize `pattern` in the instantiation with the given
-    `block_spans`; with `through` = i, only those containing the last
-    element of block i.
+    `block_spans`; with `through` = i, a block the pattern uses, only those
+    containing the last element of block i.
 
     A tuple of the pattern is a choice, in every block b it uses, of as many
     increasing positions as b has distinct ranks: rank r goes to the r-th
     chosen element.  The last element of block i can only take block i's
     top rank, so it is fixed there and the lower ranks are chosen below it."""
-    if through is not None and through not in pattern.blocks:
-        return []
     used, coords = pattern.shape
     choices = []
     for b, width in used:
         lo, hi = spans[b]
+        if hi - lo < width:
+            return []
         if b == through:
             choices.append([pick + (hi - 1,) for pick in
                             itertools.combinations(range(lo, hi - 1), width - 1)])
@@ -324,7 +337,7 @@ def through_tuples(t, comp, i):
         raise InputError(f"block {i} of {comp} is empty")
     spans = block_spans(comp)
     return [[tup for p in pats for tup in _pattern_tuples(p, spans, i)]
-            for pats in t.accepted]
+            for pats in t.patterns_through[i]]
 
 
 def compositions(t, n, max_degree=None):

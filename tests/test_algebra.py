@@ -17,7 +17,7 @@ from agealg.algebra import (OrbitSum, TypeRegistry, _structure, _through,
 from agealg.decomposition import minimal_decomposition, template_components
 from agealg.errors import ConsistencyError, InputError
 from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
-                               maps_onto, relabel, restrict, subset_types)
+                               maps_onto, relabel, restrict)
 from agealg.templates import (INF, BlockTemplate, c3_chains, compositions,
                               groupoid_example, instantiate, qsym, rqsym, sym)
 
@@ -53,12 +53,15 @@ def test_profile_series_published(registries):
 
 
 def test_profile_cross_checks_subset_types(registries):
-    # phi(n) equals the number of types among n-subsets of a fat instantiation
+    # phi(n) equals the number of canonical codes among the n-subsets of a
+    # fat instantiation
     for name in ("clique_plus_coclique", "wheel_plus_coclique", "groupoid"):
         t, registry = registries(name)
         for n in range(5):
             big = instantiate(t, t.max_composition(n))
-            assert registry.profile(n) == len(subset_types(big, n))
+            assert registry.profile(n) == len(
+                {canonical_code(restrict(big, subset))
+                 for subset in itertools.combinations(range(big.size), n)})
 
 
 def test_registry_agrees_with_pure_code_classification():
@@ -154,8 +157,8 @@ def delta_outcomes(registry, degree):
         s = _structure(source, comp)
         for i, j, perm in registry._extensions(comp, entry):
             delta = maps_onto(
-                _through(source, comp, i),
-                [frozenset(r) for r in _through(source, entry.reps[0], j)],
+                _through(source, comp)(i),
+                [frozenset(r) for r in _through(source, entry.reps[0])(j)],
                 perm)
             out.append((delta, maps_onto(s.rels, entry.struct.rels, perm)))
     return out

@@ -2,22 +2,29 @@
 
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agealg.decomposition import (fatness_threshold, is_F_monomorphic_struct,
+import agealg.algebra
+import agealg.decomposition
+from agealg.algebra import TypeRegistry
+from agealg.decomposition import (_coarsening, _presentation,
+                                  fatness_threshold, is_F_monomorphic_struct,
                                   is_F_monomorphic_up_to, is_monomorphic_part,
                                   minimal_decomposition, pair_mergeable,
                                   partition_lower_bound, profile_floor_params,
                                   template_components)
 from agealg.errors import ConsistencyError, InputError
-from agealg.structures import FiniteRelStruct, Signature, canonical_code, restrict
-from agealg.templates import (INF, BlockTemplate, clique_plus_coclique,
-                              clique_sum, coclique, groupoid_example,
-                              instantiate, qsym, sym, wheel_plus_coclique)
+from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
+                               relabel, restrict)
+from agealg.templates import (INF, BlockTemplate, TuplePattern,
+                              clique_plus_coclique, clique_sum, coclique,
+                              groupoid_example, instantiate, lex_sum, qsym,
+                              rqsym, sym, wheel_plus_coclique)
 
 GRAPH = Signature((("adj", 2),))
 
@@ -177,14 +184,218 @@ def test_decomposition_matches_subset_oracles_on_random_digraphs(case):
 
 def test_missed_subset_isomorphism_is_a_consistency_error(
         miss_every_isomorphism):
-    # the subsets {0, 1} and {1, 2} of 0 -> 1 <- 2 induce isomorphic, unequal
-    # structures with one deck: if the witness extension misses that and the
-    # map composed from their equal codes' labellings fails its check too,
-    # that is a library bug
+    # 0 -> 1 <- 2 is presented by the blocks {0, 2} and {1}, whose degree-1
+    # compositions (1, 0) and (0, 1) are single points with one deck; on the
+    # exhaustive route the subsets {0, 1} and {1, 2} induce isomorphic,
+    # unequal structures with one deck.  If the witness extension misses
+    # such a pair and the map composed from their equal codes' labellings
+    # fails its check too, that is a library bug on either route
     s = FiniteRelStruct(GRAPH, 3, {"adj": [(0, 1), (2, 1)]})
+    assert _presentation(s)[1] == [[0, 2], [1]]
     assert restrict(s, [0, 1]) != restrict(s, [1, 2])
     with pytest.raises(ConsistencyError):
         minimal_decomposition(s)
+    with pytest.raises(ConsistencyError):
+        pair_mergeable(s, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the presented route against the route over all subsets
+
+
+def subset_route(s):
+    """The minimal decomposition over all 2^n subsets, classified by the
+    type registry of the structure itself."""
+    return _coarsening((1,) * s.size, TypeRegistry(s).id_of)
+
+
+ARC = Signature((("arc", 2),))
+MARKED = Signature((("mark", 1), ("arc", 2)))
+TERNARY = Signature((("between", 3),))
+
+
+def planted(rng, n, k, noise, sig=ARC):
+    """A lexicographic sum of k chain, clique or coclique blocks of
+    near-equal sizes over a random quotient, its members scattered over
+    0..n-1, with `noise` random tuples toggled.  Over MARKED some blocks
+    carry the unary mark; over TERNARY the quotient, the chains and the
+    cliques are ternary."""
+    sizes = [n // k + (j < n % k) for j in range(k)]
+    order = rng.sample(range(n), n)
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(order[start:start + size])
+        start += size
+    rels = {name: set() for name in sig.names}
+    arity = dict(sig.symbols)
+    main = "between" if "between" in arity else "arc"
+    for members in blocks:
+        kind = rng.choice(("chain", "clique", "coclique"))
+        if kind == "chain":
+            # the chain order is the order of `members`, labels scattered
+            rels[main].update(itertools.combinations(members, arity[main]))
+        elif kind == "clique":
+            rels[main].update(itertools.permutations(members, arity[main]))
+        if "mark" in arity and rng.random() < 0.5:
+            rels["mark"].update((x,) for x in members)
+    for quotient in itertools.product(range(k), repeat=arity[main]):
+        if len(set(quotient)) > 1 and rng.random() < 0.4:
+            rels[main].update(
+                itertools.product(*(blocks[q] for q in quotient)))
+    for _ in range(noise):
+        name = rng.choice(sig.names)
+        rels[name] ^= {tuple(rng.randrange(n) for _ in range(arity[name]))}
+    return FiniteRelStruct(sig, n, rels)
+
+
+def random_structure(rng, n, sig=ARC, density=0.3):
+    return FiniteRelStruct(sig, n, {
+        name: [t for t in itertools.product(range(n), repeat=arity)
+               if rng.random() < density]
+        for name, arity in sig.symbols})
+
+
+ORACLE_CASES = {
+    "planted": [planted(random.Random(i), 8 + i % 5, 2 + i % 3, 0)
+                for i in range(5)],
+    "noisy": [planted(random.Random(10 + i), 8 + i % 5, 2 + i % 3, 1 + i % 3)
+              for i in range(5)],
+    "random": [random_structure(random.Random(20 + i), 6 + i, density=0.4)
+               for i in range(5)],
+    "unary-binary": [planted(random.Random(30 + i), 7 + i, 3, i % 2, MARKED)
+                     for i in range(4)],
+    "ternary": [planted(random.Random(40 + i), 6 + i % 2, 2 + i % 2, i % 2,
+                        TERNARY) for i in range(4)]
+    + [instantiate(lex_sum(
+        FiniteRelStruct(TERNARY, 2, {"between": [(0, 1, 0)]}),
+        ["chain", "clique"], [INF, INF]), (3, 3))],
+    "4-ary": [instantiate(rqsym(2, 2), comp) for comp in ((3, 2), (2, 3))],
+    "tiny": [FiniteRelStruct(ARC, 0, {}), FiniteRelStruct(ARC, 1, {}),
+             FiniteRelStruct(ARC, 1, {"arc": [(0, 0)]})],
+}
+
+# {0, 2, 3} is one twin class, but no order of it presents the tuples
+UNPRESENTABLE = FiniteRelStruct(
+    TERNARY, 4, {"between": [(0, 2, 1), (3, 0, 1), (3, 2, 1)]})
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_CASES))
+def test_presented_route_matches_the_subset_route(kind):
+    for s in ORACLE_CASES[kind]:
+        assert minimal_decomposition(s) == subset_route(s)
+
+
+def test_unverified_presentation_takes_the_subset_route():
+    assert len(agealg.decomposition._twin_classes(UNPRESENTABLE)) == 2
+    assert _presentation(UNPRESENTABLE) is None
+    assert minimal_decomposition(UNPRESENTABLE) == subset_route(UNPRESENTABLE)
+
+
+def test_noise_free_inputs_are_presented():
+    for kind in ("planted", "4-ary"):
+        for s in ORACLE_CASES[kind]:
+            t, classes = _presentation(s)
+            position = [0] * s.size
+            for k, x in enumerate(x for cls in classes for x in cls):
+                position[x] = k
+            assert instantiate(t, t.capacities) == relabel(s, position)
+
+
+@st.composite
+def templated_structure(draw):
+    """The instantiation of a random template on at most 4 blocks, over a
+    signature of one binary, one unary and binary, or one ternary symbol,
+    with up to two random tuples toggled."""
+    sig = draw(st.sampled_from([ARC, MARKED, TERNARY]))
+    k = draw(st.integers(1, 4))
+    accepted = {}
+    for name, arity in sig.symbols:
+        accepted[name] = draw(st.sets(st.builds(
+            TuplePattern.make,
+            st.tuples(*[st.integers(0, k - 1)] * arity),
+            st.tuples(*[st.integers(0, arity - 1)] * arity)), max_size=5))
+    t = BlockTemplate(sig, tuple((f"b{b}", INF) for b in range(k)),
+                      tuple(frozenset(accepted[name]) for name in sig.names))
+    comp = draw(st.tuples(*[st.integers(0, 3)] * k))
+    s = instantiate(t, comp)
+    rels = [set(r) for r in s.rels]
+    if s.size:
+        for _ in range(draw(st.integers(0, 2))):
+            si = draw(st.integers(0, len(rels) - 1))
+            rels[si] ^= {tuple(draw(st.integers(0, s.size - 1))
+                               for _ in range(sig.symbols[si][1]))}
+    return FiniteRelStruct(sig, s.size, rels)
+
+
+@settings(max_examples=120, deadline=None)
+@given(templated_structure())
+@example(UNPRESENTABLE)
+@example(FiniteRelStruct(MARKED, 0, {}))
+def test_presented_route_matches_the_subset_route_on_random_templates(s):
+    presented = _presentation(s)
+    if presented is not None:
+        t, classes = presented
+        assert sorted(x for cls in classes for x in cls) == list(range(s.size))
+        assert t.capacities == tuple(map(len, classes))
+    assert minimal_decomposition(s) == subset_route(s)
+
+
+def test_failed_verification_takes_the_subset_route(monkeypatch):
+    s = ORACLE_CASES["planted"][0]
+    expected = minimal_decomposition(s)
+    sources = []
+
+    def recording(source):
+        sources.append(source)
+        return TypeRegistry(source)
+    monkeypatch.setattr(agealg.decomposition, "TypeRegistry", recording)
+    monkeypatch.setattr(agealg.decomposition, "instantiate",
+                        lambda t, comp: None)
+    assert _presentation(s) is None
+    assert minimal_decomposition(s) == expected
+    assert sources == [s]
+
+
+def planted_16():
+    """16 elements in four planted blocks of four, scattered: a chain, a
+    clique, a coclique and a chain, with arcs from every block to the
+    blocks after it and from the last block back to the first."""
+    order = random.Random(16).sample(range(16), 16)
+    blocks = [order[i:i + 4] for i in range(0, 16, 4)]
+    arcs = set()
+    for b, kind in enumerate(("chain", "clique", "coclique", "chain")):
+        for u, v in itertools.permutations(blocks[b], 2):
+            if kind == "clique" or (
+                    kind == "chain" and blocks[b].index(u) < blocks[b].index(v)):
+                arcs.add((u, v))
+        for c in range(b + 1, 4):
+            arcs.update(itertools.product(blocks[b], blocks[c]))
+    arcs.update(itertools.product(blocks[3], blocks[0]))
+    return FiniteRelStruct(ARC, 16, {"arc": arcs}), blocks
+
+
+def test_presentation_spares_the_subsets(monkeypatch):
+    s, blocks = planted_16()
+    classified = Counter()
+    compositions = agealg.algebra.compositions
+
+    def counted(t, n):
+        for comp in compositions(t, n):
+            classified["compositions"] += 1
+            yield comp
+    monkeypatch.setattr(agealg.algebra, "compositions", counted)
+    codes = Counter()
+    canonical = agealg.algebra.canonical_code
+
+    def counted_code(struct):
+        codes["calls"] += 1
+        return canonical(struct)
+    monkeypatch.setattr(agealg.algebra, "canonical_code", counted_code)
+    assert minimal_decomposition(s) == sorted(map(sorted, blocks))
+    # the route over all subsets classifies 2^16 = 65,536 compositions
+    # (both routes make 14 canonical codes, the witnesses spare the rest)
+    assert classified["compositions"] <= 5 ** 4
+    assert codes["calls"] <= 30
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from agealg.errors import InputError
 from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
-                               find_isomorphism, isomorphic, relabel, restrict,
-                               subset_types)
+                               find_isomorphism, relabel, restrict)
 
 GRAPH = Signature((("adj", 2),))
 
@@ -42,6 +41,23 @@ def brute_isomorphic(s1, s2):
         ):
             return True
     return False
+
+
+def isomorphic(s1, s2):
+    return find_isomorphism(s1, s2) is not None
+
+
+def subset_types(struct, n):
+    """Oracle: the n-element induced substructures classified by one
+    canonical code each, as {code: multiplicity}; the multiplicities add up
+    to C(size, n)."""
+    if n < 0 or n > struct.size:
+        raise InputError(f"subset size {n} out of range 0..{struct.size}")
+    out = {}
+    for comb in itertools.combinations(range(struct.size), n):
+        code = canonical_code(restrict(struct, comb))
+        out[code] = out.get(code, 0) + 1
+    return out
 
 
 def random_struct(rng, size, sig=GRAPH, density=0.3):
