@@ -12,6 +12,21 @@ the deck of c (the ids of the c - e_i, each counted c_i times) is read off
 the degree below without building a structure, and different decks prove two
 compositions non-isomorphic.
 
+A template's block automorphisms spare most of what follows.  A permutation
+a of the blocks that keeps the capacities and maps every accepted pattern
+(blocks, ranks) onto an accepted (a(blocks), ranks) makes the instantiation
+of c∘a, whose block b holds c[a[b]] elements, isomorphic to that of c: the
+k-th element of block b goes to the k-th element of block a[b].  So once a
+composition is classified, the rest of its orbit under the automorphism
+group takes its type, with the composition's witness after that map as
+witness: no deck, no through-tuples, no structure.  The orbit comes later
+in the degree, since its first member in lex order is the one classified,
+and it is walked over a generating set of the automorphisms
+(`_block_automorphisms`), found once per registry by backtracking over the
+blocks.  A finite source has none; its compositions, and those of a
+template that no automorphism reaches from an earlier one, take the route
+below.
+
 Within a deck, membership is certified by an isomorphism.  The registry
 keeps for every composition a witness: an isomorphism from its structure
 onto that of its type's first composition.  The witnesses of c - e_i and of
@@ -48,8 +63,8 @@ from .errors import ConsistencyError, InputError
 from .hilbert import compare_monomials
 from .structures import (FiniteRelStruct, canonical_code, find_isomorphism,
                          maps_onto, restrict)
-from .templates import (compositions, instantiate, subcompositions,
-                        through_tuples)
+from .templates import (block_spans, compositions, instantiate, spans_through,
+                        subcompositions)
 
 _MONOMIAL_ORDER = functools.cmp_to_key(compare_monomials)
 
@@ -139,7 +154,7 @@ def _through(source, comp):
     support (the number of support elements before it), which is indexed
     once per composition."""
     if not isinstance(source, Singletons):
-        return functools.partial(through_tuples, source, comp)
+        return functools.partial(spans_through, source, block_spans(comp))
     index = list(itertools.accumulate(comp, initial=0))
     support = int.from_bytes(bytes(comp), "little")
     occurrences = source.occurrences
@@ -149,6 +164,85 @@ def _through(source, comp):
                  for mask, t in tuples if mask & support == mask]
                 for tuples in occurrences[i]]
     return through
+
+
+def _block_automorphisms(t):
+    """A generating set of the block automorphisms of the template t: the
+    permutations a of its blocks (a[b] the image of block b) that keep every
+    capacity and map every relation's accepted patterns onto themselves,
+    (blocks, ranks) to (a(blocks), ranks).
+
+    Blocks are assigned in order, each only to a block of equal invariant
+    (capacity, and per relation the sorted patterns through it with the
+    other blocks named by first occurrence), and a pattern is checked as
+    soon as its last block is assigned.  The generators are those of a
+    stabilizer chain: going from the last block to the first, for each
+    block d and each x outside the orbit of d under the generators found so
+    far (which fix the blocks before d), the first automorphism that fixes
+    the blocks before d and sends d to x, if any.  So the identity is never
+    listed, the group they generate is the whole automorphism group, and
+    each generator joins two orbits of the blocks, so there are fewer
+    generators than blocks."""
+    k = len(t.blocks)
+    accepted = [{(p.blocks, p.ranks) for p in pats} for pats in t.accepted]
+    closing = [[] for _ in range(k)]
+    for si, pats in enumerate(t.accepted):
+        for p in pats:
+            closing[max(p.blocks)].append((si, p.blocks, p.ranks))
+
+    def invariant(b):
+        def relative(p):
+            names = {b: 0}
+            return tuple((names.setdefault(x, len(names)), r)
+                         for x, r in zip(p.blocks, p.ranks))
+        return (t.capacities[b], tuple(tuple(sorted(map(relative, pats)))
+                                       for pats in t.patterns_through[b]))
+
+    classes = {}
+    inv = [classes.setdefault(invariant(b), len(classes)) for b in range(k)]
+
+    def holds(a):
+        """Whether a maps onto accepted patterns the patterns whose last
+        block is the last one it assigns."""
+        return all((tuple(map(a.__getitem__, blocks)), ranks) in accepted[si]
+                   for si, blocks, ranks in closing[len(a) - 1])
+
+    def complete(a):
+        if len(a) == k:
+            return tuple(a)
+        b = len(a)
+        for x in range(k):
+            if inv[x] == inv[b] and x not in a:
+                a.append(x)
+                if holds(a):
+                    found = complete(a)
+                    if found:
+                        return found
+                a.pop()
+        return None
+
+    def orbit(d, gens):
+        seen, stack = {d}, [d]
+        while stack:
+            y = stack.pop()
+            for g in gens:
+                if g[y] not in seen:
+                    seen.add(g[y])
+                    stack.append(g[y])
+        return seen
+
+    gens = []
+    for d in reversed(range(k)):
+        reached = orbit(d, gens)
+        for x in range(d + 1, k):
+            if x in reached or inv[x] != inv[d]:
+                continue
+            a = [*range(d), x]
+            g = complete(a) if holds(a) else None
+            if g:
+                gens.append(g)
+                reached = orbit(d, gens)
+    return gens
 
 
 class TypeRegistry:
@@ -162,6 +256,8 @@ class TypeRegistry:
         if isinstance(source, FiniteRelStruct):
             source = Singletons(source)
         self.template = source
+        self._automorphisms = (() if isinstance(source, Singletons)
+                               else _block_automorphisms(source))
         self._by_degree = {}
         self._comp_id = {}
         self._witness = {}
@@ -174,8 +270,15 @@ class TypeRegistry:
     def _build(self, n):
         entries = []
         buckets = {}
+        reached = {}
         ids = self._comp_id
         for comp in compositions(self.template, n):
+            if comp in reached:
+                entry, witness = reached.pop(comp)
+                entry.reps.append(comp)
+                ids[comp] = entry.id
+                self._witness[comp] = witness
+                continue
             deck = {}
             for i, d in enumerate(comp):
                 if d:
@@ -198,8 +301,32 @@ class TypeRegistry:
                 entry.reps.append(comp)
             ids[comp] = entry.id
             self._witness[comp] = witness
+            if self._automorphisms:
+                for image, w in self._orbit(comp, witness).items():
+                    reached[image] = entry, w
         self._by_degree[n] = entries
         self._built = n
+
+    def _orbit(self, comp, witness):
+        """The other compositions of the orbit of comp under the block
+        automorphisms, each with its witness when `witness` is that of comp.
+        For an automorphism a, the k-th element of block b of m∘a (block b
+        holds m[a[b]] elements) goes to the k-th element of block a[b] of m,
+        an isomorphism, so the witness of m after that map is one of m∘a.
+        The orbit is walked over the generators."""
+        found = {comp: witness}
+        queue = [comp]
+        for m in queue:
+            w = found[m]
+            starts = list(itertools.accumulate(m, initial=0))
+            for a in self._automorphisms:
+                image = tuple(map(m.__getitem__, a))
+                if image not in found:
+                    found[image] = tuple(itertools.chain.from_iterable(
+                        w[starts[b]:starts[b + 1]] for b in a))
+                    queue.append(image)
+        del found[comp]
+        return found
 
     def _certify(self, comp, bucket):
         """(entry, isomorphism from the structure of comp onto entry.struct)

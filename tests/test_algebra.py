@@ -10,16 +10,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agealg.algebra import (OrbitSum, TypeRegistry, _structure, _through,
-                            e_orbit, kernel_elements_bounded, mult_by_e_rank,
+import agealg.algebra
+from agealg.algebra import (OrbitSum, TypeRegistry, _block_automorphisms,
+                            _structure, _through, e_orbit,
+                            kernel_elements_bounded, mult_by_e_rank,
                             orbit_product, profile, profile_series,
                             structure_constant, unit_orbit)
 from agealg.decomposition import minimal_decomposition, template_components
 from agealg.errors import ConsistencyError, InputError
+from agealg.gallery import GALLERY
 from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
                                maps_onto, relabel, restrict)
 from agealg.templates import (INF, BlockTemplate, c3_chains, compositions,
-                              groupoid_example, instantiate, qsym, rqsym, sym)
+                              groupoid_example, instantiate, normalize_ranks,
+                              qsym, rqsym, sym)
 
 
 def tau(registry, n, index=0):
@@ -88,11 +92,25 @@ def test_registry_agrees_with_pure_code_classification():
 
 
 def test_missed_isomorphism_is_a_consistency_error(miss_every_isomorphism):
-    # (2,1) and (1,2) of sym:2 instantiate to isomorphic, unequal structures:
+    # (1,0) and (0,1) of qsym:2 instantiate to isomorphic, unequal structures,
+    # and no block automorphism relates them (the arcs run from b1 to b2):
     # if the witness extension misses that and the map composed from their
     # equal codes' labellings fails its check too, that is a library bug
+    assert _block_automorphisms(qsym(2)) == []
     with pytest.raises(ConsistencyError):
-        TypeRegistry(sym(2)).types_at(3)
+        TypeRegistry(qsym(2)).types_at(2)
+
+
+def test_orbit_route_needs_no_isomorphism_check(miss_every_isomorphism):
+    # every pair of isomorphic compositions of sym:2 is swapped by the block
+    # swap, so the registry classifies them with every check missing
+    registry = TypeRegistry(sym(2))
+    assert [[e.reps for e in registry.types_at(n)] for n in range(4)] == [
+        [[(0, 0)]],
+        [[(0, 1), (1, 0)]],
+        [[(0, 2), (2, 0)], [(1, 1)]],
+        [[(0, 3), (3, 0)], [(1, 2), (2, 1)]]]
+    assert_witnesses_are_isomorphisms(registry, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +248,148 @@ def test_delta_check_agrees_with_full_check_on_random_digraphs(s):
 
 
 # ---------------------------------------------------------------------------
+# block automorphisms and the orbit route
+
+
+def brute_force_automorphisms(t):
+    """Every permutation a of the blocks but the identity that keeps the
+    capacities and maps each relation's accepted patterns onto themselves."""
+    k = len(t.blocks)
+    out = set()
+    for a in itertools.permutations(range(k)):
+        if a != tuple(range(k)) and all(
+                t.capacities[a[b]] == t.capacities[b] for b in range(k)) and all(
+                {(tuple(a[b] for b in p.blocks), p.ranks) for p in pats}
+                == {(p.blocks, p.ranks) for p in pats} for pats in t.accepted):
+            out.add(a)
+    return out
+
+
+def generated_group(gens, k):
+    """The permutations of range(k) that gens generate, but the identity."""
+    identity = tuple(range(k))
+    group, frontier = {identity}, [identity]
+    for g in frontier:
+        for a in gens:
+            h = tuple(g[x] for x in a)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return group - {identity}
+
+
+def assert_witnesses_are_isomorphisms(registry, degree):
+    """Every witness through `degree` maps the structure of its composition
+    onto that of its type's first composition."""
+    source = registry.template
+    for n in range(degree + 1):
+        for e in registry.types_at(n):
+            first = _structure(source, e.reps[0])
+            for comp in e.reps:
+                assert relabel(_structure(source, comp),
+                               registry._witness[comp]) == first, comp
+
+
+@st.composite
+def symmetric_template(draw):
+    """A template on at most 5 blocks with mixed capacities and relations of
+    arity 1 to 3.  Half the time its capacities and patterns are closed
+    under a random permutation of the blocks, which is then one of its
+    automorphisms."""
+    k = draw(st.integers(1, 5))
+    caps = draw(st.lists(st.sampled_from([None, 1, 2, 3]), min_size=k,
+                         max_size=k))
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    sigma = list(range(k))
+    if draw(st.booleans()):
+        sigma = draw(st.permutations(range(k)))
+        for b in range(k):
+            x = b
+            while sigma[x] != b:
+                x = sigma[x]
+                caps[x] = caps[b]
+    rels = {}
+    for si, arity in enumerate(arities):
+        pats = set()
+        for _ in range(draw(st.integers(0, 6))):
+            blocks = tuple(draw(st.lists(st.integers(0, k - 1),
+                                         min_size=arity, max_size=arity)))
+            ranks = normalize_ranks(blocks, draw(st.lists(
+                st.integers(0, arity - 1), min_size=arity, max_size=arity)))
+            if all(caps[b] is None or ranks[i] < caps[b]
+                   for i, b in enumerate(blocks)):
+                while (blocks, ranks) not in pats:
+                    pats.add((blocks, ranks))
+                    blocks = tuple(sigma[b] for b in blocks)
+        rels[f"r{si}"] = sorted(pats)
+    sig = Signature(tuple((f"r{si}", a) for si, a in enumerate(arities)))
+    return BlockTemplate.make(sig, [(f"b{b}", "inf" if c is None else c)
+                                    for b, c in enumerate(caps)], rels)
+
+
+ORBIT_SOURCES = {**{name: g.build for name, g in GALLERY.items()},
+                 "c3_chains": c3_chains, "rqsym:3:2": lambda: rqsym(3, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_SOURCES))
+def test_automorphisms_match_brute_force(name):
+    t = ORBIT_SOURCES[name]()
+    assert generated_group(_block_automorphisms(t), len(t.blocks)) == \
+        brute_force_automorphisms(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_template())
+def test_automorphisms_match_brute_force_on_random_templates(t):
+    gens = _block_automorphisms(t)
+    assert generated_group(gens, len(t.blocks)) == brute_force_automorphisms(t)
+    assert len(gens) < len(t.blocks)
+
+
+def assert_orbit_route_matches_delta_route(monkeypatch, t, degree):
+    """ids, decks, reps and leads equal those of a registry without block
+    automorphisms, and every witness is an isomorphism."""
+    orbit = TypeRegistry(t)
+    orbit.ensure_degree(degree)
+    with monkeypatch.context() as m:
+        m.setattr(agealg.algebra, "_block_automorphisms", lambda t: [])
+        delta = TypeRegistry(t)
+    assert not delta._automorphisms
+    delta.ensure_degree(degree)
+    assert orbit._comp_id == delta._comp_id
+    for n in range(degree + 1):
+        assert [(e.id, e.deck, e.reps, e.lead) for e in orbit.types_at(n)] \
+            == [(e.id, e.deck, e.reps, e.lead) for e in delta.types_at(n)]
+    assert_witnesses_are_isomorphisms(orbit, degree)
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_SOURCES))
+def test_orbit_route_matches_delta_route(monkeypatch, name):
+    assert_orbit_route_matches_delta_route(
+        monkeypatch, ORBIT_SOURCES[name](), 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_template())
+def test_orbit_route_matches_delta_route_on_random_templates(t):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_orbit_route_matches_delta_route(monkeypatch, t, 5)
+
+
+def test_orbit_route_spares_delta_checks(monkeypatch):
+    # 1,263 delta checks when every composition of sym:4 took the delta
+    # route; its orbit-mates now take the type of the first of them
+    calls = Counter()
+
+    def counted(*args, _fn=agealg.algebra.maps_onto):
+        calls["maps_onto"] += 1
+        return _fn(*args)
+    monkeypatch.setattr(agealg.algebra, "maps_onto", counted)
+    TypeRegistry(sym(4)).ensure_degree(10)
+    assert calls["maps_onto"] <= 10
+
+
+# ---------------------------------------------------------------------------
 # pinned registry output
 
 
@@ -261,16 +421,17 @@ def planted_digraph(n, kinds, links, toggles):
     return FiniteRelStruct(ARC, n, {"arc": sorted(arcs ^ set(toggles))})
 
 
-def registry_digest(source, degree):
+def registry_digest(registry, degree, witnesses=True):
     """sha256 over the types of degrees 0..degree, in id order: each one's
-    id, deck, realizing compositions, lead and the witnesses of those
-    compositions."""
-    registry = TypeRegistry(source)
+    id, deck, realizing compositions, lead and, unless `witnesses` is
+    false, the witnesses of those compositions."""
     digest = hashlib.sha256()
     for n in range(degree + 1):
         for e in registry.types_at(n):
-            witnesses = [tuple(registry._witness[c]) for c in e.reps]
-            digest.update(repr((e.id, e.deck, e.reps, e.lead, witnesses)).encode())
+            record = (e.id, e.deck, e.reps, e.lead)
+            if witnesses:
+                record += ([tuple(registry._witness[c]) for c in e.reps],)
+            digest.update(repr(record).encode())
     return digest.hexdigest()
 
 
@@ -297,7 +458,11 @@ PINNED_DIGESTS = {
     "planted:8": "462ffae4b6aaf1a89f4fc65abcd3a26d5d23e26f8c781e0241cdfabb1c9b9b60",
     "planted:9": "8c463873a89f0ce4c4512cf07e58256ee22ecda52e203d26ef0704da8b14c2c1",
     "rqsym:3:2": "70787e5af0073e4ec359a46976716493ee2242aa0c0dac4775bd4337963fbdaf",
-    "sym:4": "e729bfb53c53a912249f1fc09d2b3309730eb0aabd872736e2e2be8621e34c3f",
+}
+# sources whose witnesses the orbit route picks differently: the digest
+# leaves the witnesses out, and they are checked as isomorphisms instead
+PINNED_TYPE_DIGESTS = {
+    "sym:4": "f6e87e5d55879dcd5a029fc3c81129aec28e7015d5c6c4bf66ad69e1ed2e1f23",
 }
 
 
@@ -305,9 +470,17 @@ PINNED_DIGESTS = {
 def test_registry_output_is_pinned(name):
     # ids, decks, reps, leads and witnesses as the registry produced them
     # before its extension tables were built once per type; a speed-up
-    # must leave them unchanged
+    # must leave them unchanged.  The orbit route gives (3, 2, 3, 1) of
+    # sym:4 another of its isomorphisms onto (1, 2, 3, 3) than the delta
+    # route did, so there the witnesses are checked, not pinned
     build, degree = PINNED_SOURCES[name]
-    assert registry_digest(build(), degree) == PINNED_DIGESTS[name]
+    registry = TypeRegistry(build())
+    if name in PINNED_DIGESTS:
+        assert registry_digest(registry, degree) == PINNED_DIGESTS[name]
+    else:
+        assert registry_digest(registry, degree, witnesses=False) == \
+            PINNED_TYPE_DIGESTS[name]
+        assert_witnesses_are_isomorphisms(registry, degree)
 
 
 def count_searches(monkeypatch):
