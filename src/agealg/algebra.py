@@ -60,13 +60,11 @@ from dataclasses import dataclass, field
 from math import comb, prod
 
 from .errors import ConsistencyError, InputError
-from .hilbert import compare_monomials
+from .hilbert import monomial_key
 from .structures import (FiniteRelStruct, canonical_code, find_isomorphism,
                          maps_onto, restrict)
 from .templates import (block_spans, compositions, instantiate, spans_through,
                         subcompositions)
-
-_MONOMIAL_ORDER = functools.cmp_to_key(compare_monomials)
 
 
 @dataclass(eq=False)
@@ -93,8 +91,8 @@ class TypeEntry:
     @property
     def lead(self):
         """The realizing composition that is largest in the monomial order
-        (`hilbert.compare_monomials`)."""
-        return max(self.reps, key=_MONOMIAL_ORDER)
+        (`hilbert.compare_monomials`, through `hilbert.monomial_key`)."""
+        return max(self.reps, key=monomial_key)
 
     @property
     def struct(self):

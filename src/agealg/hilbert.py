@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import neg, sub
 
 from .errors import ConsistencyError, InputError, NotRationalError, UndeterminedError
 from .structures import json_int
@@ -125,8 +126,11 @@ class HilbertForm:
 
     @staticmethod
     def make(numerator, denominators):
-        return HilbertForm(tuple(ptrim(list(numerator))),
-                           tuple(sorted(int(d) for d in denominators)))
+        denominators = tuple(sorted(int(d) for d in denominators))
+        if denominators and denominators[0] < 1:
+            raise InputError(f"denominator factor (1 - Z^{denominators[0]}): "
+                             f"exponents must be >= 1")
+        return HilbertForm(tuple(ptrim(list(numerator))), denominators)
 
     @property
     def is_zero(self):
@@ -162,6 +166,9 @@ class HilbertForm:
         num = list(self.numerator)
         divide = list(self.denominators)
         for j in dens:
+            if j < 1:
+                raise InputError(f"denominator factor (1 - Z^{j}): "
+                                 f"exponents must be >= 1")
             if j in divide:
                 divide.remove(j)
             else:
@@ -239,6 +246,13 @@ def compare_monomials(a, b):
         # at the largest differing index, the larger entry loses
         return -1 if sa[i] > sb[i] else 1
     return -1 if a < b else 1
+
+
+def monomial_key(a):
+    """A sort key for the order of `compare_monomials`: the degree, then
+    the ascending shape negated (the shapes' largest differing index comes
+    first, and there the larger entry sorts lower), then the exponents."""
+    return sum(a), tuple(map(neg, sorted(a))), tuple(a)
 
 
 def layers(comp):
@@ -652,8 +666,12 @@ def quasi_polynomial(form, extra_checks=2):
     """Extract the eventual quasi-polynomial of a Hilbert form.
 
     Period = lcm of the denominator degrees; per residue class an exact
-    polynomial of degree <= k-1 is interpolated from the expansion beyond
-    n_min and re-verified on `extra_checks` further periods.
+    polynomial of degree <= k-1 is interpolated from the first k values of
+    the expansion beyond n_min and re-verified on `extra_checks` further
+    periods.  The values of one class are equally spaced, so they lie on
+    one polynomial of degree < k exactly when all their k-th forward
+    differences vanish, a check in integers; the first nonzero difference
+    names the first value off the interpolated polynomial.
     """
     k = len(form.denominators)
     if k == 0:
@@ -667,32 +685,60 @@ def quasi_polynomial(form, extra_checks=2):
     series = form.series(need)
     polys = []
     for r in range(period):
-        points = [n for n in range(n_min, need + 1) if n % period == r]
-        sample = points[:k]
-        if len(sample) < k:
+        start = n_min + (r - n_min) % period
+        values = series[start::period]
+        if len(values) < k:
             raise InputError("expansion too short for interpolation")
-        coeffs = _interpolate(sample, [series[n] for n in sample])
-        for n in points[k:]:
-            val = sum(c * n ** j for j, c in enumerate(coeffs))
-            if val != series[n]:
-                raise ConsistencyError(
-                    f"interpolated residue {r} fails at n={n}")
-        polys.append(tuple(coeffs))
+        diffs = values
+        for _ in range(k):
+            diffs = list(map(sub, diffs[1:], diffs))
+        bad = next((i for i, d in enumerate(diffs) if d), None)
+        if bad is not None:
+            raise ConsistencyError(
+                f"interpolated residue {r} fails at n={start + (bad + k) * period}")
+        polys.append(tuple(_interpolate(
+            range(start, start + k * period, period), values[:k])))
     return QuasiPolynomial(period, n_min, tuple(polys))
 
 
 def nonnegative_form(form, max_part=None, count=None):
     """Search denominator multisets (same size by default) for a
     representation with non-negative numerator; None if the bounded search
-    finds nothing.  Completeness is not claimed."""
+    finds nothing.  Completeness is not claimed.
+
+    The multisets are walked in `combinations_with_replacement` order, and
+    each one's candidate numerator is first screened as the form's series
+    times the multiset's factors, a product shared along common prefixes.
+    Were the numerator a polynomial, it would have degree at most
+    top = deg N - sum(denominators) + sum(multiset) and equal that product
+    through it; so a nonzero coefficient above top, or a negative one at
+    or below it, rules the multiset out.  Every other multiset is decided
+    by the exact `HilbertForm.over`.
+    """
     k = count if count is not None else len(form.denominators)
+    if k < 0:
+        raise InputError(f"count must be >= 0, got {k}")
     if max_part is None:
         max_part = max(2 * max(form.denominators, default=1), 4)
+    base = len(form.numerator) - 1 - sum(form.denominators)
+    series = form.series(max(len(form.numerator) - 1 + k * max_part, 0))
+    products = [series]  # products[i]: the series times the first i factors
+    prev = ()
     for dens in itertools.combinations_with_replacement(range(1, max_part + 1), k):
-        num = form.over(dens)
-        if num is None:
+        shared = 0
+        while shared < len(prev) and prev[shared] == dens[shared]:
+            shared += 1
+        del products[shared + 1:]
+        for j in dens[shared:]:
+            p = products[-1]
+            products.append(p[:j] + list(map(sub, p[j:], p)))
+        prev = dens
+        cut = max(base + sum(dens) + 1, 0)
+        p = products[-1]
+        if any(p[cut:]) or min(p[:cut], default=0) < 0:
             continue
-        if all(c >= 0 for c in num):
+        num = form.over(dens)
+        if num is not None and all(c >= 0 for c in num):
             return HilbertForm.make(num, dens)
     return None
 

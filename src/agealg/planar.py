@@ -240,6 +240,8 @@ def planar_profile_report(n, depth_budget=None, sample=None):
     depends only on the rank pattern of those n - 1 lengths.  Each pattern
     is contracted once, from its first subset, and checked to be a reduced
     tree with n leaves; every other subset of the pattern has that tree.
+    The subsets come from `_first_subsets`, which reaches the first subset
+    of every lengths tuple without walking all of them.
     """
     if n < 0:
         raise InputError("n must be >= 0")
@@ -253,12 +255,8 @@ def planar_profile_report(n, depth_budget=None, sample=None):
     common = [[_common_prefix(a, b) for b in sample] for a in sample]
     known = set(enumerate_reduced(n))
     by_pattern = {}
-    done = set()  # the length tuples met so far, each one pattern's
-    for subset in itertools.combinations(range(len(sample)), n):
-        lengths = tuple(common[i][j] for i, j in zip(subset, subset[1:]))
-        if lengths in done:
-            continue
-        done.add(lengths)
+    subsets, _ = _first_subsets(common, n)
+    for subset, lengths in subsets:
         ranks = sorted(set(lengths))
         pattern = tuple(ranks.index(x) for x in lengths)
         if pattern not in by_pattern:
@@ -276,6 +274,41 @@ def planar_profile_report(n, depth_budget=None, sample=None):
         "missing": sorted(tree_to_text(t) for t in known - seen),
     }
     return len(seen), report
+
+
+def _first_subsets(common, n):
+    """Walk the n-subsets of range(len(common)) in lex order, skipping
+    repeated states, and return (leaves, states).  The leaves are
+    (subset, lengths) pairs, in lex order, with lengths the neighbours'
+    `common[i][j]`; among them is the lex-first subset of every lengths
+    tuple.  `states` counts the states visited.
+
+    A state is (last index, lengths so far).  The lengths still to come
+    depend only on the last index, so a state met before adds no new
+    tuple and its subtree is skipped.  The first subset with a given tuple
+    is never skipped: were a prefix of it skipped for an earlier prefix
+    with the same state, that prefix and the same rest would be an
+    earlier subset with the same tuple.
+    """
+    size = len(common)
+    if n == 0:
+        return [((), ())], 0
+    found = []
+    visited = set()
+    stack = [((i,), ()) for i in range(size - n, -1, -1)]
+    while stack:
+        subset, lengths = stack.pop()
+        last = subset[-1]
+        if (last, lengths) in visited:
+            continue
+        visited.add((last, lengths))
+        if len(subset) == n:
+            found.append((subset, lengths))
+            continue
+        row = common[last]
+        stack.extend((subset + (j,), lengths + (row[j],))
+                     for j in range(size - n + len(subset), last, -1))
+    return found, len(visited)
 
 
 def _common_prefix(a, b):

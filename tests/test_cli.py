@@ -246,6 +246,11 @@ GOLDEN_STDOUT = {
         "cce661dc4c64e48f5a66f0a3620f7527b36e376daefcba89579ad2dfaf058ff2",
     ("qpoly", "--builtin", "qsym:3", "--degree", "10"):
         "38720b785cb17de62a55b86261d5d0f0c8bdad15da3ea1b199d1db8496932e23",
+    # the planar profile of the default samples
+    ("planar", "--degree", "4"):
+        "4542a9086d72d31b6a7a7f204b917476cfb8f58a908eea60a3c4d435e6ef0b26",
+    ("planar", "--degree", "5"):
+        "05a37e4df4d68c3973d7c7fd83bda1b5169bdc4f12bd6d66d94bb52ecded80ff",
 }
 
 

@@ -1,6 +1,7 @@
 """Monomial order, ideals, rational fits, quasi-polynomials, two paths."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,14 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agealg.algebra import TypeRegistry, profile_series
-from agealg.errors import InputError, NotRationalError, UndeterminedError
+from agealg.errors import (ConsistencyError, InputError, NotRationalError,
+                           UndeterminedError)
 from agealg.gallery import GALLERY, resolve_builtin
-from agealg.hilbert import (HilbertForm, WeightedMonomialIdeal, _brute_ideal_series,
-                            _interpolate, _minimal, chain_support,
-                            check_addlayer, compare_monomials,
+from agealg.hilbert import (HilbertForm, QuasiPolynomial, WeightedMonomialIdeal,
+                            _brute_ideal_series, _interpolate, _minimal,
+                            chain_support, check_addlayer, compare_monomials,
                             div_geom, expand, fit_rational, hilbert_via_leading,
-                            ideal_hilbert, layers, mul_geom, nonnegative_form,
-                            ptrim, quasi_polynomial, two_path_hilbert)
+                            ideal_hilbert, layers, monomial_key, mul_geom,
+                            nonnegative_form, ptrim, quasi_polynomial,
+                            two_path_hilbert)
 from agealg.structures import canonical_code
 from agealg.templates import clique_plus_coclique, instantiate
 
@@ -96,6 +99,16 @@ def test_div_geom_refuses_j_zero():
         div_geom([1, -1], 0)
 
 
+def test_forms_refuse_a_zero_factor():
+    # (1 - Z^0) is the zero polynomial, not a factor a series can have
+    with pytest.raises(InputError, match="exponents must be >= 1"):
+        HilbertForm.make([1], [0])
+    with pytest.raises(InputError, match="exponents must be >= 1"):
+        HilbertForm.make([1], [2, -1])
+    with pytest.raises(InputError, match="exponents must be >= 1"):
+        HilbertForm.make([1], [1]).over([0])
+
+
 # ---------------------------------------------------------------------------
 # the order
 
@@ -121,6 +134,17 @@ def test_total_order_properties():
     for a, b, c in itertools.combinations(monos, 3):
         if compare_monomials(a, b) <= 0 and compare_monomials(b, c) <= 0:
             assert compare_monomials(a, c) <= 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda blocks: st.tuples(
+    *[st.lists(st.integers(0, 4), min_size=blocks, max_size=blocks)] * 2)))
+@example(([4, 1, 1], [3, 3, 0]))  # equal degree, revlex on shapes decides
+@example(([0, 2, 0], [0, 0, 2]))  # equal shape, lex decides
+@example(([2, 2], [2, 2]))
+def test_monomial_key_orders_like_compare_monomials(pair):
+    ka, kb = monomial_key(pair[0]), monomial_key(pair[1])
+    assert (ka > kb) - (ka < kb) == compare_monomials(*pair)
 
 
 def test_leading_monomial_cpc():
@@ -512,6 +536,84 @@ def test_qpoly_periodic_leading_coefficient_of_an_ideal_form():
         assert qp.value(n) == series.coefficients[n]
 
 
+@st.composite
+def random_forms(draw):
+    numerator = draw(st.lists(st.integers(-3, 3), max_size=8))
+    denominators = draw(st.lists(st.integers(1, 4), max_size=3))
+    return HilbertForm.make(numerator, denominators)
+
+
+def quasi_polynomial_by_points(form, extra_checks=2):
+    """`quasi_polynomial` checking each residue's interpolated polynomial at
+    every further point, in Fractions."""
+    k = len(form.denominators)
+    if k == 0:
+        return QuasiPolynomial(1, len(form.numerator), ((Fraction(0),),))
+    period = math.lcm(*form.denominators)
+    n_min = max(0, len(form.numerator) - 1 - sum(form.denominators) + 1)
+    need = n_min + period * (k + extra_checks) + period
+    series = form.series(need)
+    polys = []
+    for r in range(period):
+        points = [n for n in range(n_min, need + 1) if n % period == r]
+        sample = points[:k]
+        if len(sample) < k:
+            raise InputError("expansion too short for interpolation")
+        coeffs = _interpolate(sample, [series[n] for n in sample])
+        for n in points[k:]:
+            if sum(c * n ** j for j, c in enumerate(coeffs)) != series[n]:
+                raise ConsistencyError(f"interpolated residue {r} fails at n={n}")
+        polys.append(tuple(coeffs))
+    return QuasiPolynomial(period, n_min, tuple(polys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_forms(), st.integers(0, 3))
+@example(HilbertForm.make([1, -1, 2, -1], [1, 1, 1]), 2)
+@example(HilbertForm.make([], [2, 3]), 2)   # the zero form
+@example(HilbertForm.make([1], []), 2)      # a polynomial
+def test_quasi_polynomial_matches_the_pointwise_check(form, extra_checks):
+    assert (quasi_polynomial(form, extra_checks)
+            == quasi_polynomial_by_points(form, extra_checks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_ideals())
+@ideal_examples
+def test_quasi_polynomial_of_ideal_forms_matches_the_pointwise_check(ideal):
+    form, _ = ideal_hilbert(ideal, 0)
+    assert quasi_polynomial(form) == quasi_polynomial_by_points(form)
+
+
+@pytest.mark.parametrize("where", [0, 3, 7, 10])
+def test_quasi_polynomial_names_the_first_bad_value(monkeypatch, where):
+    # one coefficient off the quasi-polynomial of 1/((1-Z)(1-Z^2)) must be
+    # reported at the same n as the pointwise check finds it, whether it
+    # is an interpolation point (0) or a checked one
+    form = HilbertForm.make([1], [1, 2])
+    expand_series = HilbertForm.series
+
+    def bumped(self, degree):
+        out = expand_series(self, degree)
+        out[where] += 1
+        return out
+
+    monkeypatch.setattr(HilbertForm, "series", bumped)
+    messages = []
+    for route in (quasi_polynomial, quasi_polynomial_by_points):
+        with pytest.raises(ConsistencyError) as caught:
+            route(form)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def test_quasi_polynomial_refuses_a_short_expansion():
+    form = HilbertForm.make([1], [1, 1, 2])
+    for route in (quasi_polynomial, quasi_polynomial_by_points):
+        with pytest.raises(InputError, match="too short"):
+            route(form, extra_checks=-3)
+
+
 def solve_exact(matrix, rhs):
     """Gaussian elimination over Fractions; matrix must be square regular."""
     n = len(matrix)
@@ -657,13 +759,6 @@ def long_nonnegative_form(form, max_part=None, count=None):
     return None
 
 
-@st.composite
-def random_forms(draw):
-    numerator = draw(st.lists(st.integers(-3, 3), max_size=8))
-    denominators = draw(st.lists(st.integers(1, 4), max_size=3))
-    return HilbertForm.make(numerator, denominators)
-
-
 @settings(max_examples=300, deadline=None)
 @given(random_forms(), st.lists(st.integers(1, 5), max_size=4))
 @example(HilbertForm.make([1, 0, 0, 1], [1, 2]), [1])     # not a polynomial
@@ -696,6 +791,76 @@ def test_nonnegative_form_matches_long_arithmetic(form, max_part, count):
 def test_nonnegative_form_of_ideal_forms_matches_long_arithmetic(ideal):
     form, _ = ideal_hilbert(ideal, 0)
     assert nonnegative_form(form) == long_nonnegative_form(form)
+
+
+def test_nonnegative_form_refuses_a_negative_count():
+    with pytest.raises(InputError, match="count"):
+        nonnegative_form(HilbertForm.make([1], [1]), count=-1)
+
+
+def antichain_ideal(rng, degrees, gens):
+    """`gens` random distinct exponent vectors of the least total degree
+    with at least 2 * `gens` of them, in variables of the given weights."""
+    nvars = len(degrees)
+    d = 1
+    while math.comb(d + nvars - 1, nvars - 1) < 2 * gens:
+        d += 1
+    vectors = [v for v in itertools.product(range(d + 1), repeat=nvars)
+               if sum(v) == d]
+    return WeightedMonomialIdeal.make(degrees, sorted(rng.sample(vectors, gens)))
+
+
+def seeded_ideal_forms(seed, count=56):
+    """The forms of `count` random antichain ideals in 3 or 4 variables of
+    weights 1-3, with 10-16 generators each."""
+    rng = random.Random(f"ideals:{seed}")
+    forms = []
+    for i in range(count):
+        nvars = 3 + i % 2
+        degrees = [1 + (i // 2 + j) % 3 for j in range(nvars)]
+        form, _ = ideal_hilbert(antichain_ideal(rng, degrees, 10 + i % 7), 0)
+        forms.append(form)
+    return forms
+
+
+def count_over_calls(monkeypatch, result=None):
+    """Count `HilbertForm.over` calls; with `result` given, every call
+    returns it instead of the quotient."""
+    calls = []
+    original = HilbertForm.over
+
+    def counting(self, dens):
+        calls.append(tuple(dens))
+        return original(self, dens) if result is None else result
+
+    monkeypatch.setattr(HilbertForm, "over", counting)
+    return calls
+
+
+def test_nonnegative_form_screen_spares_the_exact_rewrites(monkeypatch):
+    # without the screen every multiset costs one `over`: 5,096 here
+    forms = seeded_ideal_forms(3)
+    multisets = sum(
+        math.comb(max(2 * max(f.denominators), 4) + len(f.denominators) - 1,
+                  len(f.denominators))
+        for f in forms)
+    assert multisets == 5096
+    calls = count_over_calls(monkeypatch)
+    assert all(nonnegative_form(f) is None for f in forms)
+    assert len(calls) <= 5
+
+
+def test_nonnegative_form_confirms_every_survivor(monkeypatch):
+    # the screen passes the form itself over (1-Z)(1-Z^2); only `over`
+    # may accept it
+    cpc = HilbertForm.make([1, 0, 0, 1], [1, 2])
+    calls = count_over_calls(monkeypatch)
+    assert nonnegative_form(cpc) == cpc
+    assert calls == [(1, 2)]
+    monkeypatch.undo()
+    calls = count_over_calls(monkeypatch, result=[-1])
+    assert nonnegative_form(cpc) is None
+    assert calls
 
 
 def test_via_leading_with_dimension_hint_mismatch(registries):

@@ -8,12 +8,13 @@ import pytest
 
 import agealg.planar
 from agealg.errors import ConsistencyError, InputError
-from agealg.planar import (EMPTY, LEAF, SCHRODER, check_address, contract,
-                           default_sample, depth, embed, enumerate_reduced,
-                           leaves, no_pair_monopart, planar_profile,
-                           planar_profile_report, reconstruct_from_triples,
-                           reduce_tree, shuffle_constant, tree_from_text,
-                           tree_restrict, tree_to_text)
+from agealg.planar import (EMPTY, LEAF, SCHRODER, _common_prefix,
+                           check_address, contract, default_sample, depth,
+                           embed, enumerate_reduced, leaves, no_pair_monopart,
+                           planar_profile, planar_profile_report,
+                           reconstruct_from_triples, reduce_tree,
+                           shuffle_constant, tree_from_text, tree_restrict,
+                           tree_to_text)
 
 CARET = (LEAF, (LEAF, LEAF))      # (o,(o,o))
 TENT = ((LEAF, LEAF), LEAF)       # ((o,o),o)
@@ -131,6 +132,58 @@ def report_by_contracting_every_subset(n, depth_budget=None, sample=None):
     }
 
 
+def report_by_walking_every_subset(n, depth_budget=None, sample=None):
+    """`planar_profile_report` walking every subset, in lex order, and
+    contracting the first subset of each rank pattern."""
+    if sample is None:
+        sample = default_sample(n)
+    sample = tuple(sorted(check_address(a) for a in sample))
+    if depth_budget is not None:
+        sample = tuple(a for a in sample if len(a) <= depth_budget)
+    if n >= 2 and len(sample) >= n and len(set(sample)) < len(sample):
+        raise InputError("duplicate addresses")
+    known = set(enumerate_reduced(n))
+    by_pattern = {}
+    for subset in itertools.combinations(sample, n):
+        lengths = tuple(_common_prefix(a, b) for a, b in zip(subset, subset[1:]))
+        ranks = sorted(set(lengths))
+        pattern = tuple(ranks.index(x) for x in lengths)
+        if pattern not in by_pattern:
+            tree = agealg.planar.contract(subset)
+            if tree not in known:
+                raise ConsistencyError(tree_to_text(tree))
+            by_pattern[pattern] = tree
+    seen = set(by_pattern.values())
+    return len(seen), {
+        "sample_size": len(sample),
+        "expected": len(known),
+        "found": len(seen),
+        "missing": sorted(tree_to_text(t) for t in known - seen),
+    }
+
+
+def contractions(monkeypatch, route, *args, **kwargs):
+    """The result of `route` and the address tuples it contracted."""
+    calls = []
+    original = agealg.planar.contract
+
+    def recording(addresses):
+        calls.append(tuple(addresses))
+        return original(addresses)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(agealg.planar, "contract", recording)
+        return route(*args, **kwargs), calls
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_pruned_walk_contracts_what_the_full_walk_does(monkeypatch, n):
+    for budget in (None, *range(n)):
+        assert (contractions(monkeypatch, planar_profile_report, n, budget)
+                == contractions(monkeypatch, report_by_walking_every_subset,
+                                n, budget))
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_profile_by_pattern_matches_every_subset(n):
     # default_sample(n) is at most n - 1 indices deep, so a budget of n - 1
@@ -152,6 +205,18 @@ def test_profile_by_pattern_matches_every_subset_on_random_samples():
         for n in range(min(len(sample), 5) + 1):
             assert (planar_profile_report(n, sample=sample)
                     == report_by_contracting_every_subset(n, sample=sample))
+
+
+def test_pruned_walk_contracts_what_the_full_walk_does_on_random_samples(
+        monkeypatch):
+    rng = random.Random(1414)
+    for _ in range(60):
+        sample = {random_address(rng) for _ in range(rng.randrange(1, 12))}
+        for n in range(min(len(sample), 5) + 1):
+            assert (contractions(monkeypatch, planar_profile_report, n,
+                                 sample=sample)
+                    == contractions(monkeypatch, report_by_walking_every_subset,
+                                    n, sample=sample))
 
 
 def test_profile_refuses_duplicate_addresses_like_contract():
@@ -180,6 +245,23 @@ def test_profile_contracts_once_per_rank_pattern(monkeypatch):
     count, report = planar_profile_report(5)
     assert count == SCHRODER[5] and report["sample_size"] == 23
     assert len(calls) <= 75
+
+
+def test_profile_walk_prunes_repeated_states(monkeypatch):
+    # walking every 5-subset of the 23-address sample visits C(23, 5) =
+    # 33,649 leaves; the pruned walk visits 1,086 states
+    walks = []
+    original = agealg.planar._first_subsets
+
+    def recording(common, n):
+        walks.append(original(common, n))
+        return walks[-1]
+
+    monkeypatch.setattr(agealg.planar, "_first_subsets", recording)
+    count, report = planar_profile_report(5)
+    assert count == SCHRODER[5] and report["sample_size"] == 23
+    (subsets, states), = walks
+    assert states <= 1100 < comb(23, 5) // 30
 
 
 # ---------------------------------------------------------------------------
