@@ -22,6 +22,7 @@ from .structures import (FiniteRelStruct, Signature, canonical_code,
 from .templates import (BlockTemplate, TuplePattern, c3_chains,
                         clique_plus_coclique, clique_sum, coclique,
                         compositions, groupoid_example, instantiate, lex_sum,
-                        qsym, rqsym, sym, validate, wheel_plus_coclique)
+                        present, qsym, rqsym, sym, validate,
+                        wheel_plus_coclique)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

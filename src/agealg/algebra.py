@@ -1,16 +1,15 @@
 """Profiles and the age algebra: orbit sums, structure constants, e-rank.
 
-The registry classifies, degree by degree, the structures of all
-capacity-respecting compositions of a source into isomorphism types, and
-names the types of each degree by dense ids in discovery order.  A source is
-a template, whose composition c stands for its instantiation, or a finite
-structure of size n, read as n blocks of capacity 1: a 0/1 composition picks
-a subset and stands for the substructure induced on it.  Either way the
-elements of block i come in a run after those of the blocks before it, and
-removing the last element of block i leaves the structure of c - e_i.  So
-the deck of c (the ids of the c - e_i, each counted c_i times) is read off
-the degree below without building a structure, and different decks prove two
-compositions non-isomorphic.
+The registry classifies, degree by degree, the instantiations of all
+capacity-respecting compositions of a template into isomorphism types, and
+names the types of each degree by dense ids in discovery order.  (A finite
+structure is registered as `templates.present` of it: n blocks of capacity
+1, whose 0/1 compositions stand for the substructures induced on their
+supports.)  The elements of block i come in a run after those of the blocks
+before it, and removing the last element of block i leaves the
+instantiation of c - e_i.  So the deck of c (the ids of the c - e_i, each
+counted c_i times) is read off the degree below without building a
+structure, and different decks prove two compositions non-isomorphic.
 
 A template's block automorphisms spare most of what follows.  A permutation
 a of the blocks that keeps the capacities and maps every accepted pattern
@@ -23,9 +22,9 @@ witness: no deck, no through-tuples, no structure.  The orbit comes later
 in the degree, since its first member in lex order is the one classified,
 and it is walked over a generating set of the automorphisms
 (`_block_automorphisms`), found once per registry by backtracking over the
-blocks.  A finite source has none; its compositions, and those of a
-template that no automorphism reaches from an earlier one, take the route
-below.
+blocks.  (Those of a presented finite structure are its automorphisms.)
+The compositions that no automorphism reaches from an earlier one take the
+route below.
 
 Within a deck, membership is certified by an isomorphism.  The registry
 keeps for every composition a witness: an isomorphism from its structure
@@ -35,13 +34,11 @@ p, the last element of block i, to q, the last element of block j.  Removing
 p and q leaves the structures of c - e_i and r - e_j, which the witnesses
 already map onto each other, so the bijection is an isomorphism iff it maps
 the tuples through p onto the tuples through q (`structures.maps_onto`).  Only
-those tuples are read: a template enumerates them over the patterns that
-use the block, a finite structure filters its occurrence index by the
-support's bit mask, built once per composition.  The inverse witnesses of
-the r - e_j, shifted past q, are the extension tables of r's type: the
-witnesses they read are fixed once the degree below is built, so they are
-built once per type, and each candidate is a lookup of the witness of
-c - e_i in one of them.
+those tuples are read, enumerated over the patterns that use the block.  The
+inverse witnesses of the r - e_j, shifted past q, are the extension tables
+of r's type: the witnesses they read are fixed once the degree below is
+built, so they are built once per type, and each candidate is a lookup of
+the witness of c - e_i in one of them.
 
 The structure of a composition is built only when no such bijection passes.
 Then canonical codes decide: a type of the deck with an equal code is the
@@ -61,8 +58,7 @@ from math import comb, prod
 
 from .errors import ConsistencyError, InputError
 from .hilbert import monomial_key
-from .structures import (FiniteRelStruct, canonical_code, find_isomorphism,
-                         maps_onto, restrict)
+from .structures import canonical_code, find_isomorphism, maps_onto
 from .templates import (block_spans, compositions, instantiate, spans_through,
                         subcompositions)
 
@@ -97,7 +93,7 @@ class TypeEntry:
     @property
     def struct(self):
         if self._struct is None:
-            self._struct = _structure(self.template, self.reps[0])
+            self._struct = instantiate(self.template, self.reps[0])
         return self._struct
 
     @property
@@ -108,60 +104,9 @@ class TypeEntry:
         """Per relation, the set of tuples of the representative structure
         that contain the last element of block j."""
         if j not in self._through:
-            self._through[j] = [frozenset(r) for r in
-                                _through(self.template, self.reps[0])(j)]
+            self._through[j] = [frozenset(r) for r in spans_through(
+                self.template, block_spans(self.reps[0]), j)]
         return self._through[j]
-
-
-@dataclass(frozen=True)
-class Singletons:
-    """A finite structure as a registry source: one block of capacity 1 per
-    element."""
-
-    struct: FiniteRelStruct
-
-    @property
-    def capacities(self):
-        return (1,) * self.struct.size
-
-    @functools.cached_property
-    def occurrences(self):
-        """Per element x, per relation, the pairs (mask, t) for the tuples t
-        through x, where the mask has bit 8y set for every element y of t:
-        one byte per element, as `int.from_bytes(bytes(comp), "little")`
-        gives for the support of a 0/1 composition."""
-        out = [[[] for _ in self.struct.rels] for _ in range(self.struct.size)]
-        for x, occ in enumerate(self.struct._occurrences()):
-            for si, _, t in occ:
-                out[x][si].append((sum(1 << 8 * y for y in set(t)), t))
-        return out
-
-
-def _structure(source, comp):
-    """The structure a composition of a registry source stands for."""
-    if isinstance(source, Singletons):
-        return restrict(source.struct, [x for x, d in enumerate(comp) if d])
-    return instantiate(source, comp)
-
-
-def _through(source, comp):
-    """The function from a block i of comp to, per relation, the tuples of
-    the structure of comp that contain the last element of block i, without
-    building that structure.  For a finite source, block i is element i: its
-    occurrences inside the support of comp, renumbered by position in the
-    support (the number of support elements before it), which is indexed
-    once per composition."""
-    if not isinstance(source, Singletons):
-        return functools.partial(spans_through, source, block_spans(comp))
-    index = list(itertools.accumulate(comp, initial=0))
-    support = int.from_bytes(bytes(comp), "little")
-    occurrences = source.occurrences
-
-    def through(i):
-        return [[tuple(map(index.__getitem__, t))
-                 for mask, t in tuples if mask & support == mask]
-                for tuples in occurrences[i]]
-    return through
 
 
 def _block_automorphisms(t):
@@ -244,18 +189,13 @@ def _block_automorphisms(t):
 
 
 class TypeRegistry:
-    """Per-degree lists of TypeEntry, indexed by type id, built incrementally.
+    """Per-degree lists of TypeEntry, indexed by type id, built incrementally
+    for the template `template` (a finite structure is registered through
+    `templates.present`, see the module docstring)."""
 
-    The source is a template or a finite structure (see the module
-    docstring); `template` is the template, or the `Singletons` of the
-    structure."""
-
-    def __init__(self, source):
-        if isinstance(source, FiniteRelStruct):
-            source = Singletons(source)
-        self.template = source
-        self._automorphisms = (() if isinstance(source, Singletons)
-                               else _block_automorphisms(source))
+    def __init__(self, template):
+        self.template = template
+        self._automorphisms = _block_automorphisms(template)
         self._by_degree = {}
         self._comp_id = {}
         self._witness = {}
@@ -288,7 +228,7 @@ class TypeRegistry:
             if bucket:
                 entry, witness = self._certify(comp, bucket)
                 if entry is None:
-                    s = _structure(self.template, comp)
+                    s = instantiate(self.template, comp)
                     entry, witness = self._by_code(s, bucket)
             if entry is None:
                 witness = tuple(range(n))
@@ -332,7 +272,8 @@ class TypeRegistry:
         passes the delta check, or (None, None).  The types of a bucket are
         pairwise non-isomorphic, so at most one can match, whichever route
         finds it: this one, or else `_by_code`."""
-        through_of = _through(self.template, comp)
+        through_of = functools.partial(spans_through, self.template,
+                                       block_spans(comp))
         through = {}
         for entry in bucket:
             for i, j, perm in self._extensions(comp, entry):

@@ -9,22 +9,21 @@ Both finite structures and templates are decomposed by one routine,
 `_coarsening`, over a composition: a vector of block counts.  The
 instantiation of a template's composition c has blocks of c_i elements, and
 its subset with block counts c' induces exactly the instantiation of c'.  A
-finite structure is first presented as a template (`_presentation`): its
-blocks are the twin classes, its patterns are read off the tuples, and the
-presentation counts only if its instantiation equals the structure under
-that element order.  Its blocks are then monomorphic parts, its
-compositions stand for the subsets, and `_coarsening` runs over the
-prod(c_i + 1) compositions of the block sizes.  When no class has two
-elements or the check fails, the structure is read as n singletons, and its
-2^n subsets, the 0/1 compositions of (1,)*n, are classified by a
-`TypeRegistry` of the structure.  Either way a registry classifies one
-degree per pass and extends isomorphism witnesses from the degree below,
-without a canonical code for every composition.  A template's fatness
-level d classifies only the compositions inside its level box
-`t.max_composition(d)`, by a `TypeRegistry` of the template with its
-capacities cut to that box.  The pair and part tests are exhaustive over
-sub-compositions; `pair_mergeable` and `is_monomorphic_part` always take
-the subsets, as the oracles of the presented route.  On a 2-vCPU VM a
+finite structure is presented as a template (`_presentation`): its blocks
+are the twin classes, its patterns are read off the tuples
+(`templates.present`), and the presentation counts only if its
+instantiation equals the structure under that element order; else, or when
+no class has two elements, the blocks are the n elements, and the 2^n
+compositions of (1,)*n are the subsets.  Either way the blocks are
+monomorphic parts, the compositions stand for the subsets, and a
+`TypeRegistry` of the template classifies them for `_coarsening`, one degree
+per pass, extending isomorphism witnesses from the degree below without a
+canonical code for every composition.  A template's fatness level d
+classifies only the compositions inside its level box `t.max_composition(d)`,
+by a `TypeRegistry` of the template with its capacities cut to that box.
+The pair and part tests are exhaustive over sub-compositions;
+`pair_mergeable` and `is_monomorphic_part` always take the subsets, as the
+oracles of the twin-class presentation.  On a 2-vCPU VM a
 planted 16-element digraph (four blocks of four) decomposes in about
 0.03 s; the same digraph took about 3.7 s over its 2^16 subsets, whose
 number doubles with each further element.
@@ -41,8 +40,7 @@ from .algebra import TypeRegistry
 from .errors import ConsistencyError, InputError, UndeterminedError
 from .structures import (FiniteRelStruct, Signature, _UnionFind,
                          find_isomorphism, json_int, relabel, restrict)
-from .templates import (BlockTemplate, TuplePattern, block_spans, instantiate,
-                        normalize_ranks, subcompositions)
+from .templates import block_spans, instantiate, present, subcompositions
 
 # highest fatness level tried before the coarsening counts as undetermined
 DEFAULT_D_MAX = 6
@@ -54,7 +52,8 @@ def is_monomorphic_part(struct, part):
     part = set(part)
     if any(x < 0 or x >= struct.size for x in part):
         raise InputError("part out of range")
-    return _is_part((1,) * struct.size, part, TypeRegistry(struct).id_of)
+    return _is_part((1,) * struct.size, part,
+                    TypeRegistry(present(struct)).id_of)
 
 
 def pair_mergeable(struct, a, b):
@@ -64,19 +63,15 @@ def pair_mergeable(struct, a, b):
         raise InputError("pair_mergeable needs two distinct elements")
     if not (0 <= a < struct.size and 0 <= b < struct.size):
         raise InputError("element out of range")
-    return _mergeable((1,) * struct.size, a, b, TypeRegistry(struct).id_of)
+    return _mergeable((1,) * struct.size, a, b,
+                      TypeRegistry(present(struct)).id_of)
 
 
 def minimal_decomposition(struct):
-    """Blocks of the minimal monomorphic decomposition, as sorted lists.
-
-    Through the template presentation of `struct` when one verifies (its
-    compositions stand for the subsets, and its blocks are parts already),
-    else over all subsets."""
-    presented = _presentation(struct)
-    if presented is None:
-        return _coarsening((1,) * struct.size, TypeRegistry(struct).id_of)
-    t, classes = presented
+    """Blocks of the minimal monomorphic decomposition, as sorted lists,
+    through the template presentation of `struct`: its compositions stand
+    for the subsets, and its blocks are parts already."""
+    t, classes = _presentation(struct)
     return sorted(sorted(x for b in cls for x in classes[b])
                   for cls in _coarsening(t.capacities, TypeRegistry(t).id_of))
 
@@ -110,49 +105,39 @@ def _twin_classes(struct):
 
 def _presentation(struct):
     """(t, classes) with `instantiate(t, sizes of the classes)` equal to
-    `struct` relabelled to the element order the classes list, or None.
+    `struct` relabelled to the element order the classes list.
 
     The blocks are the twin classes, each ordered by its degrees inside the
     class: per relation and coordinate, the number of tuples inside the
     class that hold the element there, out-degree first, larger first.  The
-    accepted patterns are read off the tuples, and the presentation is kept
-    only if instantiating it gives back the structure.  None also when every
-    class is a singleton: the template would have as many compositions as
-    the structure has subsets."""
+    template is `present(struct, classes)`, kept only if instantiating it
+    gives back the structure.  When that check fails, or every class is a
+    singleton, the structure is presented as its n singletons, which always
+    holds."""
     classes = _twin_classes(struct)
-    if len(classes) == struct.size:
-        return None
-    owner = {x: b for b, cls in enumerate(classes) for x in cls}
-    occurrences = struct._occurrences()
-    offsets = list(itertools.accumulate(
-        (a for _, a in struct.signature.symbols), initial=0))
+    if len(classes) < struct.size:
+        owner = {x: b for b, cls in enumerate(classes) for x in cls}
+        occurrences = struct._occurrences()
+        offsets = list(itertools.accumulate(
+            (a for _, a in struct.signature.symbols), initial=0))
 
-    def degrees(x):
-        counts = [0] * offsets[-1]
-        for si, pos, t in occurrences[x]:
-            if all(owner[v] == owner[x] for v in t):
-                for p in pos:
-                    counts[offsets[si] + p] -= 1
-        return counts
+        def degrees(x):
+            counts = [0] * offsets[-1]
+            for si, pos, t in occurrences[x]:
+                if all(owner[v] == owner[x] for v in t):
+                    for p in pos:
+                        counts[offsets[si] + p] -= 1
+            return counts
 
-    classes = [sorted(cls, key=lambda x: (degrees(x), x)) for cls in classes]
-    rank = {x: r for cls in classes for r, x in enumerate(cls)}
-    accepted = []
-    for rel in struct.rels:
-        pats = set()
-        for tup in rel:
-            blocks = tuple(owner[x] for x in tup)
-            pats.add(TuplePattern(blocks, normalize_ranks(
-                blocks, tuple(rank[x] for x in tup))))
-        accepted.append(frozenset(pats))
-    blocks = tuple((f"b{b}", len(cls)) for b, cls in enumerate(classes))
-    t = BlockTemplate(struct.signature, blocks, tuple(accepted))
-    position = [0] * struct.size
-    for k, x in enumerate(x for cls in classes for x in cls):
-        position[x] = k
-    if instantiate(t, t.capacities) != relabel(struct, position):
-        return None
-    return t, classes
+        classes = [sorted(cls, key=lambda x: (degrees(x), x))
+                   for cls in classes]
+        t = present(struct, classes)
+        position = [0] * struct.size
+        for k, x in enumerate(x for cls in classes for x in cls):
+            position[x] = k
+        if instantiate(t, t.capacities) == relabel(struct, position):
+            return t, classes
+    return present(struct), [[x] for x in range(struct.size)]
 
 
 def _coarsening(comp, type_of):

@@ -326,8 +326,10 @@ def _quotient_numerator(degrees, gens):
     most generators that involve two or more variables, and e the median of
     their x_i exponents.  Both branches have a smaller exponent sum over
     their minimal generators than I, so the recursion ends, at ideals of
-    pure powers, whose numerator is prod (1 - Z^{deg g}).  A worklist keeps
-    the recursion off the stack.
+    pure powers, whose numerator is prod (1 - Z^{deg g}).  The generators
+    of I + (p) are p and those it does not divide: no generator divides p,
+    since it would also divide a mixed one with x_i exponent e.  Those of
+    I : p are minimalized.  A worklist keeps the recursion off the stack.
     """
     nvars = len(degrees)
     total = []
@@ -345,7 +347,7 @@ def _quotient_numerator(degrees, gens):
         exps = sorted(g[i] for g in mixed if g[i])
         e = exps[len(exps) // 2]
         pivot = tuple(e if j == i else 0 for j in range(nvars))
-        work.append((_minimal(degrees, gens + (pivot,)), shift))
+        work.append((tuple(g for g in gens if g[i] < e) + (pivot,), shift))
         colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
         work.append((_minimal(degrees, colon), shift + e * degrees[i]))
     return total

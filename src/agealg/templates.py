@@ -330,6 +330,31 @@ def instantiate(t, comp):
     return FiniteRelStruct(t.signature, sum(comp), relations)
 
 
+def present(struct, classes=None):
+    """The finite structure `struct` read as a template: class b of
+    `classes` (lists of elements; by default one singleton class per
+    element) becomes block `b{b}` of capacity len(class), its elements
+    ranked in the order the class lists them, and the accepted patterns are
+    read off the tuples.  For singleton classes the instantiation of a 0/1
+    composition is the substructure induced on its support; for other
+    classes it is the caller's to check that instantiating the capacities
+    gives `struct` back."""
+    if classes is None:
+        classes = [[x] for x in range(struct.size)]
+    owner = {x: b for b, cls in enumerate(classes) for x in cls}
+    rank = {x: r for cls in classes for r, x in enumerate(cls)}
+    accepted = []
+    for rel in struct.rels:
+        pats = set()
+        for tup in rel:
+            blocks = tuple(owner[x] for x in tup)
+            pats.add(TuplePattern(blocks, normalize_ranks(
+                blocks, tuple(rank[x] for x in tup))))
+        accepted.append(frozenset(pats))
+    blocks = tuple((f"b{b}", len(cls)) for b, cls in enumerate(classes))
+    return BlockTemplate(struct.signature, blocks, tuple(accepted))
+
+
 def through_tuples(t, comp, i):
     """Per relation symbol, the list of tuples of `instantiate(t, comp)`
     that contain the last element of block i (which needs comp[i] >= 1)."""

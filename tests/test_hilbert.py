@@ -16,10 +16,11 @@ from agealg.errors import (ConsistencyError, InputError, NotRationalError,
 from agealg.gallery import GALLERY, resolve_builtin
 from agealg.hilbert import (HilbertForm, QuasiPolynomial, WeightedMonomialIdeal,
                             _brute_ideal_series, _interpolate, _minimal,
+                            _quotient_numerator,
                             chain_support, check_addlayer, compare_monomials,
                             div_geom, expand, fit_rational, hilbert_via_leading,
                             ideal_hilbert, layers, monomial_key, mul_geom,
-                            nonnegative_form, ptrim, quasi_polynomial,
+                            nonnegative_form, padd, ptrim, quasi_polynomial,
                             two_path_hilbert)
 from agealg.structures import canonical_code
 from agealg.templates import clique_plus_coclique, instantiate
@@ -300,6 +301,40 @@ def test_ideal_hilbert_matches_inclusion_exclusion(ideal):
 def test_ideal_form_series_matches_sympy(ideal):
     form, _ = ideal_hilbert(ideal, 12)
     assert form.series(12) == sympy_series(form, 12)
+
+
+def minimalizing_quotient_numerator(degrees, gens):
+    """`_quotient_numerator` as it was before its pivot branch kept the
+    generators the pivot does not divide: both branches re-run `_minimal`.
+    The oracle for the pivot branch."""
+    nvars = len(degrees)
+    total = []
+    work = [(gens, 0)]
+    while work:
+        gens, shift = work.pop()
+        mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+        if not mixed:
+            leaf = [0] * shift + [1]
+            for g in gens:
+                leaf = mul_geom(leaf, sum(e * d for e, d in zip(g, degrees)))
+            total = padd(total, leaf)
+            continue
+        i = max(range(nvars), key=lambda i: sum(1 for g in mixed if g[i]))
+        exps = sorted(g[i] for g in mixed if g[i])
+        e = exps[len(exps) // 2]
+        pivot = tuple(e if j == i else 0 for j in range(nvars))
+        work.append((_minimal(degrees, gens + (pivot,)), shift))
+        colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
+        work.append((_minimal(degrees, colon), shift + e * degrees[i]))
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_ideals())
+@ideal_examples
+def test_quotient_numerator_matches_the_minimalizing_oracle(ideal):
+    assert _quotient_numerator(ideal.degrees, ideal.generators) == \
+        minimalizing_quotient_numerator(ideal.degrees, ideal.generators)
 
 
 def test_ideal_beyond_twenty_generators():

@@ -23,8 +23,8 @@ from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
                                relabel, restrict)
 from agealg.templates import (INF, BlockTemplate, TuplePattern,
                               clique_plus_coclique, clique_sum, coclique,
-                              groupoid_example, instantiate, lex_sum, qsym,
-                              rqsym, sym, wheel_plus_coclique)
+                              groupoid_example, instantiate, lex_sum, present,
+                              qsym, rqsym, sym, wheel_plus_coclique)
 
 GRAPH = Signature((("adj", 2),))
 
@@ -205,8 +205,8 @@ def test_missed_subset_isomorphism_is_a_consistency_error(
 
 def subset_route(s):
     """The minimal decomposition over all 2^n subsets, classified by the
-    type registry of the structure itself."""
-    return _coarsening((1,) * s.size, TypeRegistry(s).id_of)
+    type registry of the structure's singleton presentation."""
+    return _coarsening((1,) * s.size, TypeRegistry(present(s)).id_of)
 
 
 ARC = Signature((("arc", 2),))
@@ -287,7 +287,8 @@ def test_presented_route_matches_the_subset_route(kind):
 
 def test_unverified_presentation_takes_the_subset_route():
     assert len(agealg.decomposition._twin_classes(UNPRESENTABLE)) == 2
-    assert _presentation(UNPRESENTABLE) is None
+    assert _presentation(UNPRESENTABLE) == (
+        present(UNPRESENTABLE), [[0], [1], [2], [3]])
     assert minimal_decomposition(UNPRESENTABLE) == subset_route(UNPRESENTABLE)
 
 
@@ -332,11 +333,9 @@ def templated_structure(draw):
 @example(UNPRESENTABLE)
 @example(FiniteRelStruct(MARKED, 0, {}))
 def test_presented_route_matches_the_subset_route_on_random_templates(s):
-    presented = _presentation(s)
-    if presented is not None:
-        t, classes = presented
-        assert sorted(x for cls in classes for x in cls) == list(range(s.size))
-        assert t.capacities == tuple(map(len, classes))
+    t, classes = _presentation(s)
+    assert sorted(x for cls in classes for x in cls) == list(range(s.size))
+    assert t.capacities == tuple(map(len, classes))
     assert minimal_decomposition(s) == subset_route(s)
 
 
@@ -351,9 +350,10 @@ def test_failed_verification_takes_the_subset_route(monkeypatch):
     monkeypatch.setattr(agealg.decomposition, "TypeRegistry", recording)
     monkeypatch.setattr(agealg.decomposition, "instantiate",
                         lambda t, comp: None)
-    assert _presentation(s) is None
+    singletons = present(s), [[x] for x in range(s.size)]
+    assert _presentation(s) == singletons
     assert minimal_decomposition(s) == expected
-    assert sources == [s]
+    assert sources == [singletons[0]]
 
 
 def planted_16():

@@ -13,8 +13,8 @@ from agealg.structures import FiniteRelStruct, Signature, restrict
 from agealg.templates import (INF, BlockTemplate, TuplePattern, c3_chains,
                               block_spans, clique_plus_coclique, clique_sum,
                               coclique, compositions, groupoid_example,
-                              instantiate, lex_sum, normalize_ranks, qsym,
-                              rqsym, sym, through_tuples, validate,
+                              instantiate, lex_sum, normalize_ranks, present,
+                              qsym, rqsym, sym, through_tuples, validate,
                               wheel_plus_coclique)
 
 
@@ -263,6 +263,37 @@ def test_subcomposition_restriction_is_instantiation(build):
         for sub in itertools.product(*(range(d + 1) for d in comp)):
             subset = [x for (lo, _), c in zip(spans, sub) for x in range(lo, lo + c)]
             assert restrict(s, subset) == instantiate(t, sub)
+
+
+MIXED = Signature((("mark", 1), ("arc", 2), ("between", 3)))
+
+
+@st.composite
+def mixed_structure(draw):
+    """A structure on at most 5 elements with a unary, a binary and a
+    ternary symbol, whose tuples may repeat entries (loops included)."""
+    n = draw(st.integers(0, 5))
+    return FiniteRelStruct(MIXED, n, {
+        name: draw(st.sets(st.tuples(*[st.integers(0, n - 1)] * arity),
+                           max_size=8)) if n else []
+        for name, arity in MIXED.symbols})
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_structure())
+@example(FiniteRelStruct(MIXED, 0, {}))
+@example(FiniteRelStruct(MIXED, 1, {"mark": [(0,)], "arc": [(0, 0)],
+                                    "between": [(0, 0, 0)]}))
+@example(FiniteRelStruct(MIXED, 3, {"arc": [(2, 2), (0, 2)],
+                                    "between": [(1, 0, 1), (2, 2, 0)]}))
+def test_singleton_presentation_instantiates_the_induced_substructures(s):
+    # the identity a finite structure's registry rests on: a 0/1
+    # composition of its presentation stands for the subset it selects
+    t = present(s)
+    assert t.capacities == (1,) * s.size
+    for comp in itertools.product((0, 1), repeat=s.size):
+        assert instantiate(t, comp) == restrict(
+            s, [x for x, d in enumerate(comp) if d])
 
 
 def test_lex_sum_point_with_clique_kind_is_clique_template():
