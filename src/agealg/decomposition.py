@@ -21,12 +21,14 @@ per pass, extending isomorphism witnesses from the degree below without a
 canonical code for every composition.  A template's fatness level d
 classifies only the compositions inside its level box `t.max_composition(d)`,
 by a `TypeRegistry` of the template with its capacities cut to that box.
-The pair and part tests are exhaustive over sub-compositions;
+The pair test walks the sub-compositions in graded order and stops at the
+first witness against the merge, and the part test skips the sizes with a
+single inside count, so the registry is built only to the degrees the
+answer needs; a merge is still checked on every sub-composition.
 `pair_mergeable` and `is_monomorphic_part` always take the subsets, as the
-oracles of the twin-class presentation.  On a 2-vCPU VM a
-planted 16-element digraph (four blocks of four) decomposes in about
-0.03 s; the same digraph took about 3.7 s over its 2^16 subsets, whose
-number doubles with each further element.
+oracles of the twin-class presentation.  On a 2-vCPU Xeon VM a planted
+16-element digraph (four blocks of four) decomposes in about 0.004 s, over
+15 of its 625 compositions, and about 3.3 s over its 2^16 subsets.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def is_monomorphic_part(struct, part):
 
 def pair_mergeable(struct, a, b):
     """Whether {a, b} is a monomorphic part: every B avoiding both satisfies
-    restrict(B+{a}) isomorphic to restrict(B+{b}).  Exits on first witness."""
+    restrict(B+{a}) isomorphic to restrict(B+{b}).  The B go by size, and
+    the first witness ends the test."""
     if a == b:
         raise InputError("pair_mergeable needs two distinct elements")
     if not (0 <= a < struct.size and 0 <= b < struct.size):
@@ -177,27 +180,26 @@ def _mergeable(comp, i, j, type_of):
     """Whether an element of block i and one of block j are mergeable:
     c' + e_i and c' + e_j have the same type for every c' <= comp - e_i - e_j.
 
-    Both sides are enumerated directly, in the same lex order of c'."""
-    def plus(up, other):
-        # c' + e_up for every c' <= comp - e_up - e_other
-        return itertools.product(*(range(b == up, d + (b != other))
-                                   for b, d in enumerate(comp)))
-    return all(type_of(x) == type_of(y)
-               for x, y in zip(plus(i, j), plus(j, i)))
+    The c' go degree by degree, so a witness against the merge at degree m
+    needs the types of degree m + 1 only."""
+    rest = [d - (b in (i, j)) for b, d in enumerate(comp)]
+    return all(type_of(c[:i] + (c[i] + 1,) + c[i + 1:])
+               == type_of(c[:j] + (c[j] + 1,) + c[j + 1:])
+               for m in range(sum(rest) + 1) for c in subcompositions(rest, m))
 
 
 def _is_part(comp, cls, type_of):
     """The part test for the union of the blocks in the set `cls`: for every
     trace c_out outside the class, all nonzero inside counts c_in of one size
-    give the same type."""
+    give the same type.  A size with a single inside count cannot fail, so a
+    class of one block passes without a type."""
     inside = tuple(d if b in cls else 0 for b, d in enumerate(comp))
     outside = tuple(d - x for d, x in zip(comp, inside))
-    by_size = {}
-    for c_in in subcompositions(inside):
-        if any(c_in):
-            by_size.setdefault(sum(c_in), []).append(c_in)
-    for c_out in subcompositions(outside):
-        for group in by_size.values():
+    for m in range(1, sum(inside) + 1):
+        group = subcompositions(inside, m)
+        if len(group) == 1:
+            continue
+        for c_out in subcompositions(outside):
             if len({type_of(tuple(map(operator.add, c_out, c_in)))
                     for c_in in group}) > 1:
                 return False

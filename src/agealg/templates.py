@@ -257,11 +257,19 @@ def validate(t, swap_degree=5):
 
 def subcompositions(comp, total=None):
     """Vectors c1 <= comp componentwise in lex order, only those summing to
-    `total` when it is given."""
-    subs = itertools.product(*(range(d + 1) for d in comp))
+    `total` when it is given.  Those are built from the last entry back:
+    `suffix[r]` lists, in lex order, the vectors of the entries from i on
+    that sum to r, for the r that the entries before i can complete."""
     if total is None:
-        return subs
-    return (c1 for c1 in subs if sum(c1) == total)
+        return itertools.product(*(range(d + 1) for d in comp))
+    room = list(itertools.accumulate(comp, initial=0))
+    suffix = {0: [()]}
+    for i in range(len(comp) - 1, -1, -1):
+        suffix = {r: [(d,) + rest
+                      for d in range(min(comp[i], r) + 1)
+                      for rest in suffix.get(r - d, ())]
+                  for r in range(max(total - room[i], 0), total + 1)}
+    return suffix.get(total, [])
 
 
 # ---------------------------------------------------------------------------
@@ -376,24 +384,14 @@ def compositions(t, n, max_degree=None):
     """Capacity-respecting exponent vectors, in lex order within each degree.
 
     With n given, yields vectors of total degree n; with max_degree given,
-    yields all degrees 0..max_degree in graded lex order.  The vectors are
-    built from the last block back: `suffix[r]` lists, in lex order, the
-    vectors of the blocks from i on that sum to r, for the r that the
-    blocks before i can complete to n.
+    yields all degrees 0..max_degree in graded lex order.
     """
     if max_degree is not None:
         for m in range(max_degree + 1):
             yield from compositions(t, m)
         return
-    caps = [n if c is None else min(c, n) for c in t.capacities]
-    room = list(itertools.accumulate(caps, initial=0))
-    suffix = {0: [()]}
-    for i in range(len(caps) - 1, -1, -1):
-        suffix = {r: [(d,) + rest
-                      for d in range(min(caps[i], r) + 1)
-                      for rest in suffix.get(r - d, ())]
-                  for r in range(max(n - room[i], 0), n + 1)}
-    yield from suffix.get(n, ())
+    caps = [n if c is None else c for c in t.capacities]
+    yield from subcompositions(caps, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Monomorphic parts and minimal decompositions against exhaustive oracles."""
 
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import agealg.algebra
 import agealg.decomposition
 from agealg.algebra import TypeRegistry
-from agealg.decomposition import (_coarsening, _presentation,
+from agealg.decomposition import (_coarsening, _is_part, _mergeable,
+                                  _presentation,
                                   fatness_threshold, is_F_monomorphic_struct,
                                   is_F_monomorphic_up_to, is_monomorphic_part,
                                   minimal_decomposition, pair_mergeable,
@@ -303,20 +305,29 @@ def test_noise_free_inputs_are_presented():
 
 
 @st.composite
-def templated_structure(draw):
-    """The instantiation of a random template on at most 4 blocks, over a
-    signature of one binary, one unary and binary, or one ternary symbol,
-    with up to two random tuples toggled."""
+def random_template(draw, k):
+    """A template on k infinite blocks with up to five random patterns per
+    symbol, over a signature of one binary, one unary and binary, or one
+    ternary symbol."""
     sig = draw(st.sampled_from([ARC, MARKED, TERNARY]))
-    k = draw(st.integers(1, 4))
     accepted = {}
     for name, arity in sig.symbols:
         accepted[name] = draw(st.sets(st.builds(
             TuplePattern.make,
             st.tuples(*[st.integers(0, k - 1)] * arity),
             st.tuples(*[st.integers(0, arity - 1)] * arity)), max_size=5))
-    t = BlockTemplate(sig, tuple((f"b{b}", INF) for b in range(k)),
-                      tuple(frozenset(accepted[name]) for name in sig.names))
+    return BlockTemplate(sig, tuple((f"b{b}", INF) for b in range(k)),
+                         tuple(frozenset(accepted[name])
+                               for name in sig.names))
+
+
+@st.composite
+def templated_structure(draw):
+    """The instantiation of a random template on at most 4 blocks with up to
+    two random tuples toggled."""
+    k = draw(st.integers(1, 4))
+    t = draw(random_template(k))
+    sig = t.signature
     comp = draw(st.tuples(*[st.integers(0, 3)] * k))
     s = instantiate(t, comp)
     rels = [set(r) for r in s.rels]
@@ -396,6 +407,103 @@ def test_presentation_spares_the_subsets(monkeypatch):
     # (both routes make 14 canonical codes, the witnesses spare the rest)
     assert classified["compositions"] <= 5 ** 4
     assert codes["calls"] <= 30
+
+
+def test_decompositions_classify_only_the_degrees_they_need(monkeypatch):
+    classified = Counter()
+    compositions = agealg.algebra.compositions
+
+    def counted(t, n):
+        for comp in compositions(t, n):
+            classified[n] += 1
+            yield comp
+    monkeypatch.setattr(agealg.algebra, "compositions", counted)
+    s, blocks = planted_16()
+    assert minimal_decomposition(s) == sorted(map(sorted, blocks))
+    # every pair of blocks differs by degree 2, and a class of one block
+    # passes its part test without a type: the 1 + 4 + 10 compositions of
+    # degree at most 2 are classified
+    assert sum(classified.values()) <= 20
+    # an asymmetric digraph has a witness against each pair at a low degree
+    # (here 2, where c' in plain lex order would reach 4), and its 2^14
+    # subsets reach degree 14
+    classified.clear()
+    s = random_structure(random.Random(14), 14, density=0.5)
+    assert not agealg.algebra._block_automorphisms(present(s))
+    assert minimal_decomposition(s) == [[x] for x in range(14)]
+    assert max(classified) <= 3
+
+
+# ---------------------------------------------------------------------------
+# the pair and part tests against their plain enumerations
+
+
+def lex_mergeable(comp, i, j, type_of):
+    """The pair test over c' <= comp - e_i - e_j in plain lex order: the
+    comparisons of `_mergeable`, which goes degree by degree."""
+    def plus(up, other):
+        # c' + e_up for every c' <= comp - e_up - e_other
+        return itertools.product(*(range(b == up, d + (b != other))
+                                   for b, d in enumerate(comp)))
+    return all(type_of(x) == type_of(y)
+               for x, y in zip(plus(i, j), plus(j, i)))
+
+
+def grouped_is_part(comp, cls, type_of):
+    """The part test over every size group of inside counts, where
+    `_is_part` skips the groups of one count."""
+    inside = tuple(d if b in cls else 0 for b, d in enumerate(comp))
+    outside = tuple(d - x for d, x in zip(comp, inside))
+    by_size = {}
+    for c_in in itertools.product(*(range(d + 1) for d in inside)):
+        if any(c_in):
+            by_size.setdefault(sum(c_in), []).append(c_in)
+    for c_out in itertools.product(*(range(d + 1) for d in outside)):
+        for group in by_size.values():
+            if len({type_of(tuple(map(operator.add, c_out, c_in)))
+                    for c_in in group}) > 1:
+                return False
+    return True
+
+
+@st.composite
+def labelled_composition(draw):
+    """(comp, type_of) for a composition of at most 5 blocks, counts at most
+    3, labelled one of three ways: 0 except on a few random compositions,
+    which are 1, so that differences land at random degrees; by the
+    registry of a random template; or by the registry of the presentation
+    of a random digraph, with the counts cut to at most 3."""
+    kind = draw(st.sampled_from(["bits", "template", "presented"]))
+    if kind == "presented":
+        n = draw(st.integers(1, 5))
+        s = FiniteRelStruct(ARC, n, {"arc": [
+            (a, b) for a in range(n) for b in range(n) if draw(st.booleans())]})
+        t = draw(st.sampled_from([_presentation(s)[0], present(s)]))
+        caps = [min(c, 3) for c in t.capacities]
+    else:
+        k = draw(st.integers(1, 5))
+        t = None if kind == "bits" else draw(random_template(k))
+        caps = [3] * k
+    comp = tuple(draw(st.integers(0, c)) for c in caps)
+    if t is not None:
+        return comp, TypeRegistry(t).id_of
+    subs = list(itertools.product(*(range(d + 1) for d in comp)))
+    ones = draw(st.sets(st.sampled_from(subs), max_size=4))
+    return comp, lambda c: int(c in ones)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_composition())
+def test_pair_and_part_tests_match_their_plain_enumerations(case):
+    comp, type_of = case
+    blocks = range(len(comp))
+    for i, j in itertools.permutations(blocks, 2):
+        assert _mergeable(comp, i, j, type_of) \
+            == lex_mergeable(comp, i, j, type_of)
+    for size in range(len(comp) + 1):
+        for cls in itertools.combinations(blocks, size):
+            assert _is_part(comp, set(cls), type_of) \
+                == grouped_is_part(comp, set(cls), type_of)
 
 
 # ---------------------------------------------------------------------------

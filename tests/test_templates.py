@@ -14,8 +14,8 @@ from agealg.templates import (INF, BlockTemplate, TuplePattern, c3_chains,
                               block_spans, clique_plus_coclique, clique_sum,
                               coclique, compositions, groupoid_example,
                               instantiate, lex_sum, normalize_ranks, present,
-                              qsym, rqsym, sym, through_tuples, validate,
-                              wheel_plus_coclique)
+                              qsym, rqsym, subcompositions, sym,
+                              through_tuples, validate, wheel_plus_coclique)
 
 
 def test_pattern_normalization():
@@ -181,6 +181,18 @@ def test_compositions_match_the_recursive_oracle(caps, n):
     assert set(comps) == {c for c in itertools.product(*bounds) if sum(c) == n}
     assert list(compositions(source, None, max_degree=n)) == [
         c for m in range(n + 1) for c in recursive_compositions(caps, m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=5), st.integers(-2, 22))
+@example([], 0)
+@example([], 1)
+@example([2, 0, 3], -1)
+@example([2, 0, 3], 6)
+def test_subcompositions_of_a_total_match_the_product_filter(comp, total):
+    product = itertools.product(*(range(d + 1) for d in comp))
+    assert list(subcompositions(comp, total)) == [
+        c for c in product if sum(c) == total]
 
 
 # ---------------------------------------------------------------------------
