@@ -67,7 +67,7 @@ from .templates import (block_spans, compositions, instantiate, spans_through,
 class TypeEntry:
     """One isomorphism type: its id among the types of its degree, its deck
     (sorted (id, multiplicity) pairs) and the realizing compositions (in
-    discovery = graded-lex order); `lead` is the maximal one.  The
+    discovery = graded-lex order); `lead` is the maximal one.  The lead, the
     representative structure, that of reps[0], its canonical code, its
     tuples through the last element of each block and its extension tables
     (`TypeRegistry._tables`) are computed on first use."""
@@ -84,10 +84,12 @@ class TypeEntry:
     def degree(self):
         return sum(self.reps[0])
 
-    @property
+    @functools.cached_property
     def lead(self):
         """The realizing composition that is largest in the monomial order
-        (`hilbert.compare_monomials`, through `hilbert.monomial_key`)."""
+        (`hilbert.compare_monomials`, through `hilbert.monomial_key`).  The
+        reps grow only while their degree is built, and `types_at` finishes
+        that degree first."""
         return max(self.reps, key=monomial_key)
 
     @property

@@ -115,9 +115,11 @@ def cmd_decompose(args):
 
 
 def _two_path(args, t):
+    registry = TypeRegistry(t)
+    components = template_components(t, d_max=args.d_max, registry=registry)
     return two_path_hilbert(t, args.degree, gen_bound=args.gen_bound,
-                            guard=args.guard, dimension=args.dim,
-                            components=template_components(t, d_max=args.d_max))
+                            guard=args.guard, registry=registry,
+                            dimension=args.dim, components=components)
 
 
 def cmd_hilbert(args):
@@ -277,10 +279,13 @@ def _render(report, fmt):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.degree < 0 or args.guard < 1 or args.d_max < 1
-            or (args.gen_bound is not None and args.gen_bound < 0)):
-        print("error: bounds must be positive", file=sys.stderr)
-        return EXIT_INPUT
+    for flag, value, least in (("--degree", args.degree, 0),
+                               ("--gen-bound", args.gen_bound, 0),
+                               ("--guard", args.guard, 1),
+                               ("--d-max", args.d_max, 1)):
+        if value is not None and value < least:
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return EXIT_INPUT
     handlers = {
         "profile": cmd_profile,
         "decompose": cmd_decompose,

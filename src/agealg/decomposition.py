@@ -20,7 +20,8 @@ monomorphic parts, the compositions stand for the subsets, and a
 per pass, extending isomorphism witnesses from the degree below without a
 canonical code for every composition.  A template's fatness level d
 classifies only the compositions inside its level box `t.max_composition(d)`,
-by a `TypeRegistry` of the template with its capacities cut to that box.
+through one `TypeRegistry` of the template shared by every level and by
+the Hilbert routes that run after it.
 The pair test walks the sub-compositions in graded order and stops at the
 first witness against the merge, and the part test skips the sizes with a
 single inside count, so the registry is built only to the degrees the
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import TypeRegistry
@@ -206,27 +207,24 @@ def _is_part(comp, cls, type_of):
     return True
 
 
-def _level_classes(t, d):
+def _level_classes(t, d, registry):
     """Block coarsening at level d: `_coarsening` over the level box
-    `t.max_composition(d)`, classified by a registry of `t` with the box as
-    its capacities.  Instantiating a composition inside the box gives the
-    same structure under either template.  The plain constructor is meant:
-    `BlockTemplate.make` would refuse patterns needing more elements of a
-    block than the box holds, and inside the box such patterns never fire."""
-    box = t.max_composition(d)
-    boxed = replace(t, blocks=tuple(
-        (name, cap) for (name, _), cap in zip(t.blocks, box)))
-    return _coarsening(box, TypeRegistry(boxed).id_of)
+    `t.max_composition(d)`, classified by `registry`, a registry of `t`.
+    Its labels are compared within a degree only, and a composition inside
+    the box instantiates the same structure whatever else the registry
+    holds, so one registry serves every level."""
+    return _coarsening(t.max_composition(d), registry.id_of)
 
 
-def _fatness(t, d_max):
+def _fatness(t, d_max, registry=None):
     """(d, certificate, classes at level d) for `fatness_threshold`: the
     first level whose block coarsening level d+1 repeats."""
     if d_max < 1:
         raise InputError("d_max must be at least 1")
-    prev = _level_classes(t, 1)
+    registry = registry or TypeRegistry(t)
+    prev = _level_classes(t, 1, registry)
     for d in range(1, d_max + 1):
-        nxt = _level_classes(t, d + 1)
+        nxt = _level_classes(t, d + 1, registry)
         if nxt == prev:
             return d, (d, d + 1), prev
         prev = nxt
@@ -256,10 +254,12 @@ class TemplateComponents:
         return len(self.classes)
 
 
-def template_components(t, d_max=DEFAULT_D_MAX):
+def template_components(t, d_max=DEFAULT_D_MAX, registry=None):
     """Coarsen the declared blocks into monomorphic components via pair
-    tests on a fat instantiation; the dimension counts infinite classes."""
-    d, cert, classes = _fatness(t, d_max)
+    tests on a fat instantiation; the dimension counts infinite classes.
+    The pair and part tests classify through `registry` (default: a new
+    registry of `t`)."""
+    d, cert, classes = _fatness(t, d_max, registry)
     caps = t.capacities
     k = sum(1 for cls in classes if any(caps[b] is None for b in cls))
     return TemplateComponents(tuple(tuple(c) for c in classes), k, d, cert)

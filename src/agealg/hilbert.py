@@ -25,6 +25,7 @@ from operator import neg, sub
 
 from .errors import ConsistencyError, InputError, NotRationalError, UndeterminedError
 from .structures import json_int
+from .templates import subcompositions
 
 DEFAULT_GUARD = 5
 
@@ -270,10 +271,6 @@ def layers(comp):
     return out
 
 
-def chain_support(comp):
-    return tuple(s for s, _ in layers(comp))
-
-
 # ---------------------------------------------------------------------------
 # weighted monomial ideals
 
@@ -459,26 +456,54 @@ def check_addlayer(t, degree, registry=None):
 # chain-wise assembly of the Hilbert series from leading monomials
 
 
+def _chain_generators(chain, caps, bound, leading):
+    """(minimal generators of J, minimal generators of I) for the chain
+    S_1 c ... c S_l, as exponent vectors of its layer variables x_{S_j}.
+
+    I is spanned by the over-capacity monomials: those whose exponents on
+    the layers containing some finite block i sum past its capacity cap_i.
+    Each one is a multiple of a vector supported on those layers that sums
+    to cap_i + 1, of no larger weighted degree, so below the bound these
+    vectors generate I and its minimal generators are among them.  J is
+    spanned by I and the chain's leading monomials, the vectors `leading`.
+    Both are cut at weighted degree `bound`.  Dickson's lemma promises
+    finitely many minimal generators of J but no bound on them;
+    completeness is certified by the agreement of the assembled series with
+    the profile."""
+    weights = tuple(len(s) for s in chain)
+    over = []
+    for i in chain[-1]:  # the largest layer holds every block of the chain
+        cap = caps[i]
+        if cap is None:
+            continue
+        room = [cap + 1 if i in s else 0 for s in chain]
+        over += [m for m in subcompositions(room, cap + 1)
+                 if sum(e * w for e, w in zip(m, weights)) <= bound]
+    return _minimal(weights, over + list(leading)), _minimal(weights, over)
+
+
 def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
                         components=None):
     """Assemble the Hilbert series by summing per-chain monomial-ideal
     series of leading monomials, then put it over (1-Z)...(1-Z^k).
 
     The expansion is verified against the profile series up to `degree`; a
-    mismatch means the generator scan (bound `gen_bound`, default `degree`)
+    mismatch means the generators (cut at `gen_bound`, default `degree`)
     missed something and asks for a larger bound, or, at the full bound,
-    exposes a genuine bug.
+    exposes a genuine bug.  So does a finite layer that does not cancel
+    from a chain series, as generators cut too early leave it.
     """
     from .algebra import TypeRegistry
     from .decomposition import template_components
 
     registry = registry or TypeRegistry(t)
     if components is None:
-        components = template_components(t)
+        components = template_components(t, registry=registry)
     k = components.dimension
     bound = gen_bound if gen_bound is not None else degree
     bound = min(bound, degree)
 
+    # chain -> the layer exponents of its leading monomials
     by_chain = {}
     empty_lm = False
     for n in range(bound + 1):
@@ -486,44 +511,18 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
             if sum(lm) == 0:
                 empty_lm = True
                 continue
-            by_chain.setdefault(chain_support(lm), set()).add(lm)
+            chain, exps = zip(*layers(lm))
+            by_chain.setdefault(chain, set()).add(exps)
 
     caps = t.capacities
     # the empty leading monomial's 1, then one form per chain
     forms = [HilbertForm.make([1] if empty_lm else [], [])]
 
-    def over_capacity(chain, mono):
-        for i in set().union(*chain):
-            cap = caps[i]
-            if cap is None:
-                continue
-            d = sum(e for s, e in zip(chain, mono) if i in s)
-            if d > cap:
-                return True
-        return False
-
     for chain in sorted(by_chain):
         weights = tuple(len(s) for s in chain)
-
-        def to_comp(mono):
-            out = [0] * len(caps)
-            for s, e in zip(chain, mono):
-                for i in s:
-                    out[i] += e
-            return tuple(out)
-
-        # I is spanned by the over-capacity monomials, J by those and the
-        # leading monomials.  Dickson's lemma promises finitely many minimal
-        # generators but no bound; completeness is certified below by the
-        # agreement of the assembled series with the profile
-        box = [m for m in itertools.product(*(range(bound // w + 1) for w in weights))
-               if sum(e * w for e, w in zip(m, weights)) <= bound]
-        over = [m for m in box if over_capacity(chain, m)]
-        leading = [m for m in box if all(m) and to_comp(m) in by_chain[chain]]
-        ideal_j = WeightedMonomialIdeal(weights, _minimal(weights, over + leading))
-        ideal_i = WeightedMonomialIdeal(weights, _minimal(weights, over))
-        form_j, _ = ideal_hilbert(ideal_j, bound)
-        form_i, _ = ideal_hilbert(ideal_i, bound)
+        gens_j, gens_i = _chain_generators(chain, caps, bound, by_chain[chain])
+        form_j, _ = ideal_hilbert(WeightedMonomialIdeal(weights, gens_j), bound)
+        form_i, _ = ideal_hilbert(WeightedMonomialIdeal(weights, gens_i), bound)
         chain_form = HilbertForm.make(
             psub(list(form_j.numerator), list(form_i.numerator)), weights)
         # layers containing a finite block always cancel out of the series
@@ -532,9 +531,10 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
         num = chain_form.over(dens)
         if num is None:
             finite = [s for s in chain if any(caps[i] is not None for i in s)]
-            raise ConsistencyError(
+            raise UndeterminedError(
                 f"finite-capacity layers {finite} did not cancel from the "
-                f"chain series of {chain}")
+                f"chain series of {chain} with generators cut at degree "
+                f"{bound}; retry with a larger bound")
         if len(set(dens)) != len(dens):
             raise ConsistencyError(f"repeated layer sizes in chain {chain}")
         # for a non-minimal template an all-infinite layer may exceed the
@@ -762,7 +762,7 @@ def two_path_hilbert(t, degree, gen_bound=None, guard=DEFAULT_GUARD,
 
     registry = registry or TypeRegistry(t)
     if components is None:
-        components = template_components(t)
+        components = template_components(t, registry=registry)
     k = dimension if dimension is not None else components.dimension
     series = profile_series(t, degree, registry)
     fitted = fit_rational(series, k, guard)

@@ -68,7 +68,7 @@ class Case:
 
     @cached_property
     def components(self):
-        return template_components(self.t)
+        return template_components(self.t, registry=self.registry)
 
     @cached_property
     def series(self):
@@ -189,7 +189,7 @@ def _scope_replacements(bounds):
     for i in range(bounds.random_templates):
         t = random_template(rng)
         registry = TypeRegistry(t)
-        comps = template_components(t)
+        comps = template_components(t, registry=registry)
         fitted, _ = two_path_hilbert(t, RANDOM_DEGREE, registry=registry,
                                      components=comps)
         qp = quasi_polynomial(fitted)

@@ -1,7 +1,11 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from agealg.algebra import TypeRegistry
 from agealg.gallery import GALLERY
+from agealg.templates import BlockTemplate
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +33,19 @@ def miss_every_isomorphism(monkeypatch):
 
     monkeypatch.setattr(agealg.algebra, "maps_onto", lambda *a: False)
     monkeypatch.setattr(agealg.structures, "maps_onto", lambda *a: False)
+
+
+@pytest.fixture(scope="session")
+def census_plan():
+    """census_plan(seed): [(file name, JSON text, template)] of the
+    benchmark's seeded census-plan templates (three blocks, two of them
+    infinite, one binary relation)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    def get(seed):
+        files, _ = workloads.census_inputs(seed)
+        return [(name, text, BlockTemplate.from_json(text))
+                for name, text in sorted(files.items())]
+
+    return get

@@ -95,6 +95,61 @@ def test_negative_gen_bound_is_exit_2(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--degree", "-1", "--degree must be >= 0"),
+    ("--gen-bound", "-1", "--gen-bound must be >= 0"),
+    ("--guard", "0", "--guard must be >= 1"),
+    ("--d-max", "0", "--d-max must be >= 1"),
+])
+def test_a_bad_bound_names_its_flag(capsys, flag, value, message):
+    code, out, err = run(capsys, "hilbert", "--builtin", "sym:2", flag, value)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
+def test_degree_zero_is_a_bound(capsys):
+    code, out, _ = run(capsys, "profile", "--builtin", "sym:2", "--degree", "0")
+    assert code == 0 and json.loads(out)["profile"] == [1]
+
+
+# seed-0 template01 of the benchmark's census plan: its chain ((0,), (0, 1),
+# (0, 1, 2)) needs generators beyond degree 10 before its finite layer cancels
+CENSUS_TEMPLATE01 = {
+    "signature": [{"name": "r", "arity": 2}],
+    "blocks": [{"name": "b0", "capacity": "inf"},
+               {"name": "b1", "capacity": "inf"},
+               {"name": "b2", "capacity": 3}],
+    "accepted": {"r": [{"blocks": [0, 0], "ranks": [0, 1]},
+                       {"blocks": [2, 0], "ranks": [0, 0]},
+                       {"blocks": [2, 2], "ranks": [0, 0]},
+                       {"blocks": [2, 2], "ranks": [0, 1]},
+                       {"blocks": [2, 2], "ranks": [1, 0]}]},
+}
+
+
+def test_a_finite_layer_left_by_too_small_a_degree_is_exit_3(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(CENSUS_TEMPLATE01))
+    code, out, err = run(capsys, "hilbert", "--input", str(path), "--degree", "10")
+    assert code == 3 and not out
+    assert "did not cancel" in err and "cut at degree 10" in err
+    code, out, err = run(capsys, "hilbert", "--input", str(path), "--degree", "12")
+    assert code == 0, err
+    assert json.loads(out)["pretty"] == "(1 + Z + 2*Z^2 + 3*Z^3 + Z^4)/(1-Z)(1-Z^2)"
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_no_census_plan_template_is_exit_4_at_degree_10(tmp_path, capsys,
+                                                         census_plan, seed):
+    # a degree too small for a template is exit 3 or 5, never a bug report
+    for name, text, _ in census_plan(seed):
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run(capsys, "hilbert", "--input", str(path),
+                           "--degree", "10")
+        assert code in (0, 3, 5), (name, err)
+
+
 def test_two_path_difference_beyond_the_window_is_exit_3(capsys):
     # the leading route scanned to degree 5 gives (1+Z^3)/(1-Z)(1-Z^2); it
     # matches the profile through degree 5 and first differs at degree 6
@@ -240,6 +295,19 @@ GOLDEN_STDOUT = {
     # a finite layer cancels from a chain series
     ("hilbert", "--builtin", "wheel_plus_coclique", "--degree", "10"):
         "f3c946d923c58849d8c5d0e507c61318b941d792685c6facc1cd7118d81b204d",
+    ("hilbert", "--builtin", "rqsym:2:1", "--degree", "12"):
+        "6c17e3956b4dc0a55bfd690016e6ce31469dd1e115a056ba3eedb9f62f8a8ced",
+    # generator bounds below the degree
+    ("hilbert", "--builtin", "sym:3", "--degree", "12", "--gen-bound", "7"):
+        "dc3c4d24b7856805d52e89c06a717b2028ecdb6f527130884d5c08996d595124",
+    ("hilbert", "--builtin", "groupoid", "--degree", "14", "--gen-bound", "9"):
+        "7df7b1aaec91bcb9ceff23a79aee8c68348408f8efa01d94fcbc3e344c4a7e09",
+    ("qpoly", "--builtin", "rqsym:3:2", "--degree", "16"):
+        "b95519ec3e54c7581e91f3c167e6e01961525495ec2d5f86c068be04b237bb6c",
+    ("decompose", "--builtin", "c3_chains"):
+        "2750e1050a785ab4157b00bf06eaf600fea39c89a49c717de23f333994148e5f",
+    ("decompose", "--builtin", "rqsym:3:2"):
+        "c7a7edfe56a3f7d9884e3f29d17d4ad9c463482b13d04568e79ff21153ad6f8e",
     ("kernel", "--builtin", "wheel_plus_coclique", "--degree", "3"):
         "6f9824e23bfa0ce669b3d4235100830f4161e068dcea6f651fc39db659693fbf",
     ("qpoly", "--builtin", "groupoid", "--degree", "11"):
@@ -261,6 +329,30 @@ def test_stdout_bytes_are_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_cached_leads_are_the_maximal_reps_on_the_pinned_sources():
+    # each degree's leads are read as soon as it is built, as the leading
+    # route reads them, and checked once the registry is past the pinned
+    # degree
+    from agealg.algebra import TypeRegistry
+    from agealg.gallery import resolve_builtin
+    from agealg.hilbert import monomial_key
+
+    top = {}
+    for argv in GOLDEN_STDOUT:
+        if "--builtin" in argv:
+            spec = argv[argv.index("--builtin") + 1]
+            degree = int(argv[argv.index("--degree") + 1]) if "--degree" in argv else 6
+            top[spec] = max(top.get(spec, 0), degree)
+    for spec, degree in sorted(top.items()):
+        registry = TypeRegistry(resolve_builtin(spec))
+        for n in range(degree + 1):
+            registry.leading_monomials(n)
+        registry.ensure_degree(degree + 1)
+        for n in range(degree + 2):
+            for entry in registry.types_at(n):
+                assert entry.lead == max(entry.reps, key=monomial_key), spec
 
 
 def test_kernel_wheel(capsys):

@@ -7,6 +7,7 @@ the subset computations are kept as oracles at small sizes, and the identity
 itself is a property test over random templates.
 """
 
+import dataclasses
 import itertools
 import json
 import random
@@ -21,7 +22,8 @@ from agealg.algebra import (OrbitSum, TypeRegistry, _e_rows,
                             kernel_elements_bounded, orbit_product,
                             profile_series, structure_constant)
 from agealg.cli import main
-from agealg.decomposition import _level_classes, minimal_decomposition
+from agealg.decomposition import (_coarsening, _level_classes,
+                                  minimal_decomposition)
 from agealg.gallery import GALLERY
 from agealg.structures import Signature, canonical_code, restrict
 from agealg.hilbert import compare_monomials
@@ -197,9 +199,34 @@ def test_block_coarsening_matches_minimal_decomposition():
                  + [(f"random{i}", t) for i, t in enumerate(level_templates())])
     assert any(outgrows_box(t, 1) for _, t in templates[len(GALLERY):])
     for name, t in templates:
+        registry = TypeRegistry(t)
         for level in (1, 2, 3):
-            assert _level_classes(t, level) == \
+            assert _level_classes(t, level, registry) == \
                 subset_block_coarsening(t, level), (name, level)
+
+
+def boxed_level_classes(t, level):
+    """`_level_classes` through a registry of `t` with its capacities cut to
+    the level box, a registry per level.  The plain constructor keeps the
+    patterns that need more elements of a block than the box holds."""
+    box = t.max_composition(level)
+    boxed = dataclasses.replace(t, blocks=tuple(
+        (name, cap) for (name, _), cap in zip(t.blocks, box)))
+    return _coarsening(box, TypeRegistry(boxed).id_of)
+
+
+def test_one_registry_classifies_the_level_boxes_as_boxed_registries(census_plan):
+    templates = ([(name, entry.build()) for name, entry in GALLERY.items()]
+                 + [(f"random{i}", t) for i, t in enumerate(level_templates())]
+                 + [(name, t) for name, _, t in census_plan(0)])
+    for name, t in templates:
+        # prebuilt past the largest box, and fresh at every level
+        prebuilt = TypeRegistry(t)
+        prebuilt.ensure_degree(sum(t.max_composition(3)) + 1)
+        for level in (1, 2, 3):
+            want = boxed_level_classes(t, level)
+            assert _level_classes(t, level, prebuilt) == want, (name, level)
+            assert _level_classes(t, level, TypeRegistry(t)) == want, (name, level)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from agealg.errors import (ConsistencyError, InputError, NotRationalError,
                            UndeterminedError)
 from agealg.gallery import GALLERY, resolve_builtin
 from agealg.hilbert import (HilbertForm, QuasiPolynomial, WeightedMonomialIdeal,
-                            _brute_ideal_series, _interpolate, _minimal,
-                            _quotient_numerator,
-                            chain_support, check_addlayer, compare_monomials,
+                            _brute_ideal_series, _chain_generators,
+                            _interpolate, _minimal, _quotient_numerator,
+                            check_addlayer, compare_monomials,
                             div_geom, expand, fit_rational, hilbert_via_leading,
                             ideal_hilbert, layers, monomial_key, mul_geom,
                             nonnegative_form, padd, ptrim, quasi_polynomial,
@@ -186,7 +186,7 @@ def test_layers_reconstruct():
             for i in s:
                 rebuilt[i] += e
         assert tuple(rebuilt) == m
-        chain = chain_support(m)
+        chain = [s for s, _ in layers(m)]
         assert all(set(a) < set(b) for a, b in zip(chain, chain[1:]))
 
 
@@ -404,8 +404,8 @@ def test_ideal_refuses_non_integers(degrees, gens):
 def scan_minimal_generators(weights, member, bound):
     """Minimal generators of the monomial ideal given by the membership
     oracle `member`, by scanning the monomials of weighted degree <= bound
-    in (weighted degree, vector) order: the scan `hilbert_via_leading` made
-    before it took `_minimal` of the members of that box."""
+    in (weighted degree, vector) order, keeping each member that no kept
+    one divides."""
     gens = []
 
     def divisible_by_gen(mono):
@@ -446,6 +446,63 @@ def test_minimal_of_the_box_matches_the_scan(oracle):
            if sum(e * w for e, w in zip(m, weights)) <= bound]
     assert (list(_minimal(weights, [m for m in box if member(m)]))
             == scan_minimal_generators(weights, member, bound))
+
+
+def box_chain_generators(chain, caps, bound, leading):
+    """(minimal generators of J, minimal generators of I) of a chain by
+    scanning its box: every exponent vector of the layer variables of
+    weighted degree <= bound, kept when it is over capacity (I) or the layer
+    exponents of a leading monomial, given as the compositions `leading`."""
+    weights = tuple(len(s) for s in chain)
+
+    def to_comp(mono):
+        out = [0] * len(caps)
+        for s, e in zip(chain, mono):
+            for i in s:
+                out[i] += e
+        return tuple(out)
+
+    def over_capacity(mono):
+        comp = to_comp(mono)
+        return any(cap is not None and comp[i] > cap
+                   for i, cap in enumerate(caps))
+
+    box = [m for m in itertools.product(*(range(bound // w + 1) for w in weights))
+           if sum(e * w for e, w in zip(m, weights)) <= bound]
+    over = [m for m in box if over_capacity(m)]
+    lead = [m for m in box if all(m) and to_comp(m) in leading]
+    return _minimal(weights, over + lead), _minimal(weights, over)
+
+
+def assert_chain_generators_match_the_box(t, registry, degree):
+    for bound in (degree, degree - 3):
+        by_chain = {}
+        for n in range(1, bound + 1):
+            for lm in registry.leading_monomials(n):
+                chain = tuple(s for s, _ in layers(lm))
+                by_chain.setdefault(chain, set()).add(lm)
+        for chain, lms in by_chain.items():
+            exps = {tuple(e for _, e in layers(lm)) for lm in lms}
+            assert (_chain_generators(chain, t.capacities, bound, exps)
+                    == box_chain_generators(chain, t.capacities, bound, lms)), \
+                (chain, bound)
+
+
+@pytest.mark.parametrize("degree", [8, 10])
+@pytest.mark.parametrize("spec", ["rqsym:3:2", "rqsym:2:1", "wheel_plus_coclique",
+                                  "clique_plus_coclique", "c3_chains"])
+def test_chain_generators_match_the_box_scan(spec, degree):
+    t = resolve_builtin(spec)
+    assert_chain_generators_match_the_box(t, TypeRegistry(t), degree)
+
+
+def test_chain_generators_match_the_box_scan_on_census_templates(census_plan):
+    # every census-plan template has a finite block: 1, 2 or 3 elements
+    for name, _, t in census_plan(0):
+        assert any(cap is not None for cap in t.capacities), name
+        registry = TypeRegistry(t)
+        for degree in (8, 10):
+            assert_chain_generators_match_the_box(t, registry, degree)
 
 
 # ---------------------------------------------------------------------------
