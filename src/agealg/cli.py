@@ -10,6 +10,7 @@ outputs are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -234,7 +235,10 @@ def cmd_verify(args):
     }, (0 if ok else EXIT_CONSISTENCY)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: `parse_args` leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="agealg",
         description="Profiles, monomorphic decompositions and exact Hilbert "

@@ -18,10 +18,11 @@ interpolation via fractions.Fraction.  No floating point anywhere.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import neg, sub
+from math import factorial, lcm
+from operator import itemgetter, le, mul, neg, sub
 
 from .errors import ConsistencyError, InputError, NotRationalError, UndeterminedError
 from .structures import json_int
@@ -42,12 +43,7 @@ def ptrim(p):
 
 
 def padd(p, q):
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return ptrim(out)
+    return ptrim(map(sum, itertools.zip_longest(p, q, fillvalue=0)))
 
 
 def psub(p, q):
@@ -77,10 +73,6 @@ def div_geom(p, j):
         if p[i] + (q[i - j] if i >= j else 0):
             return None
     return q
-
-
-def peval1(p):
-    return sum(p)
 
 
 def expand(numerator, denominators, degree):
@@ -186,12 +178,12 @@ class HilbertForm:
         return self.over(both) == other.over(both)
 
     def numerator_at_one(self):
-        return peval1(self.numerator)
+        return sum(self.numerator)
 
     def pole_order_at_one(self):
         num = list(self.numerator)
         drop = 0
-        while num and peval1(num) == 0:
+        while num and sum(num) == 0:
             num = div_geom(num, 1)
             drop += 1
         return len(self.denominators) - drop
@@ -258,16 +250,17 @@ def monomial_key(a):
 
 def layers(comp):
     """Unique square-free factorization m = x_{S_1}^{e_1} ... x_{S_r}^{e_r}
-    with S_1 c ... c S_r; returns [(S_i, e_i)] with S_i sorted tuples."""
+    with S_1 c ... c S_r; returns [(S_i, e_i)] with S_i sorted tuples, each
+    layer the last one grown by the blocks of the next smaller value."""
     comp = tuple(comp)
     if not any(comp):
         raise InputError("the zero monomial has no layer factorization")
-    values = sorted({d for d in comp if d > 0}, reverse=True)
-    out = []
-    for i, v in enumerate(values):
-        s = tuple(j for j, d in enumerate(comp) if d >= v)
-        e = v - (values[i + 1] if i + 1 < len(values) else 0)
-        out.append((s, e))
+    order = sorted(((d, j) for j, d in enumerate(comp) if d > 0), reverse=True)
+    out, members = [], []
+    for (d, j), (below, _) in zip(order, order[1:] + [(0, None)]):
+        members.append(j)
+        if below != d:
+            out.append((tuple(sorted(members)), d - below))
     return out
 
 
@@ -309,8 +302,8 @@ def _minimal(degrees, gens):
     """The minimal ones among the exponent vectors `gens`, in the order of
     (weighted degree, vector); a divisor comes before its multiples."""
     minimal = []
-    for g in sorted(set(gens), key=lambda g: (sum(e * d for e, d in zip(g, degrees)), g)):
-        if not any(all(x <= y for x, y in zip(h, g)) for h in minimal):
+    for g in sorted(set(gens), key=lambda g: (sum(map(mul, g, degrees)), g)):
+        if not any(all(map(le, h, g)) for h in minimal):
             minimal.append(g)
     return tuple(minimal)
 
@@ -326,28 +319,32 @@ def _quotient_numerator(degrees, gens):
     pure powers, whose numerator is prod (1 - Z^{deg g}).  The generators
     of I + (p) are p and those it does not divide: no generator divides p,
     since it would also divide a mixed one with x_i exponent e.  Those of
-    I : p are minimalized.  A worklist keeps the recursion off the stack.
+    I : p are minimalized.  A worklist keeps the recursion off the stack,
+    and each leaf adds the terms of its product to one count per degree.
     """
     nvars = len(degrees)
-    total = []
+    total = Counter()  # degree -> coefficient, summed over the leaves
     work = [(gens, 0)]
     while work:
         gens, shift = work.pop()
-        mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+        mixed = [g for g in gens if len(g) - g.count(0) > 1]
         if not mixed:
-            leaf = [0] * shift + [1]
+            terms = [(shift, 1)]
             for g in gens:
-                leaf = mul_geom(leaf, sum(e * d for e, d in zip(g, degrees)))
-            total = padd(total, leaf)
+                w = sum(map(mul, g, degrees))
+                terms += [(at + w, -c) for at, c in terms]
+            for at, c in terms:
+                total[at] += c
             continue
-        i = max(range(nvars), key=lambda i: sum(1 for g in mixed if g[i]))
+        hits = [len(mixed) - col.count(0) for col in zip(*mixed)]
+        i = hits.index(max(hits))
         exps = sorted(g[i] for g in mixed if g[i])
         e = exps[len(exps) // 2]
         pivot = tuple(e if j == i else 0 for j in range(nvars))
         work.append((tuple(g for g in gens if g[i] < e) + (pivot,), shift))
         colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
         work.append((_minimal(degrees, colon), shift + e * degrees[i]))
-    return total
+    return ptrim([total[at] for at in range(max(total, default=-1) + 1)])
 
 
 def ideal_hilbert(ideal, degree):
@@ -377,12 +374,13 @@ def ideal_hilbert(ideal, degree):
 def _brute_ideal_series(ideal, degree):
     """Number of monomials of the ideal in each weighted degree 0..degree,
     counted directly.  The exponents are chosen one variable at a time,
-    carrying the generators that divide the prefix so far (a prefix that
-    none divides is dropped with everything below it); in the last
+    carrying the generators that divide the prefix so far: sorted by the
+    variable's exponent, they are a prefix growing with it.  In the last
     variable the ideal's monomials are those whose exponent reaches the
-    least one those generators still ask for, so they are counted without
-    a test each.  With no variables the only monomial is 1, in the ideal
-    iff the ideal has a generator."""
+    least one those generators ask for, so each prefix of the others marks
+    where its run starts, and a strided prefix sum counts the runs.  With
+    no variables the only monomial is 1, in the ideal iff it has a
+    generator."""
     counts = [0] * (degree + 1)
     degrees = ideal.degrees
     if not ideal.generators:
@@ -394,18 +392,30 @@ def _brute_ideal_series(ideal, degree):
     d_last = degrees[last]
 
     def rec(i, gens, used):
-        if i == last:
-            for e in range(min(g[last] for g in gens),
-                           (degree - used) // d_last + 1):
-                counts[used + e * d_last] += 1
-            return
-        d = degrees[i]
-        for e in range((degree - used) // d + 1):
-            divide = [g for g in gens if g[i] <= e]
-            if divide:
-                rec(i + 1, divide, used + e * d)
+        # `gens` divide the prefix of weighted degree `used`, sorted by x_i;
+        # at i = last - 1, `low` is the least x_last exponent in gens[:p]
+        low = gens[0][last]
+        p = 0
+        for e in range(gens[0][i], (degree - used) // degrees[i] + 1):
+            grown = p
+            while p < len(gens) and gens[p][i] <= e:
+                if gens[p][last] < low:
+                    low = gens[p][last]
+                p += 1
+            at = used + e * degrees[i]
+            if i < last - 1:
+                if p > grown:
+                    prefix = sorted(gens[:p], key=itemgetter(i + 1))
+                rec(i + 1, prefix, at)
+            elif at + low * d_last <= degree:
+                counts[at + low * d_last] += 1
 
-    rec(0, ideal.generators, 0)
+    if last:
+        rec(0, sorted(ideal.generators), 0)
+    elif min(ideal.generators)[0] * d_last <= degree:
+        counts[min(ideal.generators)[0] * d_last] = 1
+    for w in range(d_last, degree + 1):
+        counts[w] += counts[w - d_last]
     return counts
 
 
@@ -609,22 +619,15 @@ class QuasiPolynomial:
         if n < self.n_min:
             raise InputError(f"quasi-polynomial only valid from {self.n_min}")
         poly = self.residue_polys[n % self.period]
-        acc = Fraction(0)
-        for j, c in enumerate(poly):
-            acc += c * n ** j
+        acc = sum((c * n ** j for j, c in enumerate(poly)), Fraction(0))
         if acc.denominator != 1:
             raise ConsistencyError("quasi-polynomial value is not an integer")
         return int(acc)
 
     @property
     def degree(self):
-        best = -1
-        for poly in self.residue_polys:
-            for j in range(len(poly) - 1, -1, -1):
-                if poly[j] != 0:
-                    best = max(best, j)
-                    break
-        return best
+        return max((j for poly in self.residue_polys
+                    for j, c in enumerate(poly) if c), default=-1)
 
     @property
     def leading_coefficient(self):
@@ -648,32 +651,18 @@ class QuasiPolynomial:
         }
 
 
-def _interpolate(xs, ys):
-    """Ascending coefficients, as Fractions, of the polynomial of degree
-    < len(xs) through the points (xs[i], ys[i]): Newton's divided
-    differences, expanded by Horner's rule."""
-    coef = [Fraction(y) for y in ys]
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    poly = [coef[-1]]
-    for c, x in zip(coef[-2::-1], xs[-2::-1]):
-        # poly * (X - x) + c
-        poly = ([c - x * poly[0]]
-                + [a - x * b for a, b in zip(poly, poly[1:])] + [poly[-1]])
-    return poly
-
-
 def quasi_polynomial(form, extra_checks=2):
     """Extract the eventual quasi-polynomial of a Hilbert form.
 
     Period = lcm of the denominator degrees; per residue class an exact
-    polynomial of degree <= k-1 is interpolated from the first k values of
-    the expansion beyond n_min and re-verified on `extra_checks` further
+    polynomial of degree <= k-1 is read off the first k values of the
+    expansion beyond n_min and re-verified on `extra_checks` further
     periods.  The values of one class are equally spaced, so they lie on
     one polynomial of degree < k exactly when all their k-th forward
     differences vanish, a check in integers; the first nonzero difference
-    names the first value off the interpolated polynomial.
+    names the first value off the polynomial.  That polynomial is Newton's
+    forward form sum_j Delta^j v_0 C((n - start)/period, j), expanded in
+    integers times k! period^k, one Fraction per coefficient.
     """
     k = len(form.denominators)
     if k == 0:
@@ -685,21 +674,27 @@ def quasi_polynomial(form, extra_checks=2):
     n_min = max(0, deg_p - total + 1)
     need = n_min + period * (k + extra_checks) + period
     series = form.series(need)
+    scale = factorial(k) * period ** k
     polys = []
     for r in range(period):
         start = n_min + (r - n_min) % period
         values = series[start::period]
         if len(values) < k:
             raise InputError("expansion too short for interpolation")
-        diffs = values
-        for _ in range(k):
+        poly = [0] * k
+        basis = [scale]  # C((n - start)/period, j) times scale, in n
+        diffs = values  # Delta^j of the values
+        for j in range(k):
+            for at, b in enumerate(basis):
+                poly[at] += diffs[0] * b
+            basis = [(low - (start + j * period) * b) // ((j + 1) * period)
+                     for low, b in zip([0] + basis, basis + [0])]
             diffs = list(map(sub, diffs[1:], diffs))
         bad = next((i for i, d in enumerate(diffs) if d), None)
         if bad is not None:
             raise ConsistencyError(
                 f"interpolated residue {r} fails at n={start + (bad + k) * period}")
-        polys.append(tuple(_interpolate(
-            range(start, start + k * period, period), values[:k])))
+        polys.append(tuple(Fraction(c, scale) for c in poly))
     return QuasiPolynomial(period, n_min, tuple(polys))
 
 

@@ -16,7 +16,7 @@ from agealg.errors import (ConsistencyError, InputError, NotRationalError,
 from agealg.gallery import GALLERY, resolve_builtin
 from agealg.hilbert import (HilbertForm, QuasiPolynomial, WeightedMonomialIdeal,
                             _brute_ideal_series, _chain_generators,
-                            _interpolate, _minimal, _quotient_numerator,
+                            _minimal, _quotient_numerator,
                             check_addlayer, compare_monomials,
                             div_geom, expand, fit_rational, hilbert_via_leading,
                             ideal_hilbert, layers, monomial_key, mul_geom,
@@ -195,6 +195,27 @@ def test_layers_reject_zero():
         layers((0, 0))
 
 
+def rescanning_layers(comp):
+    """`layers` as it was: one scan of the composition per distinct value.
+    The oracle for the one-pass factorization."""
+    values = sorted({d for d in comp if d > 0}, reverse=True)
+    out = []
+    for i, v in enumerate(values):
+        s = tuple(j for j, d in enumerate(comp) if d >= v)
+        e = v - (values[i + 1] if i + 1 < len(values) else 0)
+        out.append((s, e))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=7).filter(any))
+@example([4])
+@example([2, 2, 2])
+@example([0, 3, 0, 1, 3])
+def test_layers_match_the_rescanning_oracle(comp):
+    assert layers(comp) == rescanning_layers(comp)
+
+
 # ---------------------------------------------------------------------------
 # monomial ideals
 
@@ -346,6 +367,37 @@ def test_ideal_beyond_twenty_generators():
     assert form.series(14) == _brute_ideal_series(ideal, 14)
 
 
+def filtering_count(ideal, degree):
+    """`_brute_ideal_series` as it was: at every exponent of every variable
+    a fresh list of the carried generators that still divide, and in the
+    last variable one increment per monomial.  The oracle for the sorted
+    prefixes and the strided prefix sum."""
+    counts = [0] * (degree + 1)
+    degrees = ideal.degrees
+    if not ideal.generators:
+        return counts
+    if not degrees:
+        counts[0] = 1
+        return counts
+    last = len(degrees) - 1
+    d_last = degrees[last]
+
+    def rec(i, gens, used):
+        if i == last:
+            for e in range(min(g[last] for g in gens),
+                           (degree - used) // d_last + 1):
+                counts[used + e * d_last] += 1
+            return
+        d = degrees[i]
+        for e in range((degree - used) // d + 1):
+            divide = [g for g in gens if g[i] <= e]
+            if divide:
+                rec(i + 1, divide, used + e * d)
+
+    rec(0, ideal.generators, 0)
+    return counts
+
+
 def per_monomial_count(ideal, degree):
     """The ideal's monomials per weighted degree, every monomial up to the
     degree tested against every generator (`contains`)."""
@@ -372,8 +424,59 @@ def per_monomial_count(ideal, degree):
 @example(WeightedMonomialIdeal.make((), []), 3)
 @example(WeightedMonomialIdeal.make((2,), [(3,)]), 16)
 @example(WeightedMonomialIdeal.make((1, 1), [(0, 0)]), 16)  # the unit ideal
+@example(WeightedMonomialIdeal.make((3,), [(6,)]), 16)  # nothing below 16
+@example(WeightedMonomialIdeal.make((1, 2, 3), [(0, 0, 0)]), 9)
+@example(WeightedMonomialIdeal.make((1, 2), [(1, 1)]), 0)  # degree 0
+@example(WeightedMonomialIdeal.make((1, 2), [(0, 0)]), 0)
 def test_direct_count_matches_per_monomial_count(ideal, degree):
-    assert _brute_ideal_series(ideal, degree) == per_monomial_count(ideal, degree)
+    series = _brute_ideal_series(ideal, degree)
+    assert series == per_monomial_count(ideal, degree)
+    assert series == filtering_count(ideal, degree)
+
+
+@st.composite
+def workload_ideals(draw):
+    """Ideals shaped like the benchmark's: 3 or 4 variables of weights 1-3
+    and 10-16 distinct generators of one total degree, the least with at
+    least twice as many monomials."""
+    nvars = draw(st.integers(3, 4))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+    gens = draw(st.integers(10, 16))
+    d = 1
+    while math.comb(d + nvars - 1, nvars - 1) < 2 * gens:
+        d += 1
+    vectors = [v for v in itertools.product(range(d + 1), repeat=nvars)
+               if sum(v) == d]
+    chosen = draw(st.lists(st.sampled_from(vectors), min_size=gens,
+                           max_size=gens, unique=True))
+    return WeightedMonomialIdeal.make(degrees, chosen)
+
+
+# the per-monomial count costs about 30 ms an ideal at D = 20
+@settings(max_examples=40, deadline=None)
+@given(workload_ideals())
+def test_kernels_match_their_oracles_on_workload_shaped_ideals(ideal):
+    series = _brute_ideal_series(ideal, 20)
+    assert series == filtering_count(ideal, 20)
+    assert series == per_monomial_count(ideal, 20)
+    assert _quotient_numerator(ideal.degrees, ideal.generators) == \
+        minimalizing_quotient_numerator(ideal.degrees, ideal.generators)
+    form, _ = ideal_hilbert(ideal, 20)
+    assert quasi_polynomial(form) == quasi_polynomial_by_points(form)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda num, top: [1],                       # the zero ideal's
+    lambda num, top: padd(num, [0] * top + [1]),  # off at the last degree
+])
+def test_ideal_hilbert_cross_check_is_live(monkeypatch, wrong):
+    # a pivot recursion gone wrong must not get past the direct count
+    ideal = WeightedMonomialIdeal.make((1, 2, 3), [(2, 1, 0), (0, 1, 2), (3, 0, 1)])
+    right = _quotient_numerator(ideal.degrees, ideal.generators)
+    monkeypatch.setattr("agealg.hilbert._quotient_numerator",
+                        lambda degrees, gens: wrong(right, 12))
+    with pytest.raises(ConsistencyError, match="direct monomial counting"):
+        ideal_hilbert(ideal, 12)
 
 
 def test_unit_ideal_without_variables():
@@ -635,9 +738,26 @@ def random_forms(draw):
     return HilbertForm.make(numerator, denominators)
 
 
+def interpolate(xs, ys):
+    """Ascending coefficients, as Fractions, of the polynomial of degree
+    < len(xs) through the points (xs[i], ys[i]): Newton's divided
+    differences, expanded by Horner's rule.  `quasi_polynomial` used it
+    before it expanded the forward differences in integers."""
+    coef = [Fraction(y) for y in ys]
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+    poly = [coef[-1]]
+    for c, x in zip(coef[-2::-1], xs[-2::-1]):
+        # poly * (X - x) + c
+        poly = ([c - x * poly[0]]
+                + [a - x * b for a, b in zip(poly, poly[1:])] + [poly[-1]])
+    return poly
+
+
 def quasi_polynomial_by_points(form, extra_checks=2):
-    """`quasi_polynomial` checking each residue's interpolated polynomial at
-    every further point, in Fractions."""
+    """`quasi_polynomial` by divided differences (`interpolate`), checking
+    each residue's polynomial at every further point, in Fractions."""
     k = len(form.denominators)
     if k == 0:
         return QuasiPolynomial(1, len(form.numerator), ((Fraction(0),),))
@@ -651,7 +771,7 @@ def quasi_polynomial_by_points(form, extra_checks=2):
         sample = points[:k]
         if len(sample) < k:
             raise InputError("expansion too short for interpolation")
-        coeffs = _interpolate(sample, [series[n] for n in sample])
+        coeffs = interpolate(sample, [series[n] for n in sample])
         for n in points[k:]:
             if sum(c * n ** j for j, c in enumerate(coeffs)) != series[n]:
                 raise ConsistencyError(f"interpolated residue {r} fails at n={n}")
@@ -736,7 +856,7 @@ def interpolation_points(draw):
 def test_interpolate_matches_the_vandermonde_solve(points):
     xs, ys = points
     vandermonde = [[Fraction(x) ** j for j in range(len(xs))] for x in xs]
-    coeffs = _interpolate(xs, ys)
+    coeffs = interpolate(xs, ys)
     assert coeffs == solve_exact(vandermonde, ys)
     assert all(type(c) is Fraction for c in coeffs)
 
