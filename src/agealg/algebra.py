@@ -9,7 +9,15 @@ supports.)  The elements of block i come in a run after those of the blocks
 before it, and removing the last element of block i leaves the
 instantiation of c - e_i.  So the deck of c (the ids of the c - e_i, each
 counted c_i times) is read off the degree below without building a
-structure, and different decks prove two compositions non-isomorphic.
+structure.  By Kelly's lemma the deck fixes, per relation, the number of
+tuples that miss some element.  What it misses is the top count, the number
+of tuples whose entries cover all the elements.  A pattern gives such a
+tuple iff its blocks and widths (`TuplePattern.shape`) are those of the
+support of c, and then exactly one, so the top counts are read off the
+template; above the largest arity they are 0.  Compositions are bucketed by
+deck and top counts, both isomorphism invariants, so a different bucket
+proves two compositions non-isomorphic, and a composition that finds its
+bucket empty starts a new type with no check at all.
 
 A template's block automorphisms spare most of what follows.  A permutation
 a of the blocks that keeps the capacities and maps every accepted pattern
@@ -26,7 +34,7 @@ blocks.  (Those of a presented finite structure are its automorphisms.)
 The compositions that no automorphism reaches from an earlier one take the
 route below.
 
-Within a deck, membership is certified by an isomorphism.  The registry
+Within a bucket, membership is certified by an isomorphism.  The registry
 keeps for every composition a witness: an isomorphism from its structure
 onto that of its type's first composition.  The witnesses of c - e_i and of
 r - e_j, when both have one type, give a bijection from c to r that sends
@@ -41,7 +49,7 @@ built, so they are built once per type, and each candidate is a lookup of
 the witness of c - e_i in one of them.
 
 The structure of a composition is built only when no such bijection passes.
-Then canonical codes decide: a type of the deck with an equal code is the
+Then canonical codes decide: a type of the bucket with an equal code is the
 type, and `find_isomorphism` turns the two canonical labellings into the
 witness; otherwise the composition starts a new type, which keeps the
 structure.  The structure of any other type is built on first use.  Codes
@@ -198,6 +206,9 @@ class TypeRegistry:
     def __init__(self, template):
         self.template = template
         self._automorphisms = _block_automorphisms(template)
+        self._tops = Counter((p.shape[0], si) for si, pats in
+                             enumerate(template.accepted) for p in pats)
+        self._max_arity = max(a for _, a in template.signature.symbols)
         self._by_degree = {}
         self._comp_id = {}
         self._witness = {}
@@ -224,8 +235,10 @@ class TypeRegistry:
                 if d:
                     k = ids[comp[:i] + (d - 1,) + comp[i + 1:]]
                     deck[k] = deck.get(k, 0) + d
-            deck = tuple(sorted(deck.items()))
-            bucket = buckets.setdefault(deck, [])
+            deck = key = tuple(sorted(deck.items()))
+            if n <= self._max_arity:
+                key = deck, self._top_counts(comp)
+            bucket = buckets.setdefault(key, [])
             entry = s = witness = None
             if bucket:
                 entry, witness = self._certify(comp, bucket)
@@ -246,6 +259,14 @@ class TypeRegistry:
                     reached[image] = entry, w
         self._by_degree[n] = entries
         self._built = n
+
+    def _top_counts(self, comp):
+        """Per relation, the number of tuples of the structure of comp whose
+        entries cover all its elements: one for each pattern whose blocks
+        and widths are those of comp's support."""
+        support = tuple((b, d) for b, d in enumerate(comp) if d)
+        return tuple(self._tops[support, si]
+                     for si in range(len(self.template.accepted)))
 
     def _orbit(self, comp, witness):
         """The other compositions of the orbit of comp under the block

@@ -37,7 +37,7 @@ def _read_input(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -284,6 +284,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     for flag, value, least in (("--degree", args.degree, 0),
+                               ("--dim", args.dim, 0),
                                ("--gen-bound", args.gen_bound, 0),
                                ("--guard", args.guard, 1),
                                ("--d-max", args.d_max, 1)):

@@ -44,6 +44,15 @@ def test_missing_input_file_is_exit_2(tmp_path, capsys):
         assert err.startswith(f"error: cannot read {missing}")
 
 
+def test_non_utf8_input_file_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    for command in ("decompose", "profile"):
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot read {path}: ")
+
+
 def _template_with(template=wheel_plus_coclique, **change):
     data = json.loads(template().to_json())
     if "capacity" in change:
@@ -97,6 +106,7 @@ def test_negative_gen_bound_is_exit_2(capsys):
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--degree", "-1", "--degree must be >= 0"),
+    ("--dim", "-1", "--dim must be >= 0"),
     ("--gen-bound", "-1", "--gen-bound must be >= 0"),
     ("--guard", "0", "--guard must be >= 1"),
     ("--d-max", "0", "--d-max must be >= 1"),
