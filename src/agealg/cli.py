@@ -42,6 +42,8 @@ def _read_input(path):
 
 
 def _load_template(args, text=None):
+    if args.builtin and args.input:
+        raise InputError("give --builtin or --input, not both")
     if args.builtin:
         return resolve_builtin(args.builtin), args.builtin
     if args.input:

@@ -8,22 +8,42 @@ external labels.
 One isomorphism engine serves everything here.  Canonical forms are computed
 by backtracking over vertex orderings, pruned by colour refinement
 (`_refine`) and by automorphisms discovered along the way (a small
-individualization-refinement canonicalizer).  Two structures get the same
-code if and only if they are isomorphic, and the labelling that produced each
-code is kept, so `find_isomorphism` composes the two labellings instead of
-searching.  The test suite checks codes and isomorphisms against a
-brute-force search over all bijections and against networkx.
+individualization-refinement canonicalizer).  The code is the smallest leaf
+encoding, and its labelling the first leaf that reaches it.  Two structures
+get the same code if and only if they are isomorphic, and the labelling that
+produced each code is kept, so `find_isomorphism` composes the two
+labellings instead of searching.
+
+Two prunings from McKay's "Practical graph isomorphism" (1981) keep the
+search short without changing any code or labelling:
+
+* Backjump on an automorphism.  A vertex individualized at some node ends at
+  the leaf position where that node's target cell starts.  So when a leaf
+  encodes like the best leaf, the automorphism taking it to the best leaf
+  fixes the path the two share and maps this path's next vertex onto the
+  best path's.  The rest of the current child subtree at the node where the
+  paths part is the image of a subtree already searched.  It holds no
+  smaller encoding, and each of its leaves comes after the leaf it is the
+  image of, so the search returns straight to that node.
+* Refine only the cells that can split.  Refinement ranks signatures by
+  colour first, so an element alone in its cell keeps its rank whatever its
+  tuples are, and its tuples are not read.
+
+The test suite checks codes and isomorphisms against a brute-force search
+over all bijections and against networkx, and codes and labellings against
+the search without either pruning.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, InputError
 
-# Bump whenever the canonicalization algorithm changes: codes are only
-# comparable within one version.
+# Bump whenever codes or labellings change: codes are only comparable within
+# one version.  A faster search with the same output keeps the version.
 CODE_VERSION = "rs1"
 
 
@@ -211,24 +231,32 @@ def _refine(struct, colors):
     The signature of an element combines its colour with, for every tuple it
     occurs in, the symbol, its positions inside the tuple and the colours of
     all entries.  New colours are ranks of sorted signatures, so the result
-    is isomorphism-invariant.
+    is isomorphism-invariant.  Signatures sort by colour first, so an element
+    alone in its cell keeps its rank whatever its tuples say: it gets an
+    empty tuple list, and only cells that can split are read.
     """
     n = struct.size
     occ = struct._occurrences()
     while True:
+        cell_size = Counter(colors)
+        get = colors.__getitem__
         sigs = []
         for e in range(n):
+            c = colors[e]
+            if cell_size[c] == 1:
+                sigs.append((c, ()))
+                continue
             items = sorted(
-                (si, pos, tuple(colors[x] for x in t))
+                (si, pos, tuple(map(get, t)))
                 for (si, pos, t) in occ[e]
             )
-            sigs.append((colors[e], tuple(items)))
+            sigs.append((c, tuple(items)))
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranks[s] for s in sigs]
         if new == colors:
             return colors
         colors = new
-        if len(set(colors)) == n:
+        if len(ranks) == n:
             return colors
 
 
@@ -278,24 +306,14 @@ def canonical_code(struct):
         return struct._code
 
     start = _refine(struct, [0] * n)
-    best = [None, None]  # encoding, perm
+    best = [None, None, None]  # encoding, perm, prefix
     autos = []
 
-    def handle_leaf(colors):
-        perm = colors  # discrete colouring is already a rank permutation
-        enc = _encode(struct, perm)
-        if best[0] is None or enc < best[0]:
-            best[0] = enc
-            best[1] = perm
-        elif enc == best[0]:
-            inv = [0] * n
-            for e in range(n):
-                inv[best[1][e]] = e
-            g = tuple(inv[perm[x]] for x in range(n))
-            if any(g[x] != x for x in range(n)):
-                autos.append(g)
-
     def search(colors, prefix):
+        # returns the depth of the node to resume at: its own when the
+        # subtree is done, an ancestor's when an automorphism found at a leaf
+        # maps the rest of that ancestor's current child subtree onto one
+        # already explored
         cells = {}
         for e, c in enumerate(colors):
             cells.setdefault(c, []).append(e)
@@ -305,8 +323,21 @@ def canonical_code(struct):
                 target = cells[c]
                 break
         if target is None:
-            handle_leaf(colors)
-            return
+            perm = colors  # discrete colouring is already a rank permutation
+            enc = _encode(struct, perm)
+            if best[0] is None or enc < best[0]:
+                best[:] = enc, perm, prefix
+            elif enc == best[0]:
+                inv = [0] * n
+                for e in range(n):
+                    inv[best[1][e]] = e
+                autos.append(tuple(inv[perm[x]] for x in range(n)))
+                # the automorphism fixes the prefix this path shares with the
+                # best one and maps this path's next vertex onto the best
+                # path's, whose subtree was explored first
+                return next(i for i, (a, b) in enumerate(zip(prefix, best[2]))
+                            if a != b)
+            return len(prefix)
         explored = []
         uf = None
         uf_generation = -1
@@ -324,8 +355,11 @@ def canonical_code(struct):
                 rv = uf.find(v)
                 if any(uf.find(u) == rv for u in explored):
                     continue
-            search(_refine(struct, _individualized(colors, v)), prefix + (v,))
+            depth = search(_refine(struct, _individualized(colors, v)), prefix + (v,))
+            if depth < len(prefix):
+                return depth
             explored.append(v)
+        return len(prefix)
 
     search(start, ())
     struct._code = CODE_VERSION + ":" + best[0]

@@ -190,6 +190,25 @@ def test_unknown_builtin_is_exit_2(capsys):
     assert code == 2 and "unknown builtin" in err
 
 
+SOURCE_FILES = {
+    "template": wheel_plus_coclique().to_json(),
+    "structure": json.dumps(STRUCTURE),
+}
+
+
+@pytest.mark.parametrize("command, kind", [
+    (command, "template") for command in (
+        "profile", "decompose", "hilbert", "qpoly", "constants", "kernel")
+] + [("decompose", "structure")])
+def test_builtin_and_input_together_are_exit_2(tmp_path, capsys, command, kind):
+    path = tmp_path / "source.json"
+    path.write_text(SOURCE_FILES[kind])
+    code, out, err = run(capsys, command, "--builtin", "sym:2",
+                         "--input", str(path), "--degree", "3")
+    assert code == 2 and not out
+    assert err == "error: give --builtin or --input, not both\n"
+
+
 def test_decompose_wheel(capsys):
     code, out, _ = run(capsys, "decompose", "--builtin", "wheel_plus_coclique")
     assert code == 0

@@ -8,9 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agealg.structures
 from agealg.errors import InputError
-from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
-                               find_isomorphism, relabel, restrict)
+from agealg.gallery import GALLERY
+from agealg.structures import (CODE_VERSION, FiniteRelStruct, Signature,
+                               _encode, _individualized, _refine, _UnionFind,
+                               canonical_code, find_isomorphism, relabel,
+                               restrict)
+from agealg.templates import compositions, instantiate, sym
 
 GRAPH = Signature((("adj", 2),))
 
@@ -242,23 +247,32 @@ def test_code_separates_refinement_equivalent_pair():
     assert find_isomorphism(c6, kk) is None
 
 
-def test_code_separates_strongly_regular_pair():
-    # 4x4 rook graph vs Shrikhande graph: the classic SRG(16,6,2,2) pair
-    rook_edges = []
-    for a, b in itertools.combinations(range(16), 2):
-        r1, c1 = divmod(a, 4)
-        r2, c2 = divmod(b, 4)
-        if r1 == r2 or c1 == c2:
-            rook_edges.append((a, b))
+def rook_graph():
+    """The 4x4 rook graph, one of the SRG(16,6,2,2) pair."""
+    return graph(16, [(a, b) for a, b in itertools.combinations(range(16), 2)
+                      if a // 4 == b // 4 or a % 4 == b % 4])
+
+
+def shrikhande_graph():
+    """The Shrikhande graph, the other of the SRG(16,6,2,2) pair."""
     diffs = {(1, 0), (0, 1), (1, 1), (3, 0), (0, 3), (3, 3)}
-    shrik_edges = set()
-    for a, b in itertools.combinations(range(16), 2):
-        r1, c1 = divmod(a, 4)
-        r2, c2 = divmod(b, 4)
-        if ((r1 - r2) % 4, (c1 - c2) % 4) in diffs:
-            shrik_edges.add((a, b))
-    rook = graph(16, rook_edges)
-    shrik = graph(16, shrik_edges)
+    return graph(16, [(a, b) for a, b in itertools.combinations(range(16), 2)
+                      if ((a // 4 - b // 4) % 4, (a % 4 - b % 4) % 4) in diffs])
+
+
+def petersen_graph():
+    return graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)])
+
+
+def cube_graph(d):
+    return graph(2 ** d, [(a, a ^ (1 << i)) for a in range(2 ** d) for i in range(d)])
+
+
+def test_code_separates_strongly_regular_pair():
+    rook = rook_graph()
+    shrik = shrikhande_graph()
     assert canonical_code(rook) != canonical_code(shrik)
     assert find_isomorphism(rook, shrik) is None  # refinement cannot separate them
     rng = random.Random(5)
@@ -283,6 +297,198 @@ def test_code_handles_ternary_relations():
     s3 = FiniteRelStruct(sig, 3, {"t": [(0, 1, 2), (1, 2, 0)]})
     assert canonical_code(s1) == canonical_code(s2)
     assert canonical_code(s1) != canonical_code(s3)
+
+
+# ---------------------------------------------------------------------------
+# the search against an oracle: the canonicalizer without the automorphism
+# backjump and with every cell refined must give the same code and labelling
+
+
+def oracle_refine(struct, colors):
+    n = struct.size
+    occ = struct._occurrences()
+    while True:
+        sigs = []
+        for e in range(n):
+            items = sorted(
+                (si, pos, tuple(colors[x] for x in t))
+                for (si, pos, t) in occ[e]
+            )
+            sigs.append((colors[e], tuple(items)))
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranks[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+        if len(set(colors)) == n:
+            return colors
+
+
+def oracle_code(struct):
+    """(code, labelling): every child of a node is searched unless an
+    automorphism fixing the path maps it onto an explored one."""
+    n = struct.size
+    if n == 0:
+        return CODE_VERSION + ":" + _encode(struct, []), ()
+
+    start = oracle_refine(struct, [0] * n)
+    best = [None, None]  # encoding, perm
+    autos = []
+
+    def handle_leaf(colors):
+        perm = colors
+        enc = _encode(struct, perm)
+        if best[0] is None or enc < best[0]:
+            best[0] = enc
+            best[1] = perm
+        elif enc == best[0]:
+            inv = [0] * n
+            for e in range(n):
+                inv[best[1][e]] = e
+            g = tuple(inv[perm[x]] for x in range(n))
+            if any(g[x] != x for x in range(n)):
+                autos.append(g)
+
+    def search(colors, prefix):
+        cells = {}
+        for e, c in enumerate(colors):
+            cells.setdefault(c, []).append(e)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            handle_leaf(colors)
+            return
+        explored = []
+        uf = None
+        uf_generation = -1
+        for v in target:
+            if explored:
+                if uf_generation != len(autos):
+                    uf = _UnionFind(n)
+                    for g in autos:
+                        if all(g[p] == p for p in prefix):
+                            for x in target:
+                                uf.union(x, g[x])
+                    uf_generation = len(autos)
+                rv = uf.find(v)
+                if any(uf.find(u) == rv for u in explored):
+                    continue
+            search(oracle_refine(struct, _individualized(colors, v)), prefix + (v,))
+            explored.append(v)
+
+    search(start, ())
+    return CODE_VERSION + ":" + best[0], tuple(best[1])
+
+
+def assert_matches_oracle(struct):
+    fresh = FiniteRelStruct(struct.signature, struct.size, struct.rels)
+    code = canonical_code(fresh)
+    assert (code, fresh._label) == oracle_code(struct), struct
+
+
+def test_code_and_label_match_the_oracle_on_the_gallery():
+    for entry in GALLERY.values():
+        t = entry.build()
+        for comp in compositions(t, None, max_degree=7):
+            assert_matches_oracle(instantiate(t, comp))
+
+
+def test_code_and_label_match_the_oracle_on_symmetric_graphs():
+    for s in (rook_graph(), shrikhande_graph(), clique(8), petersen_graph(),
+              cube_graph(4)):
+        assert_matches_oracle(s)
+    # regular, not vertex-transitive: a directed 3-cycle beside a 2-cycle,
+    # and a 4-cycle beside a triangle
+    for s in (FiniteRelStruct(GRAPH, 5, {"adj": [(0, 1), (1, 4), (4, 0), (2, 3), (3, 2)]}),
+              graph(7, [(0, 5), (5, 1), (1, 6), (6, 0), (2, 3), (3, 4), (4, 2)])):
+        assert_matches_oracle(s)
+
+
+def circulant_arcs(n, steps, offset=0):
+    return [(offset + i, offset + (i + d) % n) for i in range(n) for d in steps]
+
+
+@st.composite
+def symmetric_or_random(draw):
+    """A relabelled structure of at most 10 elements: a union of cliques, a
+    complete multipartite graph, a union of one or two circulant digraphs,
+    the arcs of a few permutations, or a random structure with one to three
+    symbols of arity 1-3.  Unions of different circulants and most
+    permutation digraphs are regular without being vertex-transitive, so
+    refinement leaves cells whose elements lie in different orbits."""
+    kind = draw(st.sampled_from(
+        ["cliques", "multipartite", "circulants", "permutations", "random"]))
+    if kind == "random":
+        n = draw(st.integers(1, 10))
+        arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        sig = Signature(tuple((f"r{i}", a) for i, a in enumerate(arities)))
+        entry = st.integers(0, n - 1)
+        s = FiniteRelStruct(sig, n, [
+            draw(st.lists(st.tuples(*[entry] * a), max_size=3 * n)) for a in arities])
+    elif kind == "circulants":
+        n1 = draw(st.integers(1, 10))
+        n2 = draw(st.integers(0, 10 - n1))
+        arcs = circulant_arcs(n1, draw(st.sets(st.integers(0, n1 - 1), max_size=3)))
+        if n2:
+            arcs += circulant_arcs(n2, draw(st.sets(st.integers(0, n2 - 1), max_size=3)), n1)
+        if draw(st.booleans()):
+            arcs += [(b, a) for a, b in arcs]
+        s = FiniteRelStruct(GRAPH, n1 + n2, {"adj": arcs})
+    elif kind == "permutations":
+        n = draw(st.integers(1, 10))
+        perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+        s = FiniteRelStruct(GRAPH, n, {"adj": [(i, p[i]) for p in perms for i in range(n)]})
+    else:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        while sum(sizes) > 10:
+            sizes.pop()
+        block = [b for b, z in enumerate(sizes) for _ in range(z)]
+        same = kind == "cliques"
+        s = graph(len(block), [(a, b) for a, b in itertools.combinations(range(len(block)), 2)
+                               if (block[a] == block[b]) == same])
+    return relabel(s, draw(st.permutations(range(s.size))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_or_random())
+def test_code_and_label_match_the_oracle_on_relabelled_structures(s):
+    assert_matches_oracle(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_or_random(), st.data())
+def test_refine_matches_the_oracle_refine(s, data):
+    n = s.size
+    colors = data.draw(st.lists(st.integers(-2, 5), min_size=n, max_size=n))
+    assert _refine(s, list(colors)) == oracle_refine(s, colors)
+    stable = oracle_refine(s, [0] * n)
+    v = data.draw(st.integers(0, n - 1))
+    assert _refine(s, _individualized(stable, v)) == oracle_refine(
+        s, _individualized(stable, v))
+
+
+def refine_calls(monkeypatch, struct):
+    calls = []
+    refine = agealg.structures._refine
+
+    def counted(*args):
+        calls.append(None)
+        return refine(*args)
+
+    monkeypatch.setattr(agealg.structures, "_refine", counted)
+    canonical_code(struct)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_backjumps_bound_the_refinements(monkeypatch):
+    # the oracle search refines 41 times on the complete loop graph on 6
+    # points, and 92 times on K8
+    assert refine_calls(monkeypatch, instantiate(sym(3), (0, 0, 6))) <= 21
+    assert refine_calls(monkeypatch, clique(8)) <= 36
 
 
 # ---------------------------------------------------------------------------
