@@ -367,6 +367,8 @@ class TypeRegistry:
                 yield i, j, perm
 
     def types_at(self, n):
+        if n < 0:
+            raise InputError("degree must be at least 0")
         self.ensure_degree(n)
         return self._by_degree[n]
 

@@ -30,6 +30,8 @@ answer needs; a merge is still checked on every sub-composition.
 oracles of the twin-class presentation.  On a 2-vCPU Xeon VM a planted
 16-element digraph (four blocks of four) decomposes in about 0.004 s, over
 15 of its 625 compositions, and about 3.3 s over its 2^16 subsets.
+F-monomorphy uses a registry of the presentation of the structure with F
+marked, each of whose blocks lies inside F or outside it (only F is marked).
 """
 
 from __future__ import annotations
@@ -41,20 +43,26 @@ from functools import lru_cache
 
 from .algebra import TypeRegistry
 from .errors import ConsistencyError, InputError, UndeterminedError
-from .structures import (FiniteRelStruct, Signature, _UnionFind,
-                         find_isomorphism, json_int, relabel, restrict)
+from .structures import (FiniteRelStruct, Signature, _UnionFind, json_int,
+                         relabel)
 from .templates import block_spans, instantiate, present, subcompositions
 
 # highest fatness level tried before the coarsening counts as undetermined
 DEFAULT_D_MAX = 6
 
 
+def _elements(struct, xs, what):
+    """The set of `xs`, each an exact int naming an element of `struct`."""
+    xs = {json_int(x, what) for x in xs}
+    if any(x < 0 or x >= struct.size for x in xs):
+        raise InputError(f"{what} out of range")
+    return xs
+
+
 def is_monomorphic_part(struct, part):
     """Exhaustively test the defining property of a monomorphic part:
     equal-size subsets with the same trace outside `part` are isomorphic."""
-    part = set(part)
-    if any(x < 0 or x >= struct.size for x in part):
-        raise InputError("part out of range")
+    part = _elements(struct, part, "part element")
     return _is_part((1,) * struct.size, part,
                     TypeRegistry(present(struct)).id_of)
 
@@ -63,10 +71,8 @@ def pair_mergeable(struct, a, b):
     """Whether {a, b} is a monomorphic part: every B avoiding both satisfies
     restrict(B+{a}) isomorphic to restrict(B+{b}).  The B go by size, and
     the first witness ends the test."""
-    if a == b:
+    if len(_elements(struct, (a, b), "element")) < 2:
         raise InputError("pair_mergeable needs two distinct elements")
-    if not (0 <= a < struct.size and 0 <= b < struct.size):
-        raise InputError("element out of range")
     return _mergeable((1,) * struct.size, a, b,
                       TypeRegistry(present(struct)).id_of)
 
@@ -329,18 +335,17 @@ def is_F_monomorphic_struct(struct, f_set, bound):
     """For all n <= bound and A, A' of size n avoiding F: the restrictions
     to A+F and A'+F are isomorphic by a map fixing F pointwise, that is, by
     an isomorphism of the restrictions of the structure with F marked."""
-    f_set = sorted(set(f_set))
-    if any(x < 0 or x >= struct.size for x in f_set):
-        raise InputError("F out of range")
-    marked = _marked(struct, f_set)
-    rest = [x for x in range(struct.size) if x not in f_set]
-    for n in range(1, min(bound, len(rest)) + 1):
-        subs = (restrict(marked, f_set + list(a))
-                for a in itertools.combinations(rest, n))
-        ref = next(subs)
-        if any(find_isomorphism(ref, sub) is None for sub in subs):
-            return False
-    return True
+    if json_int(bound, "bound") < 0:
+        raise InputError("bound must be at least 0")
+    f_set = _elements(struct, f_set, "F element")
+    t, classes = _presentation(_marked(struct, f_set))
+    type_of = TypeRegistry(t).id_of
+    fill = tuple(d if cls[0] in f_set else 0
+                 for d, cls in zip(t.capacities, classes))
+    room = tuple(d - f for d, f in zip(t.capacities, fill))
+    return all(len({type_of(tuple(map(operator.add, fill, c)))
+                    for c in subcompositions(room, n)}) == 1
+               for n in range(1, min(bound, sum(room)) + 1))
 
 
 def is_F_monomorphic_up_to(subject, f_spec, bound):
@@ -355,6 +360,8 @@ def is_F_monomorphic_up_to(subject, f_spec, bound):
     """
     if hasattr(subject, "rels"):
         return is_F_monomorphic_struct(subject, f_spec, bound)
+    if json_int(bound, "bound") < 0:
+        raise InputError("bound must be at least 0")
     t = subject
     f_counts = [0] * len(t.blocks)
     for b, c in dict(f_spec).items():

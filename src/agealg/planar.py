@@ -34,12 +34,6 @@ def leaves(tree):
     return sum(leaves(c) for c in tree)
 
 
-def depth(tree):
-    if tree is EMPTY or tree == LEAF:
-        return 0
-    return 1 + max(depth(c) for c in tree)
-
-
 def tree_to_text(tree):
     if tree is EMPTY:
         return ""
@@ -220,19 +214,18 @@ def default_sample(n):
     return tuple(sorted(sample))
 
 
-def planar_profile(n, depth_budget=None, sample=None):
+def planar_profile(n, sample=None):
     """Number of contraction types among n-subsets of a finite leaf sample.
 
     With the default sample this equals the Schroeder number; a poorer
     sample undercounts, which the report makes visible.
     """
-    count, report = planar_profile_report(n, depth_budget, sample)
-    return count
+    return planar_profile_report(n, sample)[0]
 
 
-def planar_profile_report(n, depth_budget=None, sample=None):
+def planar_profile_report(n, sample=None):
     """Count and report the contraction types of the n-subsets of a sample
-    (by default `default_sample(n)`, cut to `depth_budget` indices).
+    (by default `default_sample(n)`).
 
     A sorted subset contracts to the Cartesian tree of its neighbours'
     common-prefix lengths, equal minima merged: the root sits at the least
@@ -248,8 +241,6 @@ def planar_profile_report(n, depth_budget=None, sample=None):
     if sample is None:
         sample = default_sample(n)
     sample = tuple(sorted(check_address(a) for a in sample))
-    if depth_budget is not None:
-        sample = tuple(a for a in sample if len(a) <= depth_budget)
     if n >= 2 and len(sample) >= n and len(set(sample)) < len(sample):
         raise InputError("duplicate addresses")  # some subset repeats one
     common = [[_common_prefix(a, b) for b in sample] for a in sample]

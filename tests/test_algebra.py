@@ -16,7 +16,8 @@ from agealg.algebra import (OrbitSum, TypeEntry, TypeRegistry,
                             kernel_elements_bounded, mult_by_e_rank,
                             orbit_product, profile, profile_series,
                             structure_constant, unit_orbit)
-from agealg.decomposition import minimal_decomposition, template_components
+from agealg.decomposition import (is_F_monomorphic_up_to,
+                                  minimal_decomposition, template_components)
 from agealg.errors import ConsistencyError, InputError
 from agealg.gallery import GALLERY
 from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
@@ -55,6 +56,13 @@ def test_profile_series_published(registries):
     assert [r.profile(n) for n in range(7)] == [1, 1, 2, 3, 4, 5, 6]
     _, r = registries("groupoid")
     assert [r.profile(n) for n in range(5)] == [1, 2, 5, 9, 14]
+
+
+@pytest.mark.parametrize("call", [profile, mult_by_e_rank],
+                         ids=["profile", "mult-by-e-rank"])
+def test_negative_degrees_are_refused(call):
+    with pytest.raises(InputError, match="degree"):
+        call(sym(2), -1)
 
 
 def test_profile_cross_checks_subset_types(registries):
@@ -645,6 +653,14 @@ def test_witnesses_spare_isomorphism_searches(monkeypatch):
     assert template_components(sym(4)).classes == ((0,), (1,), (2,), (3,))
     assert counts["canonical_code"] < 26
     assert counts["instantiate"] < 20
+    counts.clear()
+    # 502 searches when every marked restriction to the center and 1..9
+    # leaves was compared with the first one of its size
+    wheel = BlockTemplate.make(
+        Signature((("adj", 2),)), [("leaves", INF), ("center", 1)],
+        {"adj": [((0, 1), (0, 0)), ((1, 0), (0, 0))]})
+    assert is_F_monomorphic_up_to(wheel, {1: 1}, 9)
+    assert counts["find_isomorphism"] == 0
 
 
 def test_profile_bounded_by_composition_count(registries):

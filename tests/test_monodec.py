@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import agealg.algebra
 import agealg.decomposition
+import agealg.verify
 from agealg.algebra import TypeRegistry
-from agealg.decomposition import (_coarsening, _is_part, _mergeable,
+from agealg.decomposition import (_coarsening, _is_part, _marked, _mergeable,
                                   _presentation,
                                   fatness_threshold, is_F_monomorphic_struct,
                                   is_F_monomorphic_up_to, is_monomorphic_part,
@@ -22,8 +23,8 @@ from agealg.decomposition import (_coarsening, _is_part, _mergeable,
                                   template_components)
 from agealg.errors import ConsistencyError, InputError
 from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
-                               relabel, restrict)
-from agealg.templates import (INF, BlockTemplate, TuplePattern,
+                               find_isomorphism, relabel, restrict)
+from agealg.templates import (INF, BlockTemplate, TuplePattern, block_spans,
                               clique_plus_coclique, clique_sum, coclique,
                               groupoid_example, instantiate, lex_sum, present,
                               qsym, rqsym, sym, wheel_plus_coclique)
@@ -701,6 +702,22 @@ def brute_F_monomorphic(s, f_set, bound):
     return True
 
 
+def subset_F_monomorphic(s, f_set, bound):
+    """Oracle over subsets: for every n <= bound, the restrictions of `s`
+    with F marked to A+F, for the n-sets A avoiding F, are pairwise
+    isomorphic (decided by `find_isomorphism`)."""
+    f_set = sorted(set(f_set))
+    marked = _marked(s, f_set)
+    rest = [x for x in range(s.size) if x not in f_set]
+    for n in range(1, min(bound, len(rest)) + 1):
+        subs = (restrict(marked, f_set + list(a))
+                for a in itertools.combinations(rest, n))
+        ref = next(subs)
+        if any(find_isomorphism(ref, sub) is None for sub in subs):
+            return False
+    return True
+
+
 @st.composite
 def digraph_F_bound(draw):
     """A digraph with loops on up to 6 elements, its relation sometimes
@@ -735,19 +752,50 @@ MARKED_STAR = FiniteRelStruct(
 @example((MARKED_STAR, {0}, 3))
 def test_F_monomorphy_matches_brute_force(case):
     s, f_set, bound = case
-    assert is_F_monomorphic_struct(s, f_set, bound) == \
-        brute_F_monomorphic(s, f_set, bound)
+    answer = is_F_monomorphic_struct(s, f_set, bound)
+    assert answer == brute_F_monomorphic(s, f_set, bound)
+    assert answer == subset_F_monomorphic(s, f_set, bound)
 
 
-@pytest.mark.parametrize("call", [
-    lambda t: is_F_monomorphic_up_to(t, {1: True}, 4),
-    lambda t: is_F_monomorphic_up_to(t, {1: -1}, 4),
-    lambda t: is_F_monomorphic_up_to(t, {0: -2}, 4),
-    lambda t: is_F_monomorphic_up_to(t, {0: 1.5}, 4),
-    lambda t: fatness_threshold(t, d_max=0),
-    lambda t: template_components(t, d_max=-1),
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(1, 3))
+def test_template_F_monomorphy_matches_brute_force(rng, f_counts, bound):
+    # the box holds f + bound elements of each block, its first f in F
+    t = agealg.verify.random_template(rng)
+    box = tuple(f + bound for f in f_counts)
+    s = instantiate(t, box)
+    f_set = [x for (lo, _), f in zip(block_spans(box), f_counts)
+             for x in range(lo, lo + f)]
+    answer = is_F_monomorphic_up_to(t, dict(enumerate(f_counts)), bound)
+    assert answer == brute_F_monomorphic(s, f_set, bound)
+    assert answer == subset_F_monomorphic(s, f_set, bound)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda t: is_F_monomorphic_up_to(t, {1: True}, 4), "F count"),
+    (lambda t: is_F_monomorphic_up_to(t, {1: -1}, 4), "F count"),
+    (lambda t: is_F_monomorphic_up_to(t, {0: -2}, 4), "F count"),
+    (lambda t: is_F_monomorphic_up_to(t, {0: 1.5}, 4), "F count"),
+    (lambda t: is_F_monomorphic_up_to(t, {1: 1}, -1), "bound"),
+    (lambda t: is_F_monomorphic_up_to(t, {1: 1}, 2.5), "bound"),
+    (lambda t: is_F_monomorphic_up_to(instantiate(t, (3, 1)), {3}, -1),
+     "bound"),
+    (lambda t: is_F_monomorphic_up_to(instantiate(t, (3, 1)), {3}, 2.5),
+     "bound"),
+    (lambda t: is_F_monomorphic_up_to(instantiate(t, (3, 1)), {3.0}, 2),
+     "F element"),
+    (lambda t: is_monomorphic_part(instantiate(t, (3, 1)), [0.5]),
+     "part element"),
+    (lambda t: pair_mergeable(instantiate(t, (3, 1)), True, 2), "element"),
+    (lambda t: fatness_threshold(t, d_max=0), "d_max"),
+    (lambda t: template_components(t, d_max=-1), "d_max"),
 ], ids=["bool-count", "negative-count", "negative-infinite-count",
-        "fractional-count", "d-max-0", "d-max-negative"])
-def test_bad_bounds_are_refused(call):
-    with pytest.raises(InputError):
+        "fractional-count", "negative-bound", "fractional-bound",
+        "negative-bound-struct", "fractional-bound-struct",
+        "fractional-F-element", "fractional-part", "bool-pair-element",
+        "d-max-0", "d-max-negative"])
+def test_bad_bounds_are_refused(call, what):
+    # each refusal names the argument at fault
+    with pytest.raises(InputError, match=what):
         call(wheel_alone())

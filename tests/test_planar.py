@@ -9,7 +9,7 @@ import pytest
 import agealg.planar
 from agealg.errors import ConsistencyError, InputError
 from agealg.planar import (EMPTY, LEAF, SCHRODER, _common_prefix,
-                           check_address, contract, default_sample, depth,
+                           check_address, contract, default_sample,
                            embed, enumerate_reduced, leaves, no_pair_monopart,
                            planar_profile, planar_profile_report,
                            reconstruct_from_triples, reduce_tree,
@@ -101,7 +101,8 @@ def test_planar_profile_matches_schroder():
 
 
 def test_planar_profile_poor_sample_reports_undercount():
-    count, report = planar_profile_report(4, depth_budget=1)
+    shallow = tuple(a for a in default_sample(4) if len(a) <= 1)
+    count, report = planar_profile_report(4, sample=shallow)
     assert count < SCHRODER[4]
     assert report["missing"]
 
@@ -110,13 +111,11 @@ def test_profile_one_point():
     assert planar_profile(1) == 1
 
 
-def report_by_contracting_every_subset(n, depth_budget=None, sample=None):
+def report_by_contracting_every_subset(n, sample=None):
     """`planar_profile_report` with one contraction per subset."""
     if sample is None:
         sample = default_sample(n)
     sample = tuple(sorted(check_address(a) for a in sample))
-    if depth_budget is not None:
-        sample = tuple(a for a in sample if len(a) <= depth_budget)
     known = set(enumerate_reduced(n))
     seen = set()
     for subset in itertools.combinations(sample, n):
@@ -132,14 +131,12 @@ def report_by_contracting_every_subset(n, depth_budget=None, sample=None):
     }
 
 
-def report_by_walking_every_subset(n, depth_budget=None, sample=None):
+def report_by_walking_every_subset(n, sample=None):
     """`planar_profile_report` walking every subset, in lex order, and
     contracting the first subset of each rank pattern."""
     if sample is None:
         sample = default_sample(n)
     sample = tuple(sorted(check_address(a) for a in sample))
-    if depth_budget is not None:
-        sample = tuple(a for a in sample if len(a) <= depth_budget)
     if n >= 2 and len(sample) >= n and len(set(sample)) < len(sample):
         raise InputError("duplicate addresses")
     known = set(enumerate_reduced(n))
@@ -176,21 +173,28 @@ def contractions(monkeypatch, route, *args, **kwargs):
         return route(*args, **kwargs), calls
 
 
+def cut_samples(n, depths):
+    """The default sample of n leaves, whole and cut to each of `depths`
+    indices."""
+    sample = default_sample(n)
+    return [sample] + [tuple(a for a in sample if len(a) <= d) for d in depths]
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_pruned_walk_contracts_what_the_full_walk_does(monkeypatch, n):
-    for budget in (None, *range(n)):
-        assert (contractions(monkeypatch, planar_profile_report, n, budget)
+    for sample in cut_samples(n, range(n)):
+        assert (contractions(monkeypatch, planar_profile_report, n, sample)
                 == contractions(monkeypatch, report_by_walking_every_subset,
-                                n, budget))
+                                n, sample))
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_profile_by_pattern_matches_every_subset(n):
-    # default_sample(n) is at most n - 1 indices deep, so a budget of n - 1
+    # default_sample(n) is at most n - 1 indices deep, so a cut to n - 1
     # or more keeps the whole sample
-    for budget in (None, *range(1, n - 1)):
-        assert (planar_profile_report(n, budget)
-                == report_by_contracting_every_subset(n, budget))
+    for sample in cut_samples(n, range(1, n - 1)):
+        assert (planar_profile_report(n, sample)
+                == report_by_contracting_every_subset(n, sample))
 
 
 def random_address(rng):
