@@ -22,14 +22,16 @@ canonical code for every composition.  A template's fatness level d
 classifies only the compositions inside its level box `t.max_composition(d)`,
 through one `TypeRegistry` of the template shared by every level and by
 the Hilbert routes that run after it.
-The pair test walks the sub-compositions in graded order and stops at the
-first witness against the merge, and the part test skips the sizes with a
-single inside count, so the registry is built only to the degrees the
-answer needs; a merge is still checked on every sub-composition.
-`pair_mergeable` and `is_monomorphic_part` always take the subsets, as the
-oracles of the twin-class presentation.  On a 2-vCPU Xeon VM a planted
-16-element digraph (four blocks of four) decomposes in about 0.004 s, over
-15 of its 625 compositions, and about 3.3 s over its 2^16 subsets.
+All pair tests are decided together, degree by degree, in one walk over
+the sub-compositions: a pair drops out at its first witness against the
+merge and the walk ends when no pair is left undecided, and the part test
+skips the sizes with a single inside count, so the registry is built only
+to the degrees the answer needs; a merge is still checked on every
+sub-composition.  `pair_mergeable` and `is_monomorphic_part` always take the
+subsets, as the oracles of the twin-class presentation.  On a 2-vCPU Xeon
+VM a planted 16-element digraph (four blocks of four) decomposes in about
+0.002 s, over 15 of its 625 compositions, and about 3 s over its 2^16
+subsets.
 F-monomorphy uses a registry of the presentation of the structure with F
 marked, each of whose blocks lies inside F or outside it (only F is marked).
 """
@@ -39,13 +41,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import TypeRegistry
 from .errors import ConsistencyError, InputError, UndeterminedError
-from .structures import (FiniteRelStruct, Signature, _UnionFind, json_int,
-                         relabel)
-from .templates import block_spans, instantiate, present, subcompositions
+from .structures import FiniteRelStruct, Signature, _UnionFind, json_int
+from .templates import (block_spans, instantiate, present, spans_tuples,
+                        subcompositions)
 
 # highest fatness level tried before the coarsening counts as undetermined
 DEFAULT_D_MAX = 6
@@ -73,8 +74,8 @@ def pair_mergeable(struct, a, b):
     the first witness ends the test."""
     if len(_elements(struct, (a, b), "element")) < 2:
         raise InputError("pair_mergeable needs two distinct elements")
-    return _mergeable((1,) * struct.size, a, b,
-                      TypeRegistry(present(struct)).id_of)
+    return _pair_verdicts((1,) * struct.size,
+                          TypeRegistry(present(struct)).id_of, [(a, b)])[a, b]
 
 
 def minimal_decomposition(struct):
@@ -120,8 +121,9 @@ def _presentation(struct):
     The blocks are the twin classes, each ordered by its degrees inside the
     class: per relation and coordinate, the number of tuples inside the
     class that hold the element there, out-degree first, larger first.  The
-    template is `present(struct, classes)`, kept only if instantiating it
-    gives back the structure.  When that check fails, or every class is a
+    template is `present(struct, classes)`, kept only if, per relation, the
+    tuples of its accepted patterns at the class sizes are the structure's
+    tuples relabelled.  When that check fails, or every class is a
     singleton, the structure is presented as its n singletons, which always
     holds."""
     classes = _twin_classes(struct)
@@ -145,7 +147,9 @@ def _presentation(struct):
         position = [0] * struct.size
         for k, x in enumerate(x for cls in classes for x in cls):
             position[x] = k
-        if instantiate(t, t.capacities) == relabel(struct, position):
+        if all(set(tuples) == {tuple(position[x] for x in tup) for tup in rel}
+               for tuples, rel in zip(
+                   spans_tuples(t, block_spans(t.capacities)), struct.rels)):
             return t, classes
     return present(struct), [[x] for x in range(struct.size)]
 
@@ -163,8 +167,8 @@ def _coarsening(comp, type_of):
     bug).
     """
     nblocks = len(comp)
-    merge = {(i, j): _mergeable(comp, i, j, type_of)
-             for i, j in itertools.combinations(range(nblocks), 2)}
+    merge = _pair_verdicts(comp, type_of,
+                           itertools.combinations(range(nblocks), 2))
     uf = _UnionFind(nblocks)
     for (i, j), ok in merge.items():
         if ok:
@@ -183,16 +187,39 @@ def _coarsening(comp, type_of):
     return classes
 
 
-def _mergeable(comp, i, j, type_of):
-    """Whether an element of block i and one of block j are mergeable:
-    c' + e_i and c' + e_j have the same type for every c' <= comp - e_i - e_j.
+def _pair_verdicts(comp, type_of, pairs):
+    """{(i, j): whether an element of block i and one of block j are
+    mergeable} over the block pairs in `pairs`: c' + e_i and c' + e_j have
+    the same type for every c' <= comp - e_i - e_j.
 
-    The c' go degree by degree, so a witness against the merge at degree m
-    needs the types of degree m + 1 only."""
-    rest = [d - (b in (i, j)) for b, d in enumerate(comp)]
-    return all(type_of(c[:i] + (c[i] + 1,) + c[i + 1:])
-               == type_of(c[:j] + (c[j] + 1,) + c[j + 1:])
-               for m in range(sum(rest) + 1) for c in subcompositions(rest, m))
+    One walk decides every pair: the c' <= comp go degree by degree, and at
+    each c' every undecided pair with c'_i < comp_i and c'_j < comp_j
+    compares the types of its two neighbours, each read once per c'.  A pair
+    drops out at its first difference, and the walk ends when none is left,
+    so a witness against the last open merge at degree m needs the types of
+    degree m + 1 only."""
+    verdict = dict.fromkeys(pairs, True)
+    undecided = list(verdict)
+    for m in range(sum(comp) - 1):
+        if not undecided:
+            break
+        for c in subcompositions(comp, m):
+            up = {}
+            split = False
+            for pair in undecided:
+                i, j = pair
+                if c[i] < comp[i] and c[j] < comp[j]:
+                    for b in pair:
+                        if b not in up:
+                            up[b] = type_of(c[:b] + (c[b] + 1,) + c[b + 1:])
+                    if up[i] != up[j]:
+                        verdict[pair] = False
+                        split = True
+            if split:
+                undecided = [p for p in undecided if verdict[p]]
+                if not undecided:
+                    break
+    return verdict
 
 
 def _is_part(comp, cls, type_of):
@@ -225,7 +252,7 @@ def _level_classes(t, d, registry):
 def _fatness(t, d_max, registry=None):
     """(d, certificate, classes at level d) for `fatness_threshold`: the
     first level whose block coarsening level d+1 repeats."""
-    if d_max < 1:
+    if json_int(d_max, "d_max") < 1:
         raise InputError("d_max must be at least 1")
     registry = registry or TypeRegistry(t)
     prev = _level_classes(t, 1, registry)
@@ -284,6 +311,7 @@ def profile_floor_params(t, comps=None, d_max=DEFAULT_D_MAX):
     """(k, n0) for the lower bound phi(n) >= p_k(n - n0): n0 = k1*d + m with
     k1 the number of components of size >= d and m the total size of the
     remaining finite components."""
+    json_int(d_max, "d_max")
     comps = comps or template_components(t, d_max)
     d = comps.fatness
     k1 = 0
@@ -296,23 +324,21 @@ def profile_floor_params(t, comps=None, d_max=DEFAULT_D_MAX):
     return comps.dimension, k1 * d + m
 
 
-@lru_cache(maxsize=None)
-def _partitions_at_most(m, k):
-    if m < 0:
-        return 0
-    if m == 0:
-        return 1
-    if k == 0:
-        return 0
-    return _partitions_at_most(m, k - 1) + _partitions_at_most(m - k, k)
-
-
 def partition_lower_bound(k, n, n0):
     """p_k(n - n0): integer partitions of n - n0 into at most k parts
-    (0 below n0, 1 at n0 for the empty partition)."""
-    if k < 1:
+    (0 below n0, 1 at n0 for the empty partition), which are the partitions
+    into parts of size at most k, counted over a table of n - n0 + 1
+    entries that takes in the part sizes 1..k one at a time."""
+    if json_int(k, "k") < 1:
         raise InputError("partition_lower_bound needs k >= 1")
-    return _partitions_at_most(n - n0, k)
+    m = json_int(n, "n") - json_int(n0, "n0")
+    if m < 0:
+        return 0
+    count = [1] + [0] * m
+    for part in range(1, min(k, m) + 1):
+        for x in range(part, m + 1):
+            count[x] += count[x - part]
+    return count[m]
 
 
 # ---------------------------------------------------------------------------

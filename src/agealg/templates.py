@@ -332,10 +332,15 @@ def instantiate(t, comp):
     proportion to the tuples produced, not to size**arity.
     """
     comp = _check_composition(t, comp)
-    spans = block_spans(comp)
-    relations = [[tup for p in pats for tup in _pattern_tuples(p, spans)]
-                 for pats in t.accepted]
-    return FiniteRelStruct(t.signature, sum(comp), relations)
+    return FiniteRelStruct(t.signature, sum(comp),
+                           spans_tuples(t, block_spans(comp)))
+
+
+def spans_tuples(t, spans):
+    """Per relation symbol, the list of tuples of the instantiation with the
+    given `block_spans`, unchecked and without building the structure."""
+    return [[tup for p in pats for tup in _pattern_tuples(p, spans)]
+            for pats in t.accepted]
 
 
 def present(struct, classes=None):

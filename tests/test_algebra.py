@@ -58,6 +58,30 @@ def test_profile_series_published(registries):
     assert [r.profile(n) for n in range(5)] == [1, 2, 5, 9, 14]
 
 
+def partitions_into_at_most(k, n):
+    """Partitions of n into at most k parts, each part at most the one
+    before it: p(n, k, largest) over the first part."""
+    def count(n, parts, largest):
+        if n == 0:
+            return 1
+        if parts == 0:
+            return 0
+        return sum(count(n - first, parts - 1, first)
+                   for first in range(1, min(n, largest) + 1))
+    return count(n, k, n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_profiles_match_their_closed_forms(k):
+    # qsym(k): the compositions of n into at most k parts in order,
+    # C(n - 1, i - 1) of them with i parts
+    assert profile_series(qsym(k), 12) == [1] + [
+        sum(comb(n - 1, i) for i in range(k)) for n in range(1, 13)]
+    # sym(k): the multiset of block sizes, a partition into at most k parts
+    assert profile_series(sym(k), 15) == [
+        partitions_into_at_most(k, n) for n in range(16)]
+
+
 @pytest.mark.parametrize("call", [profile, mult_by_e_rank],
                          ids=["profile", "mult-by-e-rank"])
 def test_negative_degrees_are_refused(call):

@@ -14,8 +14,8 @@ import agealg.algebra
 import agealg.decomposition
 import agealg.verify
 from agealg.algebra import TypeRegistry
-from agealg.decomposition import (_coarsening, _is_part, _marked, _mergeable,
-                                  _presentation,
+from agealg.decomposition import (_coarsening, _is_part, _marked,
+                                  _pair_verdicts, _presentation,
                                   fatness_threshold, is_F_monomorphic_struct,
                                   is_F_monomorphic_up_to, is_monomorphic_part,
                                   minimal_decomposition, pair_mergeable,
@@ -27,7 +27,8 @@ from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
 from agealg.templates import (INF, BlockTemplate, TuplePattern, block_spans,
                               clique_plus_coclique, clique_sum, coclique,
                               groupoid_example, instantiate, lex_sum, present,
-                              qsym, rqsym, sym, wheel_plus_coclique)
+                              qsym, rqsym, subcompositions, sym,
+                              wheel_plus_coclique)
 
 GRAPH = Signature((("adj", 2),))
 
@@ -360,8 +361,9 @@ def test_failed_verification_takes_the_subset_route(monkeypatch):
         sources.append(source)
         return TypeRegistry(source)
     monkeypatch.setattr(agealg.decomposition, "TypeRegistry", recording)
-    monkeypatch.setattr(agealg.decomposition, "instantiate",
-                        lambda t, comp: None)
+    # the tuples of no relation match, so the check fails
+    monkeypatch.setattr(agealg.decomposition, "spans_tuples",
+                        lambda t, spans: [[] for _ in t.accepted])
     singletons = present(s), [[x] for x in range(s.size)]
     assert _presentation(s) == singletons
     assert minimal_decomposition(s) == expected
@@ -410,6 +412,54 @@ def test_presentation_spares_the_subsets(monkeypatch):
     assert codes["calls"] <= 30
 
 
+def per_pair_coarsening(comp, type_of):
+    """`_coarsening` with each pair of blocks tested on its own: the c' <=
+    comp - e_i - e_j of one pair go degree by degree up to its first
+    difference, and the classes are the union of the mergeable pairs."""
+    def mergeable(i, j):
+        rest = [d - (b in (i, j)) for b, d in enumerate(comp)]
+        return all(type_of(c[:i] + (c[i] + 1,) + c[i + 1:])
+                   == type_of(c[:j] + (c[j] + 1,) + c[j + 1:])
+                   for m in range(sum(rest) + 1)
+                   for c in subcompositions(rest, m))
+
+    classes = [{b} for b in range(len(comp))]
+    for i, j in itertools.combinations(range(len(comp)), 2):
+        if mergeable(i, j):
+            a, b = (next(cls for cls in classes if x in cls) for x in (i, j))
+            if a is not b:
+                classes.remove(b)
+                a |= b
+    classes = sorted(sorted(cls) for cls in classes)
+    assert all(_is_part(comp, set(cls), type_of) for cls in classes)
+    return classes
+
+
+def assert_walk_classifies_as_the_oracle(s):
+    """The one walk over every pair finds the classes of the per-pair
+    oracle and leaves the same compositions in its registry."""
+    t, _ = _presentation(s)
+    walk, oracle = TypeRegistry(t), TypeRegistry(t)
+    assert _coarsening(t.capacities, walk.id_of) \
+        == per_pair_coarsening(t.capacities, oracle.id_of)
+    assert walk._comp_id.keys() == oracle._comp_id.keys()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
+                                  st.integers(0, n - 1))))))
+def test_one_walk_classifies_as_the_per_pair_tests(digraph):
+    n, arcs = digraph
+    assert_walk_classifies_as_the_oracle(FiniteRelStruct(ARC, n, {"arc": arcs}))
+
+
+def test_one_walk_classifies_as_the_per_pair_tests_on_larger_digraphs():
+    assert_walk_classifies_as_the_oracle(planted_16()[0])
+    assert_walk_classifies_as_the_oracle(
+        random_structure(random.Random(14), 14, density=0.5))
+
+
 def test_decompositions_classify_only_the_degrees_they_need(monkeypatch):
     classified = Counter()
     compositions = agealg.algebra.compositions
@@ -441,7 +491,8 @@ def test_decompositions_classify_only_the_degrees_they_need(monkeypatch):
 
 def lex_mergeable(comp, i, j, type_of):
     """The pair test over c' <= comp - e_i - e_j in plain lex order: the
-    comparisons of `_mergeable`, which goes degree by degree."""
+    comparisons that `_pair_verdicts` makes for the pair (i, j), degree by
+    degree."""
     def plus(up, other):
         # c' + e_up for every c' <= comp - e_up - e_other
         return itertools.product(*(range(b == up, d + (b != other))
@@ -498,9 +549,9 @@ def labelled_composition(draw):
 def test_pair_and_part_tests_match_their_plain_enumerations(case):
     comp, type_of = case
     blocks = range(len(comp))
-    for i, j in itertools.permutations(blocks, 2):
-        assert _mergeable(comp, i, j, type_of) \
-            == lex_mergeable(comp, i, j, type_of)
+    pairs = list(itertools.permutations(blocks, 2))
+    assert _pair_verdicts(comp, type_of, pairs) == {
+        (i, j): lex_mergeable(comp, i, j, type_of) for i, j in pairs}
     for size in range(len(comp) + 1):
         for cls in itertools.combinations(blocks, size):
             assert _is_part(comp, set(cls), type_of) \
@@ -633,6 +684,14 @@ def test_partition_lower_bound_oracle():
     for k in (1, 2, 3):
         for m in range(8):
             assert partition_lower_bound(k, m, 0) == brute(m, k)
+
+
+def test_partition_lower_bound_into_three_parts_is_the_nearest_integer():
+    # p_3(n) is the integer nearest (n + 3)^2 / 12; at n = 3000 a recursion
+    # about n / k levels deep passes Python's default recursion limit
+    for n in range(3001):
+        assert partition_lower_bound(3, n, 0) == round((n + 3) ** 2 / 12)
+    assert partition_lower_bound(3, 3005, 5) == 751_501
 
 
 def test_partition_lower_bound_needs_positive_k():
@@ -790,11 +849,23 @@ def test_template_F_monomorphy_matches_brute_force(rng, f_counts, bound):
     (lambda t: pair_mergeable(instantiate(t, (3, 1)), True, 2), "element"),
     (lambda t: fatness_threshold(t, d_max=0), "d_max"),
     (lambda t: template_components(t, d_max=-1), "d_max"),
+    (lambda t: fatness_threshold(t, d_max=2.5), "d_max"),
+    (lambda t: fatness_threshold(t, d_max=True), "d_max"),
+    (lambda t: template_components(t, d_max=1.5), "d_max"),
+    (lambda t: profile_floor_params(t, d_max=2.5), "d_max"),
+    (lambda t: profile_floor_params(t, template_components(t), d_max=2.5),
+     "d_max"),
+    (lambda t: partition_lower_bound(2, 2.5, 0), "^n must"),
+    (lambda t: partition_lower_bound(True, 5, 0), "^k must"),
+    (lambda t: partition_lower_bound(2, 5, 1.0), "^n0 must"),
 ], ids=["bool-count", "negative-count", "negative-infinite-count",
         "fractional-count", "negative-bound", "fractional-bound",
         "negative-bound-struct", "fractional-bound-struct",
         "fractional-F-element", "fractional-part", "bool-pair-element",
-        "d-max-0", "d-max-negative"])
+        "d-max-0", "d-max-negative", "fractional-d-max", "bool-d-max",
+        "fractional-d-max-components", "fractional-d-max-floor",
+        "fractional-d-max-given-components", "fractional-partition-n",
+        "bool-partition-k", "fractional-partition-n0"])
 def test_bad_bounds_are_refused(call, what):
     # each refusal names the argument at fault
     with pytest.raises(InputError, match=what):
