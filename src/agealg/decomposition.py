@@ -92,9 +92,19 @@ def _twin_classes(struct):
     of their least element.  x and y are twins when every tuple through one
     of them and not the other stays in its relation after x and y are
     swapped.  Over a binary signature a union of overlapping twin pairs is a
-    module; whatever the arities, `_presentation` checks the classes."""
+    module; whatever the arities, `_presentation` checks the classes.
+
+    Swapping twins x and y maps the tuples through x and not y onto those
+    through y and not x, so twins lie in as many tuples of each relation:
+    only pairs with equal counts are tested."""
     occurrences = struct._occurrences()
     rels = struct.rels
+    groups = {}
+    for x in range(struct.size):
+        counts = [0] * len(rels)
+        for si, _, _ in occurrences[x]:
+            counts[si] += 1
+        groups.setdefault(tuple(counts), []).append(x)
 
     def twins(x, y):
         for a, b in ((x, y), (y, x)):
@@ -105,9 +115,10 @@ def _twin_classes(struct):
         return True
 
     uf = _UnionFind(struct.size)
-    for x, y in itertools.combinations(range(struct.size), 2):
-        if uf.find(x) != uf.find(y) and twins(x, y):
-            uf.union(x, y)
+    for group in groups.values():
+        for x, y in itertools.combinations(group, 2):
+            if uf.find(x) != uf.find(y) and twins(x, y):
+                uf.union(x, y)
     classes = {}
     for x in range(struct.size):
         classes.setdefault(uf.find(x), []).append(x)

@@ -77,11 +77,7 @@ def div_geom(p, j):
 
 def expand(numerator, denominators, degree):
     """Series coefficients 0..degree of numerator / prod (1 - Z^j)."""
-    out = [0] * (degree + 1)
-    for i, c in enumerate(numerator):
-        if i > degree:
-            break
-        out[i] = c
+    out = list(numerator[:degree + 1]) + [0] * (degree + 1 - len(numerator))
     for j in denominators:
         for i in range(j, degree + 1):
             out[i] += out[i - j]
@@ -96,13 +92,9 @@ class IntSeries:
     order: int
 
     @staticmethod
-    def make(coeffs, order=None):
+    def make(coeffs):
         coeffs = tuple(int(c) for c in coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order != len(coeffs) - 1:
-            raise InputError("order must match the coefficient list")
-        return IntSeries(coeffs, order)
+        return IntSeries(coeffs, len(coeffs) - 1)
 
     def __getitem__(self, n):
         if n < 0 or n > self.order:
@@ -130,7 +122,7 @@ class HilbertForm:
         return not self.numerator
 
     def series(self, degree):
-        return expand(list(self.numerator), self.denominators, degree)
+        return expand(self.numerator, self.denominators, degree)
 
     def normalized(self):
         """Cancel every factor (1 - Z^j) that divides the numerator, largest
@@ -298,13 +290,18 @@ class WeightedMonomialIdeal:
         return any(all(x <= y for x, y in zip(g, mono)) for g in self.generators)
 
 
-def _minimal(degrees, gens):
+def _minimal(degrees, gens, i=None):
     """The minimal ones among the exponent vectors `gens`, in the order of
-    (weighted degree, vector); a divisor comes before its multiples."""
-    minimal = []
+    (weighted degree, vector); a divisor comes before its multiples.  With
+    `i`, `gens` is I : x_i^e for minimal generators of I.  Two that were
+    lowered by e stay incomparable, so only those with x_i exponent 0 are
+    tested as divisors."""
+    minimal, divisors = [], []
     for g in sorted(set(gens), key=lambda g: (sum(map(mul, g, degrees)), g)):
-        if not any(all(map(le, h, g)) for h in minimal):
+        if not any(all(map(le, h, g)) for h in divisors):
             minimal.append(g)
+            if i is None or not g[i]:
+                divisors.append(g)
     return tuple(minimal)
 
 
@@ -343,7 +340,7 @@ def _quotient_numerator(degrees, gens):
         pivot = tuple(e if j == i else 0 for j in range(nvars))
         work.append((tuple(g for g in gens if g[i] < e) + (pivot,), shift))
         colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
-        work.append((_minimal(degrees, colon), shift + e * degrees[i]))
+        work.append((_minimal(degrees, colon, i), shift + e * degrees[i]))
     return ptrim([total[at] for at in range(max(total, default=-1) + 1)])
 
 
@@ -503,7 +500,7 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
     exposes a genuine bug.  So does a finite layer that does not cancel
     from a chain series, as generators cut too early leave it.
     """
-    from .algebra import TypeRegistry
+    from .algebra import TypeRegistry, profile_series
     from .decomposition import template_components
 
     registry = registry or TypeRegistry(t)
@@ -560,7 +557,6 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
         total = padd(total, f.over(range(1, k + 1)))
     form = HilbertForm.make(total, range(1, k + 1))
 
-    from .algebra import profile_series
     want = profile_series(t, degree, registry)
     got = form.series(degree)
     if got != want:
@@ -698,30 +694,13 @@ def quasi_polynomial(form, extra_checks=2):
     return QuasiPolynomial(period, n_min, tuple(polys))
 
 
-def nonnegative_form(form, max_part=None, count=None):
-    """Search denominator multisets (same size by default) for a
-    representation with non-negative numerator; None if the bounded search
-    finds nothing.  Completeness is not claimed.
-
-    The multisets are walked in `combinations_with_replacement` order, and
-    each one's candidate numerator is first screened as the form's series
-    times the multiset's factors, a product shared along common prefixes.
-    Were the numerator a polynomial, it would have degree at most
-    top = deg N - sum(denominators) + sum(multiset) and equal that product
-    through it; so a nonzero coefficient above top, or a negative one at
-    or below it, rules the multiset out.  Every other multiset is decided
-    by the exact `HilbertForm.over`.
-    """
-    k = count if count is not None else len(form.denominators)
-    if k < 0:
-        raise InputError(f"count must be >= 0, got {k}")
-    if max_part is None:
-        max_part = max(2 * max(form.denominators, default=1), 4)
-    base = len(form.numerator) - 1 - sum(form.denominators)
-    series = form.series(max(len(form.numerator) - 1 + k * max_part, 0))
+def _survivors(series, base, multisets):
+    """The multisets, sorted tuples, at which `series` times their factors,
+    a product shared along common prefixes, passes `nonnegative_form`'s
+    screen."""
     products = [series]  # products[i]: the series times the first i factors
     prev = ()
-    for dens in itertools.combinations_with_replacement(range(1, max_part + 1), k):
+    for dens in multisets:
         shared = 0
         while shared < len(prev) and prev[shared] == dens[shared]:
             shared += 1
@@ -732,8 +711,45 @@ def nonnegative_form(form, max_part=None, count=None):
         prev = dens
         cut = max(base + sum(dens) + 1, 0)
         p = products[-1]
-        if any(p[cut:]) or min(p[:cut], default=0) < 0:
-            continue
+        if not any(p[cut:]) and min(p[:cut], default=0) >= 0:
+            yield dens
+
+
+def nonnegative_form(form, max_part=None, count=None):
+    """Search denominator multisets (same size by default) for a
+    representation with non-negative numerator; None if the bounded search
+    finds nothing.  Completeness is not claimed.
+
+    A multiset's numerator would have degree at most top = deg N -
+    sum(denominators) + sum(multiset) and agree through it with the series
+    times the multiset's factors.  The screen rules the multiset out if
+    that product has a nonzero coefficient above top or a negative one
+    up to it; `HilbertForm.over` decides the rest.  Raising a part d to a
+    multiple d' multiplies the product by 1 + Z^d + ... + Z^{d'-d}, so a
+    multiset passes only if its lift does: each part times the largest
+    power of two keeping it <= P = `max_part`, in the band (P/2, P].  So
+    the band is screened first, and the walk in
+    `combinations_with_replacement` order skips each multiset whose lift
+    failed.
+    """
+    k = len(form.denominators) if count is None else json_int(count, "count")
+    if k < 0:
+        raise InputError(f"count must be >= 0, got {k}")
+    if max_part is None:
+        max_part = max(2 * max(form.denominators, default=1), 4)
+    elif json_int(max_part, "max_part") < 0:
+        raise InputError(f"max_part must be >= 0, got {max_part}")
+    base = len(form.numerator) - 1 - sum(form.denominators)
+    series = form.series(max(len(form.numerator) - 1 + k * max_part, 0))
+    parts = range(1, max_part + 1)
+    band = set(_survivors(series, base, itertools.combinations_with_replacement(
+        parts[max_part // 2:], k)))
+    if not band:
+        return None
+    lift = {d: d << (max_part // d).bit_length() - 1 for d in parts}
+    walk = (dens for dens in itertools.combinations_with_replacement(parts, k)
+            if tuple(sorted(map(lift.get, dens))) in band)
+    for dens in _survivors(series, base, walk):
         num = form.over(dens)
         if num is not None and all(c >= 0 for c in num):
             return HilbertForm.make(num, dens)

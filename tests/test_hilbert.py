@@ -4,12 +4,14 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import agealg.hilbert
 from agealg.algebra import TypeRegistry, profile_series
 from agealg.errors import (ConsistencyError, InputError, NotRationalError,
                            UndeterminedError)
@@ -356,6 +358,16 @@ def minimalizing_quotient_numerator(degrees, gens):
 def test_quotient_numerator_matches_the_minimalizing_oracle(ideal):
     assert _quotient_numerator(ideal.degrees, ideal.generators) == \
         minimalizing_quotient_numerator(ideal.degrees, ideal.generators)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_ideals().filter(lambda ideal: ideal.degrees), st.data())
+def test_colon_minimal_matches_the_full_minimal(ideal, data):
+    # the colon branch tests only divisors with x_i exponent 0
+    i = data.draw(st.integers(0, len(ideal.degrees) - 1))
+    e = data.draw(st.integers(1, 5))
+    colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in ideal.generators]
+    assert _minimal(ideal.degrees, colon, i) == _minimal(ideal.degrees, colon)
 
 
 def test_ideal_beyond_twenty_generators():
@@ -959,6 +971,34 @@ def long_over(form, dens):
     return num
 
 
+def walk_nonnegative_form(form, max_part=None, count=None):
+    """`nonnegative_form` without the band: every multiset is screened."""
+    k = count if count is not None else len(form.denominators)
+    if max_part is None:
+        max_part = max(2 * max(form.denominators, default=1), 4)
+    base = len(form.numerator) - 1 - sum(form.denominators)
+    series = form.series(max(len(form.numerator) - 1 + k * max_part, 0))
+    products = [series]  # products[i]: the series times the first i factors
+    prev = ()
+    for dens in itertools.combinations_with_replacement(range(1, max_part + 1), k):
+        shared = 0
+        while shared < len(prev) and prev[shared] == dens[shared]:
+            shared += 1
+        del products[shared + 1:]
+        for j in dens[shared:]:
+            p = products[-1]
+            products.append(p[:j] + list(map(sub, p[j:], p)))
+        prev = dens
+        cut = max(base + sum(dens) + 1, 0)
+        p = products[-1]
+        if any(p[cut:]) or min(p[:cut], default=0) < 0:
+            continue
+        num = form.over(dens)
+        if num is not None and all(c >= 0 for c in num):
+            return HilbertForm.make(num, dens)
+    return None
+
+
 def long_nonnegative_form(form, max_part=None, count=None):
     """`nonnegative_form` by long multiplication and division."""
     k = count if count is not None else len(form.denominators)
@@ -987,15 +1027,51 @@ def test_over_is_none_when_the_denominator_is_too_small():
     assert cpc.over([1, 1, 2]) == [1, -1, 0, 1, -1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(random_forms(), st.sampled_from([None, 1, 3, 5, 6]),
-       st.sampled_from([None, 0, 1, 2, 4]))
+@st.composite
+def hit_forms(draw):
+    """A non-negative numerator over 0-3 factors, normalized: the search
+    over as many factors finds a non-negative form."""
+    numerator = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    return HilbertForm.make(numerator, draw(
+        st.lists(st.integers(1, 4), max_size=3))).normalized()
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_forms() | hit_forms(), st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+       st.sampled_from([None, 0, 1, 2, 3, 4]))
 @example(HilbertForm.make([1, 0, 0, 1], [1, 2]), None, None)
 @example(HilbertForm.make([1, -1, 2, -1], [1, 1, 1]), None, None)
 @example(HilbertForm.make([1, 1], [1, 2]), 4, 3)
+@example(HilbertForm.make([1, 0, 1], [2, 3]), 6, 3)
 def test_nonnegative_form_matches_long_arithmetic(form, max_part, count):
-    assert (nonnegative_form(form, max_part, count)
-            == long_nonnegative_form(form, max_part, count))
+    # the band skips only multisets the walk rejects, so it calls `over`
+    # no more often
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_over_calls(mp)
+        found = nonnegative_form(form, max_part, count)
+        banded = len(calls)
+        assert found == walk_nonnegative_form(form, max_part, count)
+        assert banded <= len(calls) - banded
+    assert found == long_nonnegative_form(form, max_part, count)
+
+
+def lift(dens, max_part):
+    """Each part times the largest power of two keeping it <= max_part."""
+    return tuple(sorted(d << (max_part // d).bit_length() - 1 for d in dens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_forms() | hit_forms(), st.integers(1, 8).flatmap(
+    lambda top: st.tuples(st.just(top), st.lists(
+        st.integers(1, top), max_size=4).map(sorted).map(tuple))))
+def test_the_screen_passes_at_the_lift_where_it_passes(form, case):
+    max_part, dens = case
+    lifted = lift(dens, max_part)
+    assert all(max_part < 2 * d <= 2 * max_part for d in lifted)
+    base = len(form.numerator) - 1 - sum(form.denominators)
+    series = form.series(len(form.numerator) + len(dens) * max_part)
+    passed = set(agealg.hilbert._survivors(series, base, [dens, lifted]))
+    assert dens not in passed or lifted in passed
 
 
 @settings(max_examples=100, deadline=None)
@@ -1008,6 +1084,15 @@ def test_nonnegative_form_of_ideal_forms_matches_long_arithmetic(ideal):
 def test_nonnegative_form_refuses_a_negative_count():
     with pytest.raises(InputError, match="count"):
         nonnegative_form(HilbertForm.make([1], [1]), count=-1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_part": -1}, {"count": 2.5}, {"max_part": 2.5}, {"count": True},
+    {"max_part": True}, {"count": "2"}, {"max_part": 2.0},
+])
+def test_nonnegative_form_refuses_bad_arguments(kwargs):
+    with pytest.raises(InputError, match=next(iter(kwargs))):
+        nonnegative_form(HilbertForm.make([1], [1]), **kwargs)
 
 
 def antichain_ideal(rng, degrees, gens):
@@ -1060,6 +1145,27 @@ def test_nonnegative_form_screen_spares_the_exact_rewrites(monkeypatch):
     calls = count_over_calls(monkeypatch)
     assert all(nonnegative_form(f) is None for f in forms)
     assert len(calls) <= 5
+
+
+def test_nonnegative_form_screens_only_the_band_on_a_miss(monkeypatch):
+    # with P = max_part, only the multisets of parts in (P/2, P] are screened
+    forms = seeded_ideal_forms(3)
+    band = sum(
+        math.comb((max(2 * max(f.denominators), 4) + 1) // 2
+                  + len(f.denominators) - 1, len(f.denominators))
+        for f in forms)
+    assert band == 700
+    screened = []
+    survivors = agealg.hilbert._survivors
+
+    def counting(series, base, multisets):
+        # `_survivors` screens each multiset it is given once
+        return survivors(series, base, (screened.append(m) or m
+                                        for m in multisets))
+
+    monkeypatch.setattr(agealg.hilbert, "_survivors", counting)
+    assert all(nonnegative_form(f) is None for f in forms)
+    assert len(screened) <= 700
 
 
 def test_nonnegative_form_confirms_every_survivor(monkeypatch):

@@ -14,8 +14,8 @@ import agealg.algebra
 import agealg.decomposition
 import agealg.verify
 from agealg.algebra import TypeRegistry
-from agealg.decomposition import (_coarsening, _is_part, _marked,
-                                  _pair_verdicts, _presentation,
+from agealg.decomposition import (_UnionFind, _coarsening, _is_part, _marked,
+                                  _pair_verdicts, _presentation, _twin_classes,
                                   fatness_threshold, is_F_monomorphic_struct,
                                   is_F_monomorphic_up_to, is_monomorphic_part,
                                   minimal_decomposition, pair_mergeable,
@@ -290,7 +290,7 @@ def test_presented_route_matches_the_subset_route(kind):
 
 
 def test_unverified_presentation_takes_the_subset_route():
-    assert len(agealg.decomposition._twin_classes(UNPRESENTABLE)) == 2
+    assert len(_twin_classes(UNPRESENTABLE)) == 2
     assert _presentation(UNPRESENTABLE) == (
         present(UNPRESENTABLE), [[0], [1], [2], [3]])
     assert minimal_decomposition(UNPRESENTABLE) == subset_route(UNPRESENTABLE)
@@ -350,6 +350,44 @@ def test_presented_route_matches_the_subset_route_on_random_templates(s):
     assert sorted(x for cls in classes for x in cls) == list(range(s.size))
     assert t.capacities == tuple(map(len, classes))
     assert minimal_decomposition(s) == subset_route(s)
+
+
+def all_pairs_twin_classes(struct):
+    """`_twin_classes` testing every pair, not only those of equal tuple
+    counts."""
+    occurrences = struct._occurrences()
+    rels = struct.rels
+
+    def twins(x, y):
+        for a, b in ((x, y), (y, x)):
+            for si, _, t in occurrences[a]:
+                if b not in t and tuple(
+                        b if v == a else v for v in t) not in rels[si]:
+                    return False
+        return True
+
+    uf = _UnionFind(struct.size)
+    for x, y in itertools.combinations(range(struct.size), 2):
+        if uf.find(x) != uf.find(y) and twins(x, y):
+            uf.union(x, y)
+    classes = {}
+    for x in range(struct.size):
+        classes.setdefault(uf.find(x), []).append(x)
+    return list(classes.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(templated_structure() | st.integers(1, 8).flatmap(
+    lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    .map(lambda arcs: FiniteRelStruct(ARC, n, {"arc": arcs}))))
+@example(UNPRESENTABLE)
+def test_twin_classes_match_the_all_pairs_oracle(s):
+    assert _twin_classes(s) == all_pairs_twin_classes(s)
+
+
+def test_twin_classes_match_the_all_pairs_oracle_on_the_oracle_cases():
+    for s in itertools.chain(*ORACLE_CASES.values()):
+        assert _twin_classes(s) == all_pairs_twin_classes(s)
 
 
 def test_failed_verification_takes_the_subset_route(monkeypatch):
