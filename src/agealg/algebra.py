@@ -29,8 +29,11 @@ group takes its type, with the composition's witness after that map as
 witness: no deck, no through-tuples, no structure.  The orbit comes later
 in the degree, since its first member in lex order is the one classified,
 and it is walked over a generating set of the automorphisms
-(`_block_automorphisms`), found once per registry by backtracking over the
-blocks.  (Those of a presented finite structure are its automorphisms.)
+(`_block_automorphisms`).  The blocks, read as a finite structure
+(`templates.block_structure`), have exactly the block automorphisms as
+automorphisms, so the generators are those that its canonical search
+records, once per registry.  (Those of a presented finite structure are its
+automorphisms.)
 The compositions that no automorphism reaches from an earlier one take the
 route below.
 
@@ -62,13 +65,14 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .errors import ConsistencyError, InputError
 from .hilbert import monomial_key
-from .structures import canonical_code, find_isomorphism, maps_onto
-from .templates import (block_spans, compositions, instantiate, spans_through,
-                        subcompositions)
+from .structures import (automorphisms, canonical_code, find_isomorphism,
+                         maps_onto)
+from .templates import (block_spans, block_structure, compositions,
+                        instantiate, spans_through, subcompositions)
 
 
 @dataclass(eq=False)
@@ -120,82 +124,12 @@ class TypeEntry:
 
 
 def _block_automorphisms(t):
-    """A generating set of the block automorphisms of the template t: the
-    permutations a of its blocks (a[b] the image of block b) that keep every
-    capacity and map every relation's accepted patterns onto themselves,
-    (blocks, ranks) to (a(blocks), ranks).
-
-    Blocks are assigned in order, each only to a block of equal invariant
-    (capacity, and per relation the sorted patterns through it with the
-    other blocks named by first occurrence), and a pattern is checked as
-    soon as its last block is assigned.  The generators are those of a
-    stabilizer chain: going from the last block to the first, for each
-    block d and each x outside the orbit of d under the generators found so
-    far (which fix the blocks before d), the first automorphism that fixes
-    the blocks before d and sends d to x, if any.  So the identity is never
-    listed, the group they generate is the whole automorphism group, and
-    each generator joins two orbits of the blocks, so there are fewer
-    generators than blocks."""
-    k = len(t.blocks)
-    accepted = [{(p.blocks, p.ranks) for p in pats} for pats in t.accepted]
-    closing = [[] for _ in range(k)]
-    for si, pats in enumerate(t.accepted):
-        for p in pats:
-            closing[max(p.blocks)].append((si, p.blocks, p.ranks))
-
-    def invariant(b):
-        def relative(p):
-            names = {b: 0}
-            return tuple((names.setdefault(x, len(names)), r)
-                         for x, r in zip(p.blocks, p.ranks))
-        return (t.capacities[b], tuple(tuple(sorted(map(relative, pats)))
-                                       for pats in t.patterns_through[b]))
-
-    classes = {}
-    inv = [classes.setdefault(invariant(b), len(classes)) for b in range(k)]
-
-    def holds(a):
-        """Whether a maps onto accepted patterns the patterns whose last
-        block is the last one it assigns."""
-        return all((tuple(map(a.__getitem__, blocks)), ranks) in accepted[si]
-                   for si, blocks, ranks in closing[len(a) - 1])
-
-    def complete(a):
-        if len(a) == k:
-            return tuple(a)
-        b = len(a)
-        for x in range(k):
-            if inv[x] == inv[b] and x not in a:
-                a.append(x)
-                if holds(a):
-                    found = complete(a)
-                    if found:
-                        return found
-                a.pop()
-        return None
-
-    def orbit(d, gens):
-        seen, stack = {d}, [d]
-        while stack:
-            y = stack.pop()
-            for g in gens:
-                if g[y] not in seen:
-                    seen.add(g[y])
-                    stack.append(g[y])
-        return seen
-
-    gens = []
-    for d in reversed(range(k)):
-        reached = orbit(d, gens)
-        for x in range(d + 1, k):
-            if x in reached or inv[x] != inv[d]:
-                continue
-            a = [*range(d), x]
-            g = complete(a) if holds(a) else None
-            if g:
-                gens.append(g)
-                reached = orbit(d, gens)
-    return gens
+    """A generating set of the block automorphisms of the template t, a[b]
+    the image of block b: the automorphisms of `templates.block_structure`
+    that its canonical search records (`structures.automorphisms`).  A
+    template with no blocks, such as a presented empty structure, has
+    none."""
+    return automorphisms(block_structure(t)) if t.blocks else []
 
 
 class TypeRegistry:
@@ -499,32 +433,28 @@ def e_orbit(t, registry=None):
 
 
 def _int_matrix_rank(rows):
-    """Rank over the rationals by fraction-free (Bareiss-style) elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    rows_n, cols_n = len(m), len(m[0])
+    """Rank over the rationals by integer row elimination.  Each pivot row
+    clears its first nonzero column from the rows with an entry there, and
+    each row so changed is divided by the gcd of its entries, or dropped
+    when it is zero."""
+    rows = [r for r in rows if any(r)]
     rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols_n):
-        pivot = None
-        for i in range(r, rows_n):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, rows_n):
-            for j in range(c + 1, cols_n):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
+    while rows:
+        pivot = rows.pop()
+        c = next(j for j, x in enumerate(pivot) if x)
+        p = pivot[c]
+        rest = []
+        for r in rows:
+            f = r[c]
+            if f:
+                r = [p * x - f * y for x, y in zip(r, pivot)]
+                g = gcd(*r)
+                if not g:
+                    continue
+                r = [x // g for x in r]
+            rest.append(r)
+        rows = rest
         rank += 1
-        if r == rows_n:
-            break
     return rank
 
 

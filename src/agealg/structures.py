@@ -12,7 +12,11 @@ individualization-refinement canonicalizer).  The code is the smallest leaf
 encoding, and its labelling the first leaf that reaches it.  Two structures
 get the same code if and only if they are isomorphic, and the labelling that
 produced each code is kept, so `find_isomorphism` composes the two
-labellings instead of searching.
+labellings instead of searching.  The search also yields a generating set
+of the automorphism group (`automorphisms`): the automorphisms it records
+at leaves that encode like the best one.  The registry's block
+automorphisms are those of a template's block structure, read off the same
+search.
 
 Two prunings from McKay's "Practical graph isomorphism" (1981) keep the
 search short without changing any code or labelling:
@@ -48,8 +52,8 @@ CODE_VERSION = "rs1"
 
 
 def json_int(value, what):
-    """An integer read from JSON: exact ints only, so 2.9, 2.0 and true are
-    refused instead of truncated."""
+    """An integer argument or one read from JSON: exact ints only, so 2.9,
+    2.0, "2" and true are refused instead of truncated."""
     if type(value) is not int:
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
@@ -62,7 +66,8 @@ class Signature:
     symbols: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple((str(n), int(a)) for n, a in self.symbols))
+        object.__setattr__(self, "symbols", tuple(
+            (str(n), json_int(a, f"arity of {n!r}")) for n, a in self.symbols))
         names = [n for n, _ in self.symbols]
         if not names:
             raise InputError("signature must contain at least one symbol")
@@ -92,10 +97,11 @@ class Signature:
 class FiniteRelStruct:
     """Immutable finite relational structure over {0..size-1}."""
 
-    __slots__ = ("signature", "size", "rels", "_hash", "_occ", "_code", "_label")
+    __slots__ = ("signature", "size", "rels", "_hash", "_occ", "_code", "_label",
+                 "_autos")
 
     def __init__(self, signature, size, relations):
-        if size < 0:
+        if json_int(size, "size") < 0:
             raise InputError("size must be >= 0")
         self.signature = signature
         self.size = size
@@ -108,18 +114,22 @@ class FiniteRelStruct:
         else:
             items = list(zip(signature.names, relations))
         for (name, arity), (_, tuples) in zip(signature.symbols, items):
-            rel = frozenset(tuple(int(x) for x in t) for t in tuples)
-            for t in rel:
+            tuples = list(map(tuple, tuples))
+            for t in tuples:
                 if len(t) != arity:
                     raise InputError(f"tuple {t} has wrong arity for symbol {name!r}")
-                if any(x < 0 or x >= size for x in t):
-                    raise InputError(f"tuple {t} out of range for size {size}")
-            rels.append(rel)
+                for x in t:
+                    if type(x) is not int:
+                        raise InputError(f"tuple entry must be an integer, got {x!r} in {t}")
+                    if not 0 <= x < size:
+                        raise InputError(f"tuple {t} out of range for size {size}")
+            rels.append(frozenset(tuples))
         self.rels = tuple(rels)
         self._hash = None
         self._occ = None
         self._code = None
         self._label = None
+        self._autos = None
 
     # -- basic protocol ----------------------------------------------------
 
@@ -158,12 +168,11 @@ class FiniteRelStruct:
     @staticmethod
     def from_json_dict(data):
         try:
-            sig = Signature(tuple((s["name"], json_int(s["arity"], "arity"))
-                                  for s in data["signature"]))
-            size = json_int(data["size"], "size")
-            relations = {k: [tuple(json_int(x, "tuple entry") for x in t) for t in v]
-                         for k, v in data.get("relations", {}).items()}
-            return FiniteRelStruct(sig, size, relations)
+            sig = Signature(tuple((s["name"], s["arity"]) for s in data["signature"]))
+            relations = data.get("relations", {})
+            if not isinstance(relations, dict):
+                raise InputError("relations must map symbol names to tuples")
+            return FiniteRelStruct(sig, data["size"], relations)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed structure JSON: {exc}") from exc
 
@@ -182,9 +191,11 @@ class FiniteRelStruct:
             occ = [[] for _ in range(self.size)]
             for si, rel in enumerate(self.rels):
                 for t in rel:
-                    for e in set(t):
-                        pos = tuple(i for i, x in enumerate(t) if x == e)
-                        occ[e].append((si, pos, t))
+                    positions = {}
+                    for i, e in enumerate(t):
+                        positions.setdefault(e, []).append(i)
+                    for e, pos in positions.items():
+                        occ[e].append((si, tuple(pos), t))
             self._occ = occ
         return self._occ
 
@@ -303,6 +314,7 @@ def canonical_code(struct):
     if n == 0:
         struct._code = CODE_VERSION + ":" + _encode(struct, [])
         struct._label = ()
+        struct._autos = ()
         return struct._code
 
     start = _refine(struct, [0] * n)
@@ -364,7 +376,22 @@ def canonical_code(struct):
     search(start, ())
     struct._code = CODE_VERSION + ":" + best[0]
     struct._label = tuple(best[1])
+    struct._autos = tuple(autos)
     return struct._code
+
+
+def automorphisms(struct):
+    """A generating set of the automorphism group of `struct`, each a tuple
+    g with g[x] the image of x: the automorphisms that `canonical_code`
+    records, one for each leaf that encodes like the best leaf.  The search
+    prunes only by those, so they generate the group, and the identity is
+    not among them.  When the refinement of the root is already discrete
+    the group is trivial, and no search is run."""
+    n = struct.size
+    if struct._code is None and len(set(_refine(struct, [0] * n))) == n:
+        return []
+    canonical_code(struct)
+    return list(struct._autos)
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,10 @@ INF = None  # capacity marker for infinite blocks
 
 def normalize_ranks(blocks, ranks):
     """Renumber ranks order-preservingly so that, within each block, the
-    distinct values form an initial segment 0..r."""
-    out = list(ranks)
-    for b in set(blocks):
-        positions = [i for i, x in enumerate(blocks) if x == b]
-        values = sorted({ranks[i] for i in positions})
-        remap = {v: j for j, v in enumerate(values)}
-        for i in positions:
-            out[i] = remap[ranks[i]]
-    return tuple(out)
+    distinct values form an initial segment 0..r: each rank becomes the
+    number of distinct smaller ranks in its block."""
+    return tuple(len({s for c, s in zip(blocks, ranks) if c == b and s < r})
+                 for b, r in zip(blocks, ranks))
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,8 @@ class TuplePattern:
 
     @staticmethod
     def make(blocks, ranks):
-        blocks = tuple(int(b) for b in blocks)
-        ranks = tuple(int(r) for r in ranks)
+        blocks = tuple(json_int(b, "pattern block") for b in blocks)
+        ranks = tuple(json_int(r, "pattern rank") for r in ranks)
         if len(blocks) != len(ranks):
             raise InputError("pattern blocks and ranks must have equal length")
         if any(r < 0 for r in ranks):
@@ -80,8 +75,6 @@ class TuplePattern:
 
 def _pattern_from_json(blocks, ranks):
     """A pattern read from JSON, whose ranks must already be normalized."""
-    blocks = [json_int(b, "pattern block") for b in blocks]
-    ranks = [json_int(r, "pattern rank") for r in ranks]
     p = TuplePattern.make(blocks, ranks)
     if p.ranks != tuple(ranks):
         raise InputError(f"pattern ranks {ranks} on blocks {blocks} "
@@ -104,7 +97,9 @@ class BlockTemplate:
         `accepted` maps symbol name -> iterable of TuplePattern (or
         (blocks, ranks) pairs, which are normalized here).
         """
-        blocks = tuple((str(n), (None if c in (None, "inf") else int(c))) for n, c in blocks)
+        blocks = tuple((str(n), None if c is None or c == "inf"
+                        else json_int(c, f"capacity of block {n!r}"))
+                       for n, c in blocks)
         acc = []
         for name, _ in signature.symbols:
             pats = []
@@ -165,10 +160,8 @@ class BlockTemplate:
     @staticmethod
     def from_json_dict(data):
         try:
-            sig = Signature(tuple((s["name"], json_int(s["arity"], "arity"))
-                                  for s in data["signature"]))
-            blocks = [(b["name"], b["capacity"] if b["capacity"] in (None, "inf")
-                       else json_int(b["capacity"], "capacity")) for b in data["blocks"]]
+            sig = Signature(tuple((s["name"], s["arity"]) for s in data["signature"]))
+            blocks = [(b["name"], b["capacity"]) for b in data["blocks"]]
             accepted = {
                 name: [_pattern_from_json(p["blocks"], p["ranks"]) for p in pats]
                 for name, pats in data.get("accepted", {}).items()
@@ -288,7 +281,7 @@ def block_spans(comp):
 
 def _check_composition(t, comp):
     """comp as a tuple of ints, after checking it against t's blocks."""
-    comp = tuple(int(d) for d in comp)
+    comp = tuple(json_int(d, "block count") for d in comp)
     if len(comp) != len(t.blocks):
         raise InputError("composition length != number of blocks")
     for d, (name, cap) in zip(comp, t.blocks):
@@ -366,6 +359,26 @@ def present(struct, classes=None):
         accepted.append(frozenset(pats))
     blocks = tuple((f"b{b}", len(cls)) for b, cls in enumerate(classes))
     return BlockTemplate(struct.signature, blocks, tuple(accepted))
+
+
+def block_structure(t):
+    """The blocks of t as a finite structure whose automorphisms are the
+    block automorphisms of t: the permutations a of the blocks that keep
+    every capacity and map each accepted pattern (blocks, ranks) onto an
+    accepted (a(blocks), ranks).  Element b is block b.  There is one
+    relation per relation of t and rank vector, holding the block vectors
+    of the accepted patterns with those ranks, and one unary relation per
+    capacity (infinity as -1), holding the blocks of that capacity; they
+    come in the order of their keys."""
+    rels = {}
+    for si, pats in enumerate(t.accepted):
+        for p in pats:
+            rels.setdefault((si, p.ranks), []).append(p.blocks)
+    for b, cap in enumerate(t.capacities):
+        rels.setdefault((-1, (-1 if cap is None else cap,)), []).append((b,))
+    keys = sorted(rels)
+    sig = Signature(tuple((f"r{i}", len(rels[k][0])) for i, k in enumerate(keys)))
+    return FiniteRelStruct(sig, len(t.blocks), [rels[k] for k in keys])
 
 
 def through_tuples(t, comp, i):

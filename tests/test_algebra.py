@@ -6,13 +6,15 @@ import sys
 from collections import Counter
 from math import comb
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import agealg.algebra
 from agealg.algebra import (OrbitSum, TypeEntry, TypeRegistry,
-                            _block_automorphisms, e_orbit,
+                            _block_automorphisms, _e_rows, _int_matrix_rank,
+                            e_orbit,
                             kernel_elements_bounded, mult_by_e_rank,
                             orbit_product, profile, profile_series,
                             structure_constant, unit_orbit)
@@ -288,15 +290,22 @@ def test_delta_check_agrees_with_full_check_on_random_digraphs(s):
 
 def brute_force_automorphisms(t):
     """Every permutation a of the blocks but the identity that keeps the
-    capacities and maps each relation's accepted patterns onto themselves."""
-    k = len(t.blocks)
+    capacities and maps each relation's accepted patterns into, and so, as
+    a bijection, onto themselves."""
+    caps = t.capacities
+    accepted = [{(p.blocks, p.ranks) for p in pats} for pats in t.accepted]
+    patterns = [(blocks, ranks, pats) for pats in accepted
+                for blocks, ranks in pats]
     out = set()
-    for a in itertools.permutations(range(k)):
-        if a != tuple(range(k)) and all(
-                t.capacities[a[b]] == t.capacities[b] for b in range(k)) and all(
-                {(tuple(a[b] for b in p.blocks), p.ranks) for p in pats}
-                == {(p.blocks, p.ranks) for p in pats} for pats in t.accepted):
+    for a in itertools.permutations(range(len(caps))):
+        if tuple(map(caps.__getitem__, a)) != caps:
+            continue
+        for blocks, ranks, pats in patterns:
+            if (tuple(map(a.__getitem__, blocks)), ranks) not in pats:
+                break
+        else:
             out.add(a)
+    out.discard(tuple(range(len(caps))))
     return out
 
 
@@ -373,9 +382,29 @@ def test_automorphisms_match_brute_force(name):
         brute_force_automorphisms(t)
 
 
+def circulant(n, steps):
+    return FiniteRelStruct(ARC, n, {"arc": [(x, (x + d) % n) for x in range(n)
+                                            for d in steps]})
+
+
+@st.composite
+def circulant_or_cubic(draw):
+    """A circulant digraph on at most 8 elements, or a 3-regular graph on
+    4, 6 or 8: regular digraphs, whose refinement splits nothing at the
+    root."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        return circulant(n, draw(st.sets(st.integers(0, n - 1))))
+    n = draw(st.sampled_from([4, 6, 8]))
+    g = nx.random_regular_graph(3, n, seed=draw(st.integers(0, 2 ** 16)))
+    return FiniteRelStruct(ARC, n, {"arc": [arc for a, b in g.edges
+                                            for arc in ((a, b), (b, a))]})
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(symmetric_template(),
-                 looped_digraph(max_size=6, min_size=1).map(present)))
+                 looped_digraph(max_size=6, min_size=1).map(present),
+                 circulant_or_cubic().map(present)))
 def test_automorphisms_match_brute_force_on_random_templates(t):
     gens = _block_automorphisms(t)
     assert generated_group(gens, len(t.blocks)) == brute_force_automorphisms(t)
@@ -403,6 +432,14 @@ def assert_orbit_route_matches_delta_route(monkeypatch, t, degree):
 def test_orbit_route_matches_delta_route(monkeypatch, name):
     assert_orbit_route_matches_delta_route(
         monkeypatch, ORBIT_SOURCES[name](), 7)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("steps", [(1,), (1, 2)])
+def test_orbit_route_matches_delta_route_on_circulants(monkeypatch, n, steps):
+    # the circulants whose witnesses depend on the generators found
+    assert_orbit_route_matches_delta_route(
+        monkeypatch, present(circulant(n, steps)), n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -808,6 +845,47 @@ def test_e_rank_certifies_monotone_profile(registries):
         t, registry = registries(name)
         for n in range(5):
             assert mult_by_e_rank(t, n, registry) == registry.profile(n)
+
+
+def bareiss_rank(rows):
+    """Rank over the rationals by fraction-free (Bareiss) elimination, the
+    oracle for the row elimination of `_int_matrix_rank`."""
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    rows_n, cols_n = len(m), len(m[0])
+    prev = 1
+    r = 0
+    for c in range(cols_n):
+        pivot = next((i for i in range(r, rows_n) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, rows_n):
+            for j in range(c + 1, cols_n):
+                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        r += 1
+        if r == rows_n:
+            break
+    return r
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda w: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3, -6, 35]), min_size=w,
+             max_size=w), max_size=8)))
+def test_int_matrix_rank_matches_bareiss(rows):
+    assert _int_matrix_rank(rows) == bareiss_rank(rows)
+
+
+def test_int_matrix_rank_matches_bareiss_on_e_matrices(registries):
+    for name in GALLERY:
+        t, registry = registries(name)
+        for n in range(8):
+            rows = _e_rows(registry, n)
+            assert _int_matrix_rank(rows) == bareiss_rank(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -523,6 +523,35 @@ def test_decompositions_classify_only_the_degrees_they_need(monkeypatch):
     assert max(classified) <= 3
 
 
+def cubic_graph(seed, n):
+    """A 3-regular graph on n elements: three stubs per element, shuffled
+    and paired, drawn again until no pair is a loop or repeats an edge."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [x for x in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return graph(n, edges)
+
+
+def paley_graph(p):
+    squares = {x * x % p for x in range(1, p)}
+    return graph(p, [(x, y) for x in range(p) for y in range(x + 1, p)
+                     if (y - x) % p in squares])
+
+
+@pytest.mark.parametrize("s", [cubic_graph(0, 20), cubic_graph(0, 30),
+                               paley_graph(13)],
+                         ids=["cubic20", "cubic30", "paley13"])
+def test_regular_graphs_decompose_into_singletons(s):
+    # rigid or vertex-transitive, these regular graphs give refinement
+    # nothing to split at the root, so the block automorphisms of their
+    # presentations take a search that refines after each choice; one that
+    # does not is exponential on the rigid cubic graphs
+    assert minimal_decomposition(s) == [[x] for x in range(s.size)]
+
+
 # ---------------------------------------------------------------------------
 # the pair and part tests against their plain enumerations
 

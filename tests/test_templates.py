@@ -25,6 +25,53 @@ def test_pattern_normalization():
     assert q.ranks == (0, 0)
 
 
+def remapped_ranks(blocks, ranks):
+    """Per block, the sorted distinct ranks remapped to 0..r: the oracle for
+    `normalize_ranks`."""
+    out = list(ranks)
+    for b in set(blocks):
+        positions = [i for i, x in enumerate(blocks) if x == b]
+        values = sorted({ranks[i] for i in positions})
+        remap = {v: j for j, v in enumerate(values)}
+        for i in positions:
+            out[i] = remap[ranks[i]]
+    return tuple(out)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 6).flatmap(lambda k: st.tuples(
+    st.lists(st.integers(0, 3), min_size=k, max_size=k),
+    st.lists(st.integers(0, 9), min_size=k, max_size=k))))
+def test_normalize_ranks_matches_the_remapping(case):
+    blocks, ranks = case
+    assert normalize_ranks(blocks, ranks) == remapped_ranks(blocks, ranks)
+
+
+ARC = Signature((("arc", 2),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FiniteRelStruct(ARC, 3, {"arc": [(0, 1.7)]}),
+    lambda: FiniteRelStruct(ARC, 3, {"arc": [("2", 1)]}),
+    lambda: FiniteRelStruct(ARC, 3, {"arc": [(2, True)]}),
+    lambda: FiniteRelStruct(ARC, 3, {"arc": [(0, 1), (0, 1.0)]}),
+    lambda: FiniteRelStruct(ARC, 2.5, {"arc": []}),
+    lambda: Signature((("arc", 2.5),)),
+    lambda: Signature((("arc", "2"),)),
+    lambda: TuplePattern.make((0, 1.9), (0, 0)),
+    lambda: TuplePattern.make((0, 0), (0, "0")),
+    lambda: BlockTemplate.make(ARC, [("b", 2.7)], {}),
+    lambda: BlockTemplate.make(ARC, [("b", True)], {}),
+    lambda: instantiate(coclique(), (1.5,)),
+], ids=["float-entry", "str-entry", "bool-entry", "float-duplicate",
+        "float-size", "float-arity", "str-arity", "float-block", "str-rank",
+        "float-capacity", "bool-capacity", "float-count"])
+def test_constructors_refuse_non_integers(build):
+    # int() would truncate each of these to a different, valid input
+    with pytest.raises(InputError, match="must be an integer"):
+        build()
+
+
 def test_validate_clique_template_ok():
     assert validate(clique_sum(1)) == []
 
