@@ -70,7 +70,7 @@ from math import comb, gcd, prod
 from .errors import ConsistencyError, InputError
 from .hilbert import monomial_key
 from .structures import (automorphisms, canonical_code, find_isomorphism,
-                         maps_onto)
+                         maps_onto, nonnegative_int)
 from .templates import (block_spans, block_structure, compositions,
                         instantiate, spans_through, subcompositions)
 
@@ -301,9 +301,7 @@ class TypeRegistry:
                 yield i, j, perm
 
     def types_at(self, n):
-        if n < 0:
-            raise InputError("degree must be at least 0")
-        self.ensure_degree(n)
+        self.ensure_degree(nonnegative_int(n, "degree"))
         return self._by_degree[n]
 
     def id_of(self, comp):
@@ -332,6 +330,7 @@ def profile(t, n, registry=None):
 
 def profile_series(t, degree, registry=None):
     """phi(0..degree) as a list; monotonicity is the caller's check."""
+    nonnegative_int(degree, "degree")
     registry = registry or TypeRegistry(t)
     return [registry.profile(n) for n in range(degree + 1)]
 
@@ -497,6 +496,7 @@ def kernel_elements_bounded(t, degree_bound):
     never meet the kernel.  False negatives beyond the bound are possible
     and the bound is part of the report.
     """
+    nonnegative_int(degree_bound, "degree_bound")
     registry = TypeRegistry(t)
     flagged = []
     for bi, cap in enumerate(t.capacities):

@@ -32,8 +32,8 @@ subsets, as the oracles of the twin-class presentation.  On a 2-vCPU Xeon
 VM a planted 16-element digraph (four blocks of four) decomposes in about
 0.002 s, over 15 of its 625 compositions, and about 3 s over its 2^16
 subsets.
-F-monomorphy uses a registry of the presentation of the structure with F
-marked, each of whose blocks lies inside F or outside it (only F is marked).
+F-monomorphy uses a registry of the presentation of the expansion of the
+structure by the constants of F, on the elements outside F.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 from .algebra import TypeRegistry
 from .errors import ConsistencyError, InputError, UndeterminedError
-from .structures import FiniteRelStruct, Signature, _UnionFind, json_int
+from .structures import (FiniteRelStruct, Signature, _UnionFind, json_int,
+                         nonnegative_int)
 from .templates import (block_spans, instantiate, present, spans_tuples,
                         subcompositions)
 
@@ -356,33 +357,42 @@ def partition_lower_bound(k, n, n0):
 # F-monomorphy up to a degree bound
 
 
-def _marked(struct, f_set):
-    """`struct` plus a fresh binary symbol (named F, primed while that name
-    is taken) holding the reflexive order of F, so that every element of F
-    has a position of its own in each restriction containing F."""
-    mark = "F"
-    while mark in struct.signature.names:
-        mark += "'"
-    sig = Signature(struct.signature.symbols + ((mark, 2),))
-    order = [(f, g) for f in f_set for g in f_set if f <= g]
-    return FiniteRelStruct(sig, struct.size, struct.rels + (order,))
+def _expansion(struct, f_set):
+    """The expansion of `struct` by the constants of `f_set`: the elements
+    outside F, in order, with one relation per pair (relation of `struct`,
+    placement of F entries in its tuples) holding the tuples' other
+    entries; None when no tuple has an entry outside F.  An isomorphism of
+    A+F onto A'+F fixing F pointwise is exactly an isomorphism of A onto A'
+    in the expansion."""
+    rest = [x for x in range(struct.size) if x not in f_set]
+    position = {x: k for k, x in enumerate(rest)}
+    rels = {}
+    for si, rel in enumerate(struct.rels):
+        for tup in rel:
+            placed = tuple((p, x) for p, x in enumerate(tup) if x in f_set)
+            if len(placed) < len(tup):
+                rels.setdefault((si, placed), []).append(
+                    tuple(position[x] for x in tup if x not in f_set))
+    if not rels:
+        return None
+    keys = sorted(rels)
+    sig = Signature(tuple((f"r{i}", len(rels[k][0])) for i, k in enumerate(keys)))
+    return FiniteRelStruct(sig, len(rest), [rels[k] for k in keys])
 
 
 def is_F_monomorphic_struct(struct, f_set, bound):
     """For all n <= bound and A, A' of size n avoiding F: the restrictions
-    to A+F and A'+F are isomorphic by a map fixing F pointwise, that is, by
-    an isomorphism of the restrictions of the structure with F marked."""
-    if json_int(bound, "bound") < 0:
-        raise InputError("bound must be at least 0")
-    f_set = _elements(struct, f_set, "F element")
-    t, classes = _presentation(_marked(struct, f_set))
-    type_of = TypeRegistry(t).id_of
-    fill = tuple(d if cls[0] in f_set else 0
-                 for d, cls in zip(t.capacities, classes))
-    room = tuple(d - f for d, f in zip(t.capacities, fill))
-    return all(len({type_of(tuple(map(operator.add, fill, c)))
-                    for c in subcompositions(room, n)}) == 1
-               for n in range(1, min(bound, sum(room)) + 1))
+    to A+F and A'+F are isomorphic by a map fixing F pointwise, that is,
+    the expansion of the structure by the constants of F (`_expansion`)
+    has one isomorphism type of n-sets: the profile of the registry of its
+    presentation is 1 at every n from 1 to the bound."""
+    nonnegative_int(bound, "bound")
+    expansion = _expansion(struct, _elements(struct, f_set, "F element"))
+    if expansion is None:
+        return True
+    registry = TypeRegistry(_presentation(expansion)[0])
+    return all(registry.profile(n) == 1
+               for n in range(1, min(bound, expansion.size) + 1))
 
 
 def is_F_monomorphic_up_to(subject, f_spec, bound):
@@ -397,8 +407,7 @@ def is_F_monomorphic_up_to(subject, f_spec, bound):
     """
     if hasattr(subject, "rels"):
         return is_F_monomorphic_struct(subject, f_spec, bound)
-    if json_int(bound, "bound") < 0:
-        raise InputError("bound must be at least 0")
+    nonnegative_int(bound, "bound")
     t = subject
     f_counts = [0] * len(t.blocks)
     for b, c in dict(f_spec).items():

@@ -13,63 +13,53 @@ from .hilbert import HilbertForm
 
 @dataclass(frozen=True)
 class GalleryEntry:
-    name: str
-    build: object
+    name: str               # a builtin spec for `resolve_builtin`
     description: str
     expected_hilbert: object    # HilbertForm
     expected_components: int
     expected_dimension: int
+
+    def build(self):
+        return resolve_builtin(self.name)
 
 
 def _form(numerator, denominators):
     return HilbertForm.make(numerator, denominators)
 
 
-GALLERY = {}
-
-
-def _register(name, build, description, expected_hilbert,
-              expected_components, expected_dimension):
-    GALLERY[name] = GalleryEntry(name, build, description, expected_hilbert,
-                                 expected_components, expected_dimension)
-
-
-_register(
-    "coclique", templates.coclique,
-    "infinite independent set; profile 1,1,1,...",
-    _form([1], [1]), 1, 1)
-_register(
-    "sym:1", lambda: templates.sym(1),
-    "one block with full equivalence; profile 1,1,1,...",
-    _form([1], [1]), 1, 1)
-_register(
-    "sym:2", lambda: templates.sym(2),
-    "symmetric polynomials on 2 variables; partitions into <= 2 parts",
-    _form([1], [1, 2]), 2, 2)
-_register(
-    "sym:3", lambda: templates.sym(3),
-    "symmetric polynomials on 3 variables",
-    _form([1], [1, 2, 3]), 3, 3)
-_register(
-    "sym:4", lambda: templates.sym(4),
-    "symmetric polynomials on 4 variables",
-    _form([1], [1, 2, 3, 4]), 4, 4)
-_register(
-    "clique_plus_coclique", templates.clique_plus_coclique,
-    "infinite clique + infinite independent set; profile n",
-    _form([1, 0, 0, 1], [1, 2]), 2, 2)
-_register(
-    "wheel_plus_coclique", templates.wheel_plus_coclique,
-    "infinite star + infinite independent set; profile n, three components",
-    _form([1, 0, 0, 1], [1, 2]), 3, 2)
-_register(
-    "qsym:2", lambda: templates.qsym(2),
-    "quasi-symmetric polynomials on 2 variables; profile n",
-    _form([1, 0, 0, 1], [1, 2]), 2, 2)
-_register(
-    "groupoid", templates.groupoid_example,
-    "invariant ring of the groupoid generated by 1 -> 2 on three points",
-    _form([1, -1, 2, -1], [1, 1, 1]), 3, 3)
+GALLERY = {entry.name: entry for entry in (
+    GalleryEntry(
+        "coclique", "infinite independent set; profile 1,1,1,...",
+        _form([1], [1]), 1, 1),
+    GalleryEntry(
+        "sym:1", "one block with full equivalence; profile 1,1,1,...",
+        _form([1], [1]), 1, 1),
+    GalleryEntry(
+        "sym:2",
+        "symmetric polynomials on 2 variables; partitions into <= 2 parts",
+        _form([1], [1, 2]), 2, 2),
+    GalleryEntry(
+        "sym:3", "symmetric polynomials on 3 variables",
+        _form([1], [1, 2, 3]), 3, 3),
+    GalleryEntry(
+        "sym:4", "symmetric polynomials on 4 variables",
+        _form([1], [1, 2, 3, 4]), 4, 4),
+    GalleryEntry(
+        "clique_plus_coclique",
+        "infinite clique + infinite independent set; profile n",
+        _form([1, 0, 0, 1], [1, 2]), 2, 2),
+    GalleryEntry(
+        "wheel_plus_coclique",
+        "infinite star + infinite independent set; profile n, three components",
+        _form([1, 0, 0, 1], [1, 2]), 3, 2),
+    GalleryEntry(
+        "qsym:2", "quasi-symmetric polynomials on 2 variables; profile n",
+        _form([1, 0, 0, 1], [1, 2]), 2, 2),
+    GalleryEntry(
+        "groupoid",
+        "invariant ring of the groupoid generated by 1 -> 2 on three points",
+        _form([1, -1, 2, -1], [1, 1, 1]), 3, 3),
+)}
 
 
 _BUILDERS = {

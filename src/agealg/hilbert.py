@@ -25,10 +25,12 @@ from math import factorial, lcm
 from operator import itemgetter, le, mul, neg, sub
 
 from .errors import ConsistencyError, InputError, NotRationalError, UndeterminedError
-from .structures import json_int
+from .structures import json_int, nonnegative_int
 from .templates import subcompositions
 
 DEFAULT_GUARD = 5
+# periods past its interpolation points on which a quasi-polynomial is checked
+EXTRA_PERIODS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +355,7 @@ def ideal_hilbert(ideal, degree):
     call cross-checks the expansion against `_brute_ideal_series`, a direct
     count that shares nothing with the pivot recursion.
     """
-    if degree < 0:
-        raise InputError(f"degree must be >= 0, got {degree}")
+    nonnegative_int(degree, "degree")
     gens = ideal.generators
     if not gens:
         form = HilbertForm.make([], [])
@@ -436,6 +437,7 @@ def check_addlayer(t, degree, registry=None):
     monomial.  A violation contradicts the theory and fails the build."""
     from .algebra import TypeRegistry
 
+    nonnegative_int(degree, "degree")
     registry = registry or TypeRegistry(t)
     nblocks = len(t.blocks)
     top = degree + nblocks
@@ -503,27 +505,24 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
     from .algebra import TypeRegistry, profile_series
     from .decomposition import template_components
 
+    nonnegative_int(degree, "degree")
+    bound = degree if gen_bound is None else min(
+        nonnegative_int(gen_bound, "gen_bound"), degree)
     registry = registry or TypeRegistry(t)
     if components is None:
         components = template_components(t, registry=registry)
     k = components.dimension
-    bound = gen_bound if gen_bound is not None else degree
-    bound = min(bound, degree)
 
     # chain -> the layer exponents of its leading monomials
     by_chain = {}
-    empty_lm = False
-    for n in range(bound + 1):
+    for n in range(1, bound + 1):
         for lm in registry.leading_monomials(n):
-            if sum(lm) == 0:
-                empty_lm = True
-                continue
             chain, exps = zip(*layers(lm))
             by_chain.setdefault(chain, set()).add(exps)
 
     caps = t.capacities
     # the empty leading monomial's 1, then one form per chain
-    forms = [HilbertForm.make([1] if empty_lm else [], [])]
+    forms = [HilbertForm.make([1], [])]
 
     for chain in sorted(by_chain):
         weights = tuple(len(s) for s in chain)
@@ -647,12 +646,12 @@ class QuasiPolynomial:
         }
 
 
-def quasi_polynomial(form, extra_checks=2):
+def quasi_polynomial(form):
     """Extract the eventual quasi-polynomial of a Hilbert form.
 
     Period = lcm of the denominator degrees; per residue class an exact
     polynomial of degree <= k-1 is read off the first k values of the
-    expansion beyond n_min and re-verified on `extra_checks` further
+    expansion beyond n_min and re-verified on `EXTRA_PERIODS` further
     periods.  The values of one class are equally spaced, so they lie on
     one polynomial of degree < k exactly when all their k-th forward
     differences vanish, a check in integers; the first nonzero difference
@@ -668,15 +667,13 @@ def quasi_polynomial(form, extra_checks=2):
     total = sum(form.denominators)
     deg_p = len(form.numerator) - 1
     n_min = max(0, deg_p - total + 1)
-    need = n_min + period * (k + extra_checks) + period
+    need = n_min + period * (k + EXTRA_PERIODS) + period
     series = form.series(need)
     scale = factorial(k) * period ** k
     polys = []
     for r in range(period):
         start = n_min + (r - n_min) % period
         values = series[start::period]
-        if len(values) < k:
-            raise InputError("expansion too short for interpolation")
         poly = [0] * k
         basis = [scale]  # C((n - start)/period, j) times scale, in n
         diffs = values  # Delta^j of the values
@@ -732,13 +729,11 @@ def nonnegative_form(form, max_part=None, count=None):
     `combinations_with_replacement` order skips each multiset whose lift
     failed.
     """
-    k = len(form.denominators) if count is None else json_int(count, "count")
-    if k < 0:
-        raise InputError(f"count must be >= 0, got {k}")
+    k = len(form.denominators) if count is None else nonnegative_int(count, "count")
     if max_part is None:
         max_part = max(2 * max(form.denominators, default=1), 4)
-    elif json_int(max_part, "max_part") < 0:
-        raise InputError(f"max_part must be >= 0, got {max_part}")
+    else:
+        nonnegative_int(max_part, "max_part")
     base = len(form.numerator) - 1 - sum(form.denominators)
     series = form.series(max(len(form.numerator) - 1 + k * max_part, 0))
     parts = range(1, max_part + 1)
@@ -771,6 +766,7 @@ def two_path_hilbert(t, degree, gen_bound=None, guard=DEFAULT_GUARD,
     from .algebra import TypeRegistry, profile_series
     from .decomposition import template_components
 
+    nonnegative_int(degree, "degree")
     registry = registry or TypeRegistry(t)
     if components is None:
         components = template_components(t, registry=registry)

@@ -431,22 +431,17 @@ def _interposed_witness(a, b):
 
 
 def no_pair_monopart(sample):
-    """True iff every pair of sample leaves is separated by some witness
-    pair {c, d} (contract{a,c,d} != contract{b,c,d}); witnesses missing from
-    the sample are constructed and added to the working closure."""
+    """True iff every pair {a, b} of sample leaves is separated by the
+    witness pair {c, d} that `_interposed_witness` constructs, checked by
+    contracting: contract{a,c,d} != contract{b,c,d}, so {a, b} is not a
+    monomorphic part of the host."""
     sample = [check_address(a) for a in sample]
     if len(sample) < 4:
         raise InputError("need a sample of at least 4 leaves")
-    closure = set(sample)
-    for a, b in itertools.combinations(sorted(sample), 2):
-        found = False
-        for c, d in itertools.combinations(sorted(closure - {a, b}), 2):
-            if contract((a, c, d)) != contract((b, c, d)):
-                found = True
-                break
-        if not found:
-            c, d = _interposed_witness(a, b)
-            closure.update((c, d))
-            if contract((a, c, d)) == contract((b, c, d)):
-                return False
+    if len(set(sample)) < len(sample):
+        raise InputError("duplicate addresses")
+    for a, b in itertools.combinations(sample, 2):
+        c, d = _interposed_witness(a, b)
+        if contract((a, c, d)) == contract((b, c, d)):
+            return False
     return True

@@ -59,6 +59,13 @@ def json_int(value, what):
     return value
 
 
+def nonnegative_int(value, what):
+    """`json_int`, refusing values below 0."""
+    if json_int(value, what) < 0:
+        raise InputError(f"{what} must be at least 0")
+    return value
+
+
 @dataclass(frozen=True)
 class Signature:
     """An ordered list of (name, arity) relation symbols."""

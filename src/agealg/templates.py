@@ -189,10 +189,13 @@ class BlockTemplate:
 def validate(t, swap_degree=5):
     """Structural diagnostics (empty list = ok).
 
-    With swap_degree > 0, additionally asserts on every instantiation of
-    total degree <= swap_degree that subsets with equal per-block counts
-    induce equal substructures (the monomorphic-decomposition property that
-    the pattern semantics promise).
+    With swap_degree > 0, additionally asserts on every composition c of
+    total degree <= swap_degree that deleting any one element of block i
+    from `instantiate(t, c)` leaves exactly `instantiate(t, c - e_i)`: |c|
+    restrictions per composition.  By induction over deletions, every
+    subset with block counts c' <= c then induces `instantiate(t, c')`,
+    the monomorphic-decomposition property that the pattern semantics
+    promise and that the type registry relies on.
     """
     diags = []
     names = [n for n, _ in t.blocks]
@@ -225,25 +228,16 @@ def validate(t, swap_degree=5):
     if diags or swap_degree <= 0:
         return diags
 
+    # each instantiation is built once and kept for the degree above
+    built = {}
     for comp in compositions(t, None, max_degree=swap_degree):
-        if sum(comp) < 2:
-            continue
-        s = instantiate(t, comp)
-        spans = block_spans(comp)
-        for sub in subcompositions(comp):
-            if not 0 < sum(sub) < sum(comp):
-                continue
-            choices = [itertools.combinations(range(lo, hi), d)
-                       for (lo, hi), d in zip(spans, sub)]
-            seen = None
-            for pick in itertools.product(*choices):
-                subset = [x for part in pick for x in part]
-                r = restrict(s, subset)
-                if seen is None:
-                    seen = r
-                elif r != seen:
-                    diags.append(
-                        f"swap check failed at composition {comp}, counts {sub}")
+        s = built[comp] = instantiate(t, comp)
+        for i, (lo, hi) in enumerate(block_spans(comp)):
+            less = built.get(comp[:i] + (comp[i] - 1,) + comp[i + 1:])
+            for x in range(lo, hi):
+                if restrict(s, [y for y in range(s.size) if y != x]) != less:
+                    diags.append(f"swap check failed at composition {comp}: "
+                                 f"deleting element {x - lo} of block {i}")
                     return diags
     return diags
 

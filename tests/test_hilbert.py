@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import agealg.hilbert
-from agealg.algebra import TypeRegistry, profile_series
+from agealg.algebra import TypeRegistry, kernel_elements_bounded, profile_series
 from agealg.errors import (ConsistencyError, InputError, NotRationalError,
                            UndeterminedError)
 from agealg.gallery import GALLERY, resolve_builtin
@@ -25,7 +25,8 @@ from agealg.hilbert import (HilbertForm, QuasiPolynomial, WeightedMonomialIdeal,
                             nonnegative_form, padd, ptrim, quasi_polynomial,
                             two_path_hilbert)
 from agealg.structures import canonical_code
-from agealg.templates import clique_plus_coclique, instantiate
+from agealg.templates import (clique_plus_coclique, instantiate, sym,
+                              wheel_plus_coclique)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +504,28 @@ def test_ideal_hilbert_refuses_negative_degree():
             ideal_hilbert(WeightedMonomialIdeal.make((1, 1), gens), -1)
 
 
+DEGREE_TAKERS = {
+    "profile_series": lambda d: profile_series(sym(2), d),
+    "hilbert_via_leading": lambda d: hilbert_via_leading(sym(2), d),
+    "gen_bound": lambda d: hilbert_via_leading(sym(2), 4, gen_bound=d),
+    "two_path_hilbert": lambda d: two_path_hilbert(sym(2), d),
+    "check_addlayer": lambda d: check_addlayer(sym(2), d),
+    "kernel_elements_bounded":
+        lambda d: kernel_elements_bounded(wheel_plus_coclique(), d),
+    "ideal_hilbert":
+        lambda d: ideal_hilbert(WeightedMonomialIdeal.make((1, 1), [(1, 0)]), d),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("name", sorted(DEGREE_TAKERS))
+def test_degree_arguments_are_refused(name, bad):
+    # read as an exact int and refused below 0, naming the argument at fault
+    what = "gen_bound" if name == "gen_bound" else "degree"
+    with pytest.raises(InputError, match=f"^{what}"):
+        DEGREE_TAKERS[name](bad)
+
+
 @pytest.mark.parametrize("degrees,gens", [
     ((1.9, True), [(1.7, 2)]),
     ((2.0, 1), [(1, 1)]),
@@ -792,13 +815,12 @@ def quasi_polynomial_by_points(form, extra_checks=2):
 
 
 @settings(max_examples=200, deadline=None)
-@given(random_forms(), st.integers(0, 3))
-@example(HilbertForm.make([1, -1, 2, -1], [1, 1, 1]), 2)
-@example(HilbertForm.make([], [2, 3]), 2)   # the zero form
-@example(HilbertForm.make([1], []), 2)      # a polynomial
-def test_quasi_polynomial_matches_the_pointwise_check(form, extra_checks):
-    assert (quasi_polynomial(form, extra_checks)
-            == quasi_polynomial_by_points(form, extra_checks))
+@given(random_forms())
+@example(HilbertForm.make([1, -1, 2, -1], [1, 1, 1]))
+@example(HilbertForm.make([], [2, 3]))   # the zero form
+@example(HilbertForm.make([1], []))      # a polynomial
+def test_quasi_polynomial_matches_the_pointwise_check(form):
+    assert quasi_polynomial(form) == quasi_polynomial_by_points(form)
 
 
 @settings(max_examples=100, deadline=None)
@@ -829,13 +851,6 @@ def test_quasi_polynomial_names_the_first_bad_value(monkeypatch, where):
             route(form)
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
-
-
-def test_quasi_polynomial_refuses_a_short_expansion():
-    form = HilbertForm.make([1], [1, 1, 2])
-    for route in (quasi_polynomial, quasi_polynomial_by_points):
-        with pytest.raises(InputError, match="too short"):
-            route(form, extra_checks=-3)
 
 
 def solve_exact(matrix, rhs):

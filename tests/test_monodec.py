@@ -14,7 +14,7 @@ import agealg.algebra
 import agealg.decomposition
 import agealg.verify
 from agealg.algebra import TypeRegistry
-from agealg.decomposition import (_UnionFind, _coarsening, _is_part, _marked,
+from agealg.decomposition import (_UnionFind, _coarsening, _is_part,
                                   _pair_verdicts, _presentation, _twin_classes,
                                   fatness_threshold, is_F_monomorphic_struct,
                                   is_F_monomorphic_up_to, is_monomorphic_part,
@@ -828,6 +828,18 @@ def brute_F_monomorphic(s, f_set, bound):
     return True
 
 
+def _marked(s, f_set):
+    """`s` plus a fresh binary symbol (named F, primed while that name is
+    taken) holding the reflexive order of F, so that every element of F has
+    a position of its own in each restriction containing F."""
+    mark = "F"
+    while mark in s.signature.names:
+        mark += "'"
+    sig = Signature(s.signature.symbols + ((mark, 2),))
+    order = [(f, g) for f in f_set for g in f_set if f <= g]
+    return FiniteRelStruct(sig, s.size, s.rels + (order,))
+
+
 def subset_F_monomorphic(s, f_set, bound):
     """Oracle over subsets: for every n <= bound, the restrictions of `s`
     with F marked to A+F, for the n-sets A avoiding F, are pairwise
@@ -876,6 +888,13 @@ MARKED_STAR = FiniteRelStruct(
 @example((FiniteRelStruct(GRAPH, 3, {"adj": [(0, 1), (2, 0)]}), {0}, 1))
 @example((MARKED_STAR, {3}, 3))
 @example((MARKED_STAR, {0}, 3))
+# every tuple lies inside F: the expansion has no relation
+@example((graph(4, [(0, 1)]), {0, 1}, 2))
+# F is the whole base set
+@example((graph(3, [(0, 1), (1, 2)]), {0, 1, 2}, 3))
+# the relation named F, an arc from F to each element outside it but one
+@example((FiniteRelStruct(Signature((("F", 2),)), 4,
+                          {"F": [(0, 1), (0, 2), (0, 0)]}), {0}, 3))
 def test_F_monomorphy_matches_brute_force(case):
     s, f_set, bound = case
     answer = is_F_monomorphic_struct(s, f_set, bound)

@@ -5,11 +5,13 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import agealg.planar
 from agealg.errors import ConsistencyError, InputError
 from agealg.planar import (EMPTY, LEAF, SCHRODER, _common_prefix,
-                           check_address, contract, default_sample,
+                           _interposed_witness, check_address, contract, default_sample,
                            embed, enumerate_reduced, leaves, no_pair_monopart,
                            planar_profile, planar_profile_report,
                            reconstruct_from_triples, reduce_tree,
@@ -380,6 +382,41 @@ def test_no_pair_adjacent_leaves_fall_back():
 def test_no_pair_requires_four_leaves():
     with pytest.raises(InputError):
         no_pair_monopart([(1,)])
+
+
+def test_no_pair_refuses_duplicate_leaves():
+    with pytest.raises(InputError, match="duplicate"):
+        no_pair_monopart([(1,), (3,), (5,), (1,)])
+
+
+def separates(a, b, witness):
+    c, d = witness
+    return contract((a, c, d)) != contract((b, c, d))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_interposed_witness_separates_sample_pairs(n):
+    for a, b in itertools.combinations(default_sample(n), 2):
+        assert separates(a, b, _interposed_witness(a, b))
+
+
+# a host leaf: descents into copies (even indices), then a leaf (odd)
+addresses = st.builds(lambda descents, leaf: (*descents, leaf),
+                      st.lists(st.sampled_from([2, 4, 6, 8]), max_size=4),
+                      st.sampled_from([1, 3, 5, 7, 9]))
+
+
+@given(addresses, addresses)
+def test_interposed_witness_separates_random_pairs(a, b):
+    if a != b:
+        assert separates(a, b, _interposed_witness(a, b))
+
+
+def test_no_pair_monopart_fails_on_a_witness_that_does_not_separate(monkeypatch):
+    # two leaves right of the whole sample see any a and b alike: (o,o,o)
+    monkeypatch.setattr(agealg.planar, "_interposed_witness",
+                        lambda a, b: ((101,), (103,)))
+    assert not no_pair_monopart(default_sample(4))
 
 
 def test_witness_already_in_sample():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import agealg.templates
 from agealg.algebra import profile_series
 from agealg.errors import InputError
+from agealg.gallery import GALLERY
 from agealg.structures import FiniteRelStruct, Signature, restrict
 from agealg.templates import (INF, BlockTemplate, TuplePattern, c3_chains,
                               block_spans, clique_plus_coclique, clique_sum,
@@ -91,6 +93,57 @@ def test_validate_rejects_rank_above_capacity():
 
 def test_wheel_passes_swap_check():
     assert validate(wheel_plus_coclique(), swap_degree=5) == []
+
+
+@pytest.mark.parametrize("name", ["sym:2", "wheel_plus_coclique"])
+def test_swap_check_catches_empty_three_element_instantiations(monkeypatch, name):
+    # all subsets of one mutated instantiation still induce equal
+    # structures, but not the instantiation of their block counts
+    t = GALLERY[name].build()
+    honest = agealg.templates._pattern_tuples
+
+    def mutant(pattern, spans, through=None):
+        return [] if spans[-1][1] == 3 else honest(pattern, spans, through)
+
+    monkeypatch.setattr(agealg.templates, "_pattern_tuples", mutant)
+    assert validate(t, swap_degree=4)
+
+
+@pytest.mark.parametrize("name", sorted(set(GALLERY) - {"coclique"}))
+def test_swap_check_deletes_the_last_element_too(monkeypatch, name):
+    # every instantiation loses the tuples through the last element of
+    # block 0; only deleting that element shows it
+    t = GALLERY[name].build()
+    honest = agealg.templates.spans_tuples
+
+    def mutant(template, spans):
+        last = spans[0][1] - 1
+        return [[tup for tup in rel if last not in tup]
+                for rel in honest(template, spans)]
+
+    monkeypatch.setattr(agealg.templates, "spans_tuples", mutant)
+    assert validate(t, swap_degree=4)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_swap_check_catches_one_dropped_tuple(monkeypatch, name):
+    # instantiating any one composition of degree <= 3 loses one tuple
+    t = GALLERY[name].build()
+    honest = agealg.templates.spans_tuples
+    for comp in compositions(t, None, max_degree=3):
+        if not any(instantiate(t, comp).rels):
+            continue
+
+        def mutant(template, spans, target=block_spans(comp)):
+            rels = honest(template, spans)
+            if spans == target:
+                rel = next(rel for rel in rels if rel)
+                rel.remove(min(rel))
+            return rels
+
+        with monkeypatch.context() as patch:
+            patch.setattr(agealg.templates, "spans_tuples", mutant)
+            assert validate(t, swap_degree=4), comp
 
 
 def test_instantiate_clique():
