@@ -584,8 +584,8 @@ def fit_rational(series, k, guard=DEFAULT_GUARD):
         coeffs = list(series.coefficients)
     else:
         coeffs = [int(c) for c in series]
-    if k < 0:
-        raise InputError("k must be >= 0")
+    nonnegative_int(k, "k")
+    nonnegative_int(guard, "guard")
     degree = len(coeffs) - 1
     p = coeffs
     for j in range(1, k + 1):
@@ -611,7 +611,7 @@ class QuasiPolynomial:
     residue_polys: tuple
 
     def value(self, n):
-        if n < self.n_min:
+        if json_int(n, "n") < self.n_min:
             raise InputError(f"quasi-polynomial only valid from {self.n_min}")
         poly = self.residue_polys[n % self.period]
         acc = sum((c * n ** j for j, c in enumerate(poly)), Fraction(0))

@@ -18,7 +18,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import ConsistencyError, InputError
-from .structures import json_int
+from .structures import json_int, nonnegative_int
 
 LEAF = "o"
 EMPTY = None
@@ -83,9 +83,7 @@ def reduce_tree(tree):
 
 def enumerate_reduced(n):
     """All reduced trees with exactly n leaves (Schroeder many)."""
-    if n < 0:
-        raise InputError("leaf count must be >= 0")
-    return list(_enumerate_reduced(n))
+    return list(_enumerate_reduced(nonnegative_int(n, "leaf count")))
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +113,10 @@ def _positive_compositions(n, m):
 def tree_restrict(tree, keep):
     """Contraction of a finite reduced tree onto a subset of its leaves
     (1-based leaf numbers in left-right order)."""
-    keep = set(keep)
+    keep = {json_int(x, "leaf number") for x in keep}
+    n = leaves(tree)
+    if not all(1 <= x <= n for x in keep):
+        raise InputError(f"leaf numbers must lie in 1..{n}, got {sorted(keep)}")
     counter = [0]
 
     def prune(node):
@@ -130,8 +131,6 @@ def tree_restrict(tree, keep):
         return tuple(kids)
 
     if tree is EMPTY:
-        if keep:
-            raise InputError("cannot restrict the empty tree to leaves")
         return EMPTY
     out = prune(tree)
     return EMPTY if out is None else out
@@ -236,8 +235,7 @@ def planar_profile_report(n, sample=None):
     The subsets come from `_first_subsets`, which reaches the first subset
     of every lengths tuple without walking all of them.
     """
-    if n < 0:
-        raise InputError("n must be >= 0")
+    nonnegative_int(n, "n")
     if sample is None:
         sample = default_sample(n)
     sample = tuple(sorted(check_address(a) for a in sample))
@@ -319,7 +317,7 @@ def reconstruct_from_triples(d, triples):
     intervals are assembled greedily and the result is verified by
     recomputing all of its triples.
     """
-    if d < 3:
+    if json_int(d, "d") < 3:
         raise InputError("reconstruction needs d >= 3")
     table = {}
     for key, tree in dict(triples).items():

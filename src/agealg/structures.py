@@ -207,17 +207,6 @@ class FiniteRelStruct:
         return self._occ
 
 
-def relabel(struct, perm):
-    """Apply a bijection perm (element -> new index) to a structure."""
-    if sorted(perm) != list(range(struct.size)):
-        raise InputError("perm is not a bijection of the base set")
-    rels = [
-        frozenset(tuple(perm[x] for x in t) for t in rel)
-        for rel in struct.rels
-    ]
-    return FiniteRelStruct(struct.signature, struct.size, rels)
-
-
 def restrict(struct, subset):
     """Induced substructure on `subset` (kept iff all entries lie inside).
 

@@ -12,10 +12,10 @@ Instantiation enumerates tuples pattern by pattern: a pattern's tuples are
 the choices of increasing positions for the distinct ranks of each block it
 uses, and no tuple outside the accepted patterns is ever looked at.  The
 same enumeration with the last element of one block held fixed gives the
-tuples through that element (`through_tuples`, or `spans_through` from
-spans built once per composition), which is what the type registry checks
-its isomorphism candidates on; it visits only the patterns that use the
-block (`BlockTemplate.patterns_through`).
+tuples through that element (`spans_through`, from spans built once per
+composition), which is what the type registry checks its isomorphism
+candidates on; it visits only the patterns that use the block
+(`BlockTemplate.patterns_through`).
 """
 
 from __future__ import annotations
@@ -375,19 +375,11 @@ def block_structure(t):
     return FiniteRelStruct(sig, len(t.blocks), [rels[k] for k in keys])
 
 
-def through_tuples(t, comp, i):
-    """Per relation symbol, the list of tuples of `instantiate(t, comp)`
-    that contain the last element of block i (which needs comp[i] >= 1)."""
-    comp = _check_composition(t, comp)
-    if not comp[i]:
-        raise InputError(f"block {i} of {comp} is empty")
-    return spans_through(t, block_spans(comp), i)
-
-
 def spans_through(t, spans, i):
-    """`through_tuples` for the composition with the given `block_spans`,
-    unchecked: a caller that visits several blocks of one composition
-    builds its spans once."""
+    """Per relation symbol, the list of tuples of the instantiation with the
+    given `block_spans` that contain the last element of block i, which must
+    be nonempty.  Unchecked: a caller that visits several blocks of one
+    composition builds its spans once."""
     return [[tup for p in pats for tup in _pattern_tuples(p, spans, i)]
             for pats in t.patterns_through[i]]
 

@@ -5,6 +5,10 @@ Template checks are methods of `Case`, global checks take the bound set.
 A check returns (ok, detail), or None if the bounds leave nothing to check.
 Only a false check or a ConsistencyError fails a row; an UndeterminedError
 or NotRationalError (a bound too small) propagates: exit 3 or 5.
+
+`random_template` draws criterion 9's random templates.  It is the one
+random-template generator of the package and its tests: capacities, arities,
+a keep rule and a block symmetry are its parameters.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .algebra import TypeRegistry, mult_by_e_rank, profile_series
 from .decomposition import partition_lower_bound, profile_floor_params, template_components
@@ -24,7 +28,8 @@ from .planar import (SCHRODER, default_sample, embed, enumerate_reduced,
                      no_pair_monopart, planar_profile,
                      reconstruct_from_triples, tree_restrict)
 from .structures import Signature
-from .templates import INF, BlockTemplate, TuplePattern, compositions, validate
+from .templates import (INF, BlockTemplate, TuplePattern, compositions,
+                        normalize_ranks, validate)
 
 
 @dataclass(frozen=True)
@@ -171,15 +176,53 @@ def _ideal_oracle(bounds):
     return True, "all matched"
 
 
-def random_template(rng, keep=0.4):
-    """Two infinite blocks and a binary relation, each pattern kept w.p. keep."""
-    sig = Signature((("r", 2),))
-    universe = sorted({TuplePattern.make(blocks, ranks)
-                       for blocks in itertools.product(range(2), repeat=2)
-                       for ranks in itertools.product(range(2), repeat=2)},
-                      key=lambda p: (p.blocks, p.ranks))
-    picked = [p for p in universe if rng.random() < keep]
-    return BlockTemplate.make(sig, [("a", INF), ("b", INF)], {"r": picked})
+@lru_cache(maxsize=None)
+def _normalized_patterns(blocks, arity):
+    return tuple(TuplePattern(bs, ranks)
+                 for bs in itertools.product(range(blocks), repeat=arity)
+                 for ranks in itertools.product(range(arity), repeat=arity)
+                 if normalize_ranks(bs, ranks) == ranks)
+
+
+def pattern_universe(caps, arity):
+    """Every normalized pattern of `arity` on blocks of capacities `caps`
+    whose ranks fit them, in (blocks, ranks) order."""
+    return [p for p in _normalized_patterns(len(caps), arity)
+            if all(caps[b] is None or r < caps[b] for b, r in zip(p.blocks, p.ranks))]
+
+
+def random_template(rng, keep=0.4, caps=(INF, INF), arities=(2,), sigma=None):
+    """A template on blocks b0, b1, ... of capacities `caps`, with one symbol
+    r0, r1, ... per arity, each accepting a random part of its
+    `pattern_universe`: every pattern with chance `keep`, one `rng.random()`
+    per pattern in universe order, or, if `keep` is callable, the patterns
+    `keep(universe)` picks.  Given a permutation `sigma` of the blocks, each
+    block takes the capacity of the least block of its sigma-cycle, and the
+    accepted patterns are closed under sigma, which is then a block
+    automorphism.  By default: two infinite blocks and one binary symbol,
+    the random templates of criterion 9."""
+    caps = list(caps)
+    if sigma is not None:
+        for b in range(len(caps)):
+            x = sigma[b]
+            while x != b:  # the rest of b's cycle
+                caps[x] = caps[b]
+                x = sigma[x]
+    accepted = {}
+    for i, arity in enumerate(arities):
+        universe = pattern_universe(caps, arity)
+        picked = (keep(universe) if callable(keep)
+                  else [p for p in universe if rng.random() < keep])
+        closed = set()
+        for p in picked:
+            while p not in closed:  # p's orbit under sigma
+                closed.add(p)
+                if sigma is not None:
+                    p = TuplePattern(tuple(sigma[b] for b in p.blocks), p.ranks)
+        accepted[f"r{i}"] = closed
+    sig = Signature(tuple((f"r{i}", a) for i, a in enumerate(arities)))
+    return BlockTemplate.make(sig, [(f"b{b}", cap) for b, cap in enumerate(caps)],
+                              accepted)
 
 
 def _scope_replacements(bounds):

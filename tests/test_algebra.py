@@ -1,12 +1,11 @@
 """Orbit sums, structure constants, multiplication by e, bounded kernel."""
 
 import hashlib
-import itertools
+import random
 import sys
 from collections import Counter
 from math import comb
 
-import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,12 +21,14 @@ from agealg.decomposition import (is_F_monomorphic_up_to,
                                   minimal_decomposition, template_components)
 from agealg.errors import ConsistencyError, InputError
 from agealg.gallery import GALLERY
-from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
-                               maps_onto, relabel, restrict)
+from agealg.structures import FiniteRelStruct, Signature, maps_onto, restrict
 from agealg.templates import (INF, BlockTemplate, block_spans, c3_chains,
                               compositions, groupoid_example, instantiate,
-                              normalize_ranks, present, qsym, rqsym,
-                              spans_through, sym)
+                              present, qsym, rqsym, spans_through, sym)
+from agealg.verify import random_template
+from strategies import (ARC, bijections, circulant, code_classes, cubic_graph,
+                        digraphs, partitions_into_at_most, planted_digraph,
+                        random_templates, relabel, subset_types, wheel_alone)
 
 
 def tau(registry, n, index=0):
@@ -60,19 +61,6 @@ def test_profile_series_published(registries):
     assert [r.profile(n) for n in range(5)] == [1, 2, 5, 9, 14]
 
 
-def partitions_into_at_most(k, n):
-    """Partitions of n into at most k parts, each part at most the one
-    before it: p(n, k, largest) over the first part."""
-    def count(n, parts, largest):
-        if n == 0:
-            return 1
-        if parts == 0:
-            return 0
-        return sum(count(n - first, parts - 1, first)
-                   for first in range(1, min(n, largest) + 1))
-    return count(n, k, n)
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_profiles_match_their_closed_forms(k):
     # qsym(k): the compositions of n into at most k parts in order,
@@ -98,33 +86,22 @@ def test_profile_cross_checks_subset_types(registries):
         t, registry = registries(name)
         for n in range(5):
             big = instantiate(t, t.max_composition(n))
-            assert registry.profile(n) == len(
-                {canonical_code(restrict(big, subset))
-                 for subset in itertools.combinations(range(big.size), n)})
+            assert registry.profile(n) == len(subset_types(big, n))
 
 
 def test_registry_agrees_with_pure_code_classification():
     # the registry buckets by deck and top counts and settles with witnesses
     # and codes; classifying every composition by its canonical code must
     # coincide
-    import random
-
-    from agealg.structures import canonical_code
-    from agealg.templates import compositions
-    from agealg.verify import random_template
-
     rng = random.Random(31415)
     for _ in range(8):
         t = random_template(rng, 0.45)
         registry = TypeRegistry(t)
         for n in range(6):
             by_registry = {}
-            by_code = {}
             for comp in compositions(t, n):
                 by_registry.setdefault(registry.id_of(comp), []).append(comp)
-                by_code.setdefault(
-                    canonical_code(instantiate(t, comp)), []).append(comp)
-            assert list(by_registry.values()) == list(by_code.values())
+            assert list(by_registry.values()) == code_classes(t, n)
 
 
 def test_missed_isomorphism_is_a_consistency_error(miss_every_isomorphism):
@@ -152,22 +129,12 @@ def test_orbit_route_needs_no_isomorphism_check(miss_every_isomorphism):
 # ---------------------------------------------------------------------------
 # isomorphism witnesses and the finite-structure registry
 
-ARC = Signature((("arc", 2),))
-
-
 def support(comp):
     return [x for x, d in enumerate(comp) if d]
 
 
-@st.composite
-def looped_digraph(draw, max_size=7, min_size=0):
-    n = draw(st.integers(min_size, max_size))
-    arcs = [(a, b) for a in range(n) for b in range(n) if draw(st.booleans())]
-    return FiniteRelStruct(ARC, n, {"arc": arcs})
-
-
 @settings(max_examples=150, deadline=None)
-@given(looped_digraph())
+@given(digraphs())
 @example(FiniteRelStruct(ARC, 7, {"arc": []}))
 @example(FiniteRelStruct(ARC, 7, {"arc": [(x, (x + 1) % 7) for x in range(7)]}))
 @example(FiniteRelStruct(ARC, 3, {"arc": [(0, 1), (2, 1)]}))
@@ -175,15 +142,12 @@ def test_finite_registry_matches_subset_codes(s):
     # the subsets of each size, grouped by the canonical code of the
     # substructure they induce, in order of first appearance, are the types;
     # every witness maps its subset's structure onto its type's first one
-    registry = TypeRegistry(present(s))
+    t = present(s)
+    registry = TypeRegistry(t)
     for n in range(s.size + 1):
-        classes = {}
-        for comp in itertools.product((0, 1), repeat=s.size):
-            if sum(comp) == n:
-                code = canonical_code(restrict(s, support(comp)))
-                classes.setdefault(code, []).append(comp)
         types = registry.types_at(n)
-        assert [e.reps for e in types] == list(classes.values())
+        assert [e.reps for e in types] == code_classes(
+            t, n, lambda comp: restrict(s, support(comp)))
         for e in types:
             first = restrict(s, support(e.reps[0]))
             for comp in e.reps:
@@ -260,7 +224,7 @@ def test_extensions_match_the_full_permutation_oracle_on_templates(t):
 
 
 @settings(max_examples=40, deadline=None)
-@given(looped_digraph(max_size=8))
+@given(digraphs(max_size=8))
 @example(FiniteRelStruct(ARC, 8, {"arc": [(x, (x + 1) % 8) for x in range(8)]}))
 @example(FiniteRelStruct(ARC, 8, {"arc": [(0, 1), (2, 1), (1, 1), (5, 7)]}))
 def test_extensions_match_the_full_permutation_oracle_on_digraphs(s):
@@ -276,7 +240,7 @@ def test_delta_check_agrees_with_full_check_on_templates(t):
 
 
 @settings(max_examples=60, deadline=None)
-@given(looped_digraph())
+@given(digraphs())
 @example(FiniteRelStruct(ARC, 7, {"arc": [(x, (x + 1) % 7) for x in range(7)]}))
 @example(FiniteRelStruct(ARC, 3, {"arc": [(0, 1), (2, 1), (1, 1)]}))
 def test_delta_check_agrees_with_full_check_on_random_digraphs(s):
@@ -294,19 +258,12 @@ def brute_force_automorphisms(t):
     a bijection, onto themselves."""
     caps = t.capacities
     accepted = [{(p.blocks, p.ranks) for p in pats} for pats in t.accepted]
-    patterns = [(blocks, ranks, pats) for pats in accepted
-                for blocks, ranks in pats]
-    out = set()
-    for a in itertools.permutations(range(len(caps))):
-        if tuple(map(caps.__getitem__, a)) != caps:
-            continue
-        for blocks, ranks, pats in patterns:
-            if (tuple(map(a.__getitem__, blocks)), ranks) not in pats:
-                break
-        else:
-            out.add(a)
-    out.discard(tuple(range(len(caps))))
-    return out
+    blocks = range(len(caps))
+    return {tuple(a.values()) for a in bijections(blocks, blocks)
+            if all(caps[a[b]] == caps[b] for b in blocks)
+            and all((tuple(a[b] for b in bs), ranks) in pats
+                    for pats in accepted for bs, ranks in pats)
+            } - {tuple(blocks)}
 
 
 def generated_group(gens, k):
@@ -334,43 +291,12 @@ def assert_witnesses_are_isomorphisms(registry, degree):
                                registry._witness[comp]) == first, comp
 
 
-@st.composite
-def symmetric_template(draw):
-    """A template on at most 5 blocks with mixed capacities and relations of
-    arity 1 to 3.  Half the time its capacities and patterns are closed
-    under a random permutation of the blocks, which is then one of its
-    automorphisms."""
-    k = draw(st.integers(1, 5))
-    caps = draw(st.lists(st.sampled_from([None, 1, 2, 3]), min_size=k,
-                         max_size=k))
-    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
-    sigma = list(range(k))
-    if draw(st.booleans()):
-        sigma = draw(st.permutations(range(k)))
-        for b in range(k):
-            x = b
-            while sigma[x] != b:
-                x = sigma[x]
-                caps[x] = caps[b]
-    rels = {}
-    for si, arity in enumerate(arities):
-        pats = set()
-        for _ in range(draw(st.integers(0, 6))):
-            blocks = tuple(draw(st.lists(st.integers(0, k - 1),
-                                         min_size=arity, max_size=arity)))
-            ranks = normalize_ranks(blocks, draw(st.lists(
-                st.integers(0, arity - 1), min_size=arity, max_size=arity)))
-            if all(caps[b] is None or ranks[i] < caps[b]
-                   for i, b in enumerate(blocks)):
-                while (blocks, ranks) not in pats:
-                    pats.add((blocks, ranks))
-                    blocks = tuple(sigma[b] for b in blocks)
-        rels[f"r{si}"] = sorted(pats)
-    sig = Signature(tuple((f"r{si}", a) for si, a in enumerate(arities)))
-    return BlockTemplate.make(sig, [(f"b{b}", "inf" if c is None else c)
-                                    for b, c in enumerate(caps)], rels)
-
-
+# templates on at most 5 blocks with mixed capacities and 1-2 symbols of
+# arity 1-3; half of them are closed under a random permutation of the
+# blocks, which is then one of their automorphisms
+SYMMETRIC_TEMPLATES = random_templates(
+    5, arities=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple),
+    max_patterns=6, symmetric=True)
 ORBIT_SOURCES = {**{name: g.build for name, g in GALLERY.items()},
                  "c3_chains": c3_chains, "rqsym:3:2": lambda: rqsym(3, 2)}
 
@@ -382,29 +308,15 @@ def test_automorphisms_match_brute_force(name):
         brute_force_automorphisms(t)
 
 
-def circulant(n, steps):
-    return FiniteRelStruct(ARC, n, {"arc": [(x, (x + d) % n) for x in range(n)
-                                            for d in steps]})
-
-
-@st.composite
-def circulant_or_cubic(draw):
-    """A circulant digraph on at most 8 elements, or a 3-regular graph on
-    4, 6 or 8: regular digraphs, whose refinement splits nothing at the
-    root."""
-    if draw(st.booleans()):
-        n = draw(st.integers(1, 8))
-        return circulant(n, draw(st.sets(st.integers(0, n - 1))))
-    n = draw(st.sampled_from([4, 6, 8]))
-    g = nx.random_regular_graph(3, n, seed=draw(st.integers(0, 2 ** 16)))
-    return FiniteRelStruct(ARC, n, {"arc": [arc for a, b in g.edges
-                                            for arc in ((a, b), (b, a))]})
+# a circulant digraph on at most 8 elements, or a 3-regular graph on 4, 6
+# or 8: regular digraphs, whose refinement splits nothing at the root
+CIRCULANT_OR_CUBIC = digraphs(1, 8, ("circulant",)) | st.builds(
+    cubic_graph, st.integers(0, 2 ** 16), st.sampled_from([4, 6, 8]))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(symmetric_template(),
-                 looped_digraph(max_size=6, min_size=1).map(present),
-                 circulant_or_cubic().map(present)))
+@given(st.one_of(SYMMETRIC_TEMPLATES, digraphs(1, 6).map(present),
+                 CIRCULANT_OR_CUBIC.map(present)))
 def test_automorphisms_match_brute_force_on_random_templates(t):
     gens = _block_automorphisms(t)
     assert generated_group(gens, len(t.blocks)) == brute_force_automorphisms(t)
@@ -443,7 +355,7 @@ def test_orbit_route_matches_delta_route_on_circulants(monkeypatch, n, steps):
 
 
 @settings(max_examples=40, deadline=None)
-@given(symmetric_template())
+@given(SYMMETRIC_TEMPLATES)
 def test_orbit_route_matches_delta_route_on_random_templates(t):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_orbit_route_matches_delta_route(monkeypatch, t, 5)
@@ -531,13 +443,13 @@ def test_top_counts_match_deck_only_on_the_gallery(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(symmetric_template())
+@given(SYMMETRIC_TEMPLATES)
 def test_top_counts_match_deck_only_on_random_templates(t):
     assert_top_counts_match_deck_only(t, 5)
 
 
 @settings(max_examples=40, deadline=None)
-@given(looped_digraph())
+@given(digraphs())
 @example(FiniteRelStruct(ARC, 7, {"arc": [(x, (x + 1) % 7) for x in range(7)]}))
 @example(FiniteRelStruct(ARC, 4, {"arc": [(0, 1), (1, 0), (2, 3), (2, 2)]}))
 def test_top_counts_match_deck_only_on_random_digraphs(s):
@@ -550,7 +462,7 @@ def test_top_counts_match_deck_only_on_census_templates(census_plan):
 
 
 @settings(max_examples=100, deadline=None)
-@given(symmetric_template())
+@given(SYMMETRIC_TEMPLATES)
 @example(rqsym(2, 1))
 def test_top_counts_count_the_tuples_that_cover_every_element(t):
     # the tuples of the instantiation whose entries are all its elements,
@@ -584,34 +496,6 @@ def test_top_counts_spare_the_code_route(monkeypatch, census_plan):
 
 # ---------------------------------------------------------------------------
 # pinned registry output
-
-
-def planted_digraph(n, kinds, links, toggles):
-    """A lexicographic sum of chain, clique and coclique blocks of
-    near-equal sizes on 0..n-1, the members of a block spread by
-    x -> 7x + 2 mod n, blocks p < q linked as `links[p, q]` says
-    ("forward", "back", "both" or "none"), and the arcs `toggles` flipped."""
-    order = [(7 * x + 2) % n for x in range(n)]
-    blocks, start = [], 0
-    for b in range(len(kinds)):
-        size = n // len(kinds) + (b < n % len(kinds))
-        blocks.append(order[start:start + size])
-        start += size
-    arcs = set()
-    for kind, members in zip(kinds, blocks):
-        for u, v in itertools.combinations(members, 2):
-            if kind != "coclique":
-                arcs.add((u, v))
-            if kind == "clique":
-                arcs.add((v, u))
-    for (p, q), link in links.items():
-        for u in blocks[p]:
-            for v in blocks[q]:
-                if link in ("forward", "both"):
-                    arcs.add((u, v))
-                if link in ("back", "both"):
-                    arcs.add((v, u))
-    return FiniteRelStruct(ARC, n, {"arc": sorted(arcs ^ set(toggles))})
 
 
 def registry_digest(registry, degree, witnesses=True):
@@ -717,15 +601,11 @@ def test_witnesses_spare_isomorphism_searches(monkeypatch):
     counts.clear()
     # 502 searches when every marked restriction to the center and 1..9
     # leaves was compared with the first one of its size
-    wheel = BlockTemplate.make(
-        Signature((("adj", 2),)), [("leaves", INF), ("center", 1)],
-        {"adj": [((0, 1), (0, 0)), ((1, 0), (0, 0))]})
-    assert is_F_monomorphic_up_to(wheel, {1: 1}, 9)
+    assert is_F_monomorphic_up_to(wheel_alone(), {1: 1}, 9)
     assert counts["find_isomorphism"] == 0
 
 
 def test_profile_bounded_by_composition_count(registries):
-    from agealg.templates import compositions
     for name in ("sym:2", "groupoid", "wheel_plus_coclique"):
         t, registry = registries(name)
         for n in range(8):

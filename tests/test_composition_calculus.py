@@ -8,11 +8,8 @@ itself is a property test over random templates.
 """
 
 import dataclasses
-import itertools
 import json
 import random
-from collections import Counter
-
 from functools import cmp_to_key
 
 from hypothesis import example, given, settings
@@ -25,103 +22,44 @@ from agealg.cli import main
 from agealg.decomposition import (_coarsening, _level_classes,
                                   minimal_decomposition)
 from agealg.gallery import GALLERY
-from agealg.structures import Signature, canonical_code, restrict
 from agealg.hilbert import compare_monomials
-from agealg.templates import (INF, BlockTemplate, TuplePattern, block_spans,
-                              compositions, instantiate)
+from agealg.structures import Signature, restrict
+from agealg.templates import INF, BlockTemplate, block_spans, instantiate
+from agealg.verify import random_template
+from strategies import (code_classes, random_templates, subset_e_rows,
+                        subset_splits)
 
 MAX_DEGREE = 4
 
 
-# ---------------------------------------------------------------------------
-# random templates
-
-
-def pattern_universe(caps, arity):
-    """Every normalized pattern of `arity` that fits the capacities."""
-    pats = set()
-    for blocks in itertools.product(range(len(caps)), repeat=arity):
-        for ranks in itertools.product(range(arity), repeat=arity):
-            p = TuplePattern.make(blocks, ranks)
-            if all(caps[b] is None or r < caps[b]
-                   for b, r in zip(p.blocks, p.ranks)):
-                pats.add(p)
-    return sorted(pats, key=lambda p: (p.blocks, p.ranks))
-
-
-def make_template(caps, arities, keep):
-    """Template on blocks of capacities `caps`, one symbol per arity; the
-    callable `keep()` decides pattern by pattern which ones are accepted."""
-    sig = Signature(tuple((f"r{i}", a) for i, a in enumerate(arities)))
-    accepted = {f"r{i}": [p for p in pattern_universe(caps, a) if keep()]
-                for i, a in enumerate(arities)}
-    blocks = [(f"b{i}", cap) for i, cap in enumerate(caps)]
-    return BlockTemplate.make(sig, blocks, accepted)
-
-
-def seeded_templates(count=4, seed=2718):
+def seeded_templates(seed, count, caps, blocks, arities, keep):
+    """`count` templates of `verify.random_template`, drawn from
+    random.Random(seed): a block count in the range `blocks`, a capacity
+    per block from `caps`, then the arities, then the patterns."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        caps = [rng.choice([INF, INF, 1, 2, 3])
-                for _ in range(rng.randint(2, 3))]
-        arities = rng.choice([(2,), (1, 2)])
-        out.append(make_template(caps, arities, lambda: rng.random() < 0.4))
+        block_caps = [rng.choice(caps) for _ in range(rng.randint(*blocks))]
+        out.append(random_template(rng, keep, block_caps, rng.choice(arities)))
     return out
-
-
-def level_templates(count=24, seed=1414):
-    """Random templates of arity up to 3 for the block coarsening: their
-    patterns may need more elements of a block than a small level box
-    holds."""
-    rng = random.Random(seed)
-    return [make_template([rng.choice([INF, 1, 2, 3])
-                           for _ in range(rng.randint(1, 3))],
-                          rng.choice([(2,), (3,), (1, 3)]),
-                          lambda: rng.random() < 0.3)
-            for _ in range(count)]
 
 
 def oracle_templates():
     return ([(name, entry.build()) for name, entry in GALLERY.items()]
-            + [(f"random{i}", t) for i, t in enumerate(seeded_templates())])
+            + [(f"random{i}", t) for i, t in enumerate(seeded_templates(
+                2718, 4, [INF, INF, 1, 2, 3], (2, 3), [(2,), (1, 2)], 0.4))])
+
+
+def level_templates():
+    """Random templates of arity up to 3 for the block coarsening: their
+    patterns may need more elements of a block than a small level box
+    holds."""
+    return seeded_templates(1414, 24, [INF, 1, 2, 3], (1, 3),
+                            [(2,), (3,), (1, 3)], 0.3)
 
 
 # ---------------------------------------------------------------------------
 # the subset computations, as they were before compositions replaced them
-
-
-def id_by_code(registry, n):
-    """Type id of each degree-n canonical code."""
-    return {entry.code: entry.id for entry in registry.types_at(n)}
-
-
-def subset_splits(t, registry, comp, m):
-    """Counts of (type(A1), type(A2)) over ordered splits with |A1| = m of
-    the instantiation of `comp`, one canonical code per subset, translated
-    to registry ids."""
-    s = instantiate(t, comp)
-    left_ids = id_by_code(registry, m)
-    right_ids = id_by_code(registry, s.size - m)
-    out = Counter()
-    for left in itertools.combinations(range(s.size), m):
-        right = tuple(x for x in range(s.size) if x not in left)
-        out[(left_ids[canonical_code(restrict(s, left))],
-             right_ids[canonical_code(restrict(s, right))])] += 1
-    return out
-
-
-def subset_e_rows(t, registry, n):
-    cols = [entry.code for entry in registry.types_at(n)]
-    rows = []
-    for entry in registry.types_at(n + 1):
-        s = instantiate(t, entry.reps[0])
-        row = [0] * len(cols)
-        for a in range(s.size):
-            rest = [x for x in range(s.size) if x != a]
-            row[cols.index(canonical_code(restrict(s, rest)))] += 1
-        rows.append(row)
-    return rows
 
 
 def subset_block_coarsening(t, level):
@@ -288,7 +226,8 @@ def test_kernel_on_capacity_two_clique_block(tmp_path, capsys):
 
 
 def test_kernel_matches_profile_oracle_on_random_templates():
-    for t in seeded_templates(count=6, seed=577):
+    for t in seeded_templates(577, 6, [INF, INF, 1, 2, 3], (2, 3),
+                              [(2,), (1, 2)], 0.4):
         assert kernel_elements_bounded(t, 4)["blocks"] == \
             profile_oracle_kernel(t, 4)
 
@@ -297,24 +236,14 @@ def test_kernel_matches_profile_oracle_on_random_templates():
 # the restriction identity
 
 
-@st.composite
-def template_and_subset(draw):
-    caps = draw(st.lists(st.sampled_from([INF, 1, 2, 3]),
-                         min_size=1, max_size=3))
-    arities = draw(st.sampled_from([(1,), (2,), (1, 2)]))
-    t = make_template(caps, arities, lambda: draw(st.booleans()))
-    comp = tuple(draw(st.integers(0, 3 if cap is None else cap))
-                 for cap in caps)
-    size = sum(comp)
-    subset = draw(st.lists(st.integers(0, max(size - 1, 0)), unique=True,
-                           max_size=size)) if size else []
-    return t, comp, subset
-
-
 @settings(max_examples=150, deadline=None)
-@given(template_and_subset())
-def test_restriction_equals_instantiation_of_counts(case):
-    t, comp, subset = case
+@given(random_templates(), st.data())
+def test_restriction_equals_instantiation_of_counts(t, data):
+    comp = tuple(data.draw(st.integers(0, 3 if cap is None else cap))
+                 for cap in t.capacities)
+    size = sum(comp)
+    subset = data.draw(st.lists(st.integers(0, max(size - 1, 0)), unique=True,
+                                max_size=size)) if size else []
     counts = tuple(sum(lo <= x < hi for x in subset)
                    for lo, hi in block_spans(comp))
     assert restrict(instantiate(t, comp), subset) == instantiate(t, counts)
@@ -324,35 +253,16 @@ def test_restriction_equals_instantiation_of_counts(case):
 # the deck registry against classification by canonical code
 
 
-def code_classes(t, n):
-    """Degree-n compositions grouped by the canonical code of their
-    instantiations, classes in order of first appearance."""
-    classes = {}
-    for comp in compositions(t, n):
-        classes.setdefault(canonical_code(instantiate(t, comp)), []).append(comp)
-    return list(classes.values())
-
-
 # two infinite blocks and no relation: all compositions of a degree, such
 # as (2, 1) and (3, 0), instantiate to one edgeless structure, so a deck
 # must sum the multiplicities of equal ids, not list them block by block
-RELATION_FREE = make_template([INF, INF], (2,), lambda: False)
-
-
-@st.composite
-def template_and_degree(draw):
-    caps = draw(st.lists(st.sampled_from([INF, 1, 2, 3]),
-                         min_size=1, max_size=3))
-    arities = draw(st.sampled_from([(1,), (2,), (1, 2)]))
-    t = make_template(caps, arities, lambda: draw(st.booleans()))
-    return t, draw(st.integers(0, 6))
+RELATION_FREE = random_template(None, lambda universe: [])
 
 
 @settings(max_examples=150, deadline=None)
-@given(template_and_degree())
-@example((RELATION_FREE, 5))
-def test_registry_matches_code_classification(case):
-    t, degree = case
+@given(random_templates(), st.integers(0, 6))
+@example(RELATION_FREE, 5)
+def test_registry_matches_code_classification(t, degree):
     registry = TypeRegistry(t)
     by_monomial = cmp_to_key(compare_monomials)
     for n in range(degree + 1):

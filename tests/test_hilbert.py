@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import agealg.hilbert
-from agealg.algebra import TypeRegistry, kernel_elements_bounded, profile_series
+from agealg.algebra import (TypeRegistry, kernel_elements_bounded,
+                            mult_by_e_rank, profile_series)
 from agealg.errors import (ConsistencyError, InputError, NotRationalError,
                            UndeterminedError)
 from agealg.gallery import GALLERY, resolve_builtin
@@ -25,8 +26,9 @@ from agealg.hilbert import (HilbertForm, QuasiPolynomial, WeightedMonomialIdeal,
                             nonnegative_form, padd, ptrim, quasi_polynomial,
                             two_path_hilbert)
 from agealg.structures import canonical_code
-from agealg.templates import (clique_plus_coclique, instantiate, sym,
+from agealg.templates import (INF, clique_plus_coclique, instantiate, sym,
                               wheel_plus_coclique)
+from strategies import random_templates
 
 
 # ---------------------------------------------------------------------------
@@ -923,6 +925,22 @@ def test_two_paths_differing_beyond_the_degree_are_undetermined(registries):
         two_path_hilbert(t, 5, registry=registry)
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_templates(arities=st.sampled_from([(2,), (3,), (1, 2)]))
+       .filter(lambda t: INF in t.capacities))
+def test_random_templates_agree_or_refuse(t):
+    # with an infinite block the profile never falls, and e is injective;
+    # the routes agree, or a bound too small is a refusal (exit 3 or 5),
+    # never a consistency violation (exit 4)
+    registry = TypeRegistry(t)
+    try:
+        two_path_hilbert(t, 10, registry=registry)
+    except (UndeterminedError, NotRationalError):
+        pass
+    assert all(mult_by_e_rank(t, n, registry) == registry.profile(n)
+               for n in range(6))
+
+
 @pytest.mark.parametrize("spec", ["sym:5", "qsym:4", "rqsym:3:2"])
 def test_two_paths_agree_at_degree_16(spec):
     # reach: registries of these templates to degree 16, one of them with a
@@ -1108,6 +1126,18 @@ def test_nonnegative_form_refuses_a_negative_count():
 def test_nonnegative_form_refuses_bad_arguments(kwargs):
     with pytest.raises(InputError, match=next(iter(kwargs))):
         nonnegative_form(HilbertForm.make([1], [1]), **kwargs)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda s: fit_rational(s, 1.5), "^k "),
+    (lambda s: fit_rational(s, True), "^k "),
+    (lambda s: fit_rational(s, 1, guard=2.5), "^guard"),
+    (lambda s: quasi_polynomial(fit_rational(s, 1)).value(2.5), "^n "),
+    (lambda s: quasi_polynomial(fit_rational(s, 1)).value(True), "^n "),
+], ids=["fractional-k", "bool-k", "fractional-guard", "fractional-n", "bool-n"])
+def test_fit_rational_refuses_non_integers(call, what):
+    with pytest.raises(InputError, match=what):
+        call([1] * 12)
 
 
 def antichain_ideal(rng, degrees, gens):

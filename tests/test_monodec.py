@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import agealg.algebra
 import agealg.decomposition
-import agealg.verify
 from agealg.algebra import TypeRegistry
 from agealg.decomposition import (_UnionFind, _coarsening, _is_part,
                                   _pair_verdicts, _presentation, _twin_classes,
@@ -22,29 +21,19 @@ from agealg.decomposition import (_UnionFind, _coarsening, _is_part,
                                   partition_lower_bound, profile_floor_params,
                                   template_components)
 from agealg.errors import ConsistencyError, InputError
-from agealg.structures import (FiniteRelStruct, Signature, canonical_code,
-                               find_isomorphism, relabel, restrict)
-from agealg.templates import (INF, BlockTemplate, TuplePattern, block_spans,
-                              clique_plus_coclique, clique_sum, coclique,
-                              groupoid_example, instantiate, lex_sum, present,
-                              qsym, rqsym, subcompositions, sym,
-                              wheel_plus_coclique)
-
-GRAPH = Signature((("adj", 2),))
-
-
-def graph(n, edges):
-    pairs = []
-    for a, b in edges:
-        pairs += [(a, b), (b, a)]
-    return FiniteRelStruct(GRAPH, n, {"adj": pairs})
-
-
-def to_networkx(s):
-    g = nx.DiGraph()
-    g.add_nodes_from(range(s.size))
-    g.add_edges_from(s.relation("adj"))
-    return g
+from agealg.structures import (FiniteRelStruct, Signature, find_isomorphism,
+                               restrict)
+from agealg.templates import (INF, block_spans, clique_plus_coclique,
+                              clique_sum, coclique, groupoid_example,
+                              instantiate, lex_sum, present, qsym, rqsym,
+                              subcompositions, sym, wheel_plus_coclique)
+from agealg.verify import random_template
+from strategies import (ARC, GRAPH, MARKED, SIGNATURE_ARITIES, TERNARY,
+                        bijections, cubic_graph, digraphs, graph,
+                        lex_sum_structure, near_equal_blocks, paley_graph,
+                        partitions_into_at_most, planted, random_structure,
+                        random_templates, relabel, subset_code, to_networkx,
+                        wheel_alone)
 
 
 def oracle_part(s, part):
@@ -63,10 +52,6 @@ def oracle_part(s, part):
                                     to_networkx(restrict(s, b))):
                 return False
     return True
-
-
-def subset_code(s, subset):
-    return canonical_code(restrict(s, subset))
 
 
 def subset_pair_mergeable(s, a, b):
@@ -157,18 +142,11 @@ def test_minimal_decomposition_agrees_with_oracle_on_random_graphs():
             assert not oracle_part(s, b1 + b2)
 
 
-@st.composite
-def digraph_and_part(draw):
-    n = draw(st.integers(1, 6))
-    arcs = [(a, b) for a in range(n) for b in range(n) if draw(st.booleans())]
-    part = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-    return FiniteRelStruct(GRAPH, n, {"adj": arcs}), part
-
-
 @settings(max_examples=100, deadline=None)
-@given(digraph_and_part())
-def test_decomposition_matches_subset_oracles_on_random_digraphs(case):
-    s, part = case
+@given(digraphs(1, 6), st.data())
+def test_decomposition_matches_subset_oracles_on_random_digraphs(s, data):
+    part = data.draw(st.lists(st.integers(0, s.size - 1), unique=True,
+                              max_size=s.size))
     blocks = minimal_decomposition(s)
     assert sorted(x for block in blocks for x in block) == list(range(s.size))
     owner = {x: i for i, block in enumerate(blocks) for x in block}
@@ -211,52 +189,6 @@ def subset_route(s):
     """The minimal decomposition over all 2^n subsets, classified by the
     type registry of the structure's singleton presentation."""
     return _coarsening((1,) * s.size, TypeRegistry(present(s)).id_of)
-
-
-ARC = Signature((("arc", 2),))
-MARKED = Signature((("mark", 1), ("arc", 2)))
-TERNARY = Signature((("between", 3),))
-
-
-def planted(rng, n, k, noise, sig=ARC):
-    """A lexicographic sum of k chain, clique or coclique blocks of
-    near-equal sizes over a random quotient, its members scattered over
-    0..n-1, with `noise` random tuples toggled.  Over MARKED some blocks
-    carry the unary mark; over TERNARY the quotient, the chains and the
-    cliques are ternary."""
-    sizes = [n // k + (j < n % k) for j in range(k)]
-    order = rng.sample(range(n), n)
-    blocks, start = [], 0
-    for size in sizes:
-        blocks.append(order[start:start + size])
-        start += size
-    rels = {name: set() for name in sig.names}
-    arity = dict(sig.symbols)
-    main = "between" if "between" in arity else "arc"
-    for members in blocks:
-        kind = rng.choice(("chain", "clique", "coclique"))
-        if kind == "chain":
-            # the chain order is the order of `members`, labels scattered
-            rels[main].update(itertools.combinations(members, arity[main]))
-        elif kind == "clique":
-            rels[main].update(itertools.permutations(members, arity[main]))
-        if "mark" in arity and rng.random() < 0.5:
-            rels["mark"].update((x,) for x in members)
-    for quotient in itertools.product(range(k), repeat=arity[main]):
-        if len(set(quotient)) > 1 and rng.random() < 0.4:
-            rels[main].update(
-                itertools.product(*(blocks[q] for q in quotient)))
-    for _ in range(noise):
-        name = rng.choice(sig.names)
-        rels[name] ^= {tuple(rng.randrange(n) for _ in range(arity[name]))}
-    return FiniteRelStruct(sig, n, rels)
-
-
-def random_structure(rng, n, sig=ARC, density=0.3):
-    return FiniteRelStruct(sig, n, {
-        name: [t for t in itertools.product(range(n), repeat=arity)
-               if rng.random() < density]
-        for name, arity in sig.symbols})
 
 
 ORACLE_CASES = {
@@ -306,31 +238,20 @@ def test_noise_free_inputs_are_presented():
             assert instantiate(t, t.capacities) == relabel(s, position)
 
 
-@st.composite
-def random_template(draw, k):
-    """A template on k infinite blocks with up to five random patterns per
-    symbol, over a signature of one binary, one unary and binary, or one
-    ternary symbol."""
-    sig = draw(st.sampled_from([ARC, MARKED, TERNARY]))
-    accepted = {}
-    for name, arity in sig.symbols:
-        accepted[name] = draw(st.sets(st.builds(
-            TuplePattern.make,
-            st.tuples(*[st.integers(0, k - 1)] * arity),
-            st.tuples(*[st.integers(0, arity - 1)] * arity)), max_size=5))
-    return BlockTemplate(sig, tuple((f"b{b}", INF) for b in range(k)),
-                         tuple(frozenset(accepted[name])
-                               for name in sig.names))
+def infinite_templates(max_blocks):
+    """Templates on up to `max_blocks` infinite blocks with up to five
+    patterns per symbol, over the arities of ARC, MARKED or TERNARY."""
+    return random_templates(max_blocks, st.just(INF),
+                            st.sampled_from(SIGNATURE_ARITIES), max_patterns=5)
 
 
 @st.composite
 def templated_structure(draw):
     """The instantiation of a random template on at most 4 blocks with up to
     two random tuples toggled."""
-    k = draw(st.integers(1, 4))
-    t = draw(random_template(k))
+    t = draw(infinite_templates(4))
     sig = t.signature
-    comp = draw(st.tuples(*[st.integers(0, 3)] * k))
+    comp = draw(st.tuples(*[st.integers(0, 3)] * len(t.blocks)))
     s = instantiate(t, comp)
     rels = [set(r) for r in s.rels]
     if s.size:
@@ -377,9 +298,7 @@ def all_pairs_twin_classes(struct):
 
 
 @settings(max_examples=200, deadline=None)
-@given(templated_structure() | st.integers(1, 8).flatmap(
-    lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
-    .map(lambda arcs: FiniteRelStruct(ARC, n, {"arc": arcs}))))
+@given(templated_structure() | digraphs(1, 8))
 @example(UNPRESENTABLE)
 def test_twin_classes_match_the_all_pairs_oracle(s):
     assert _twin_classes(s) == all_pairs_twin_classes(s)
@@ -412,18 +331,10 @@ def planted_16():
     """16 elements in four planted blocks of four, scattered: a chain, a
     clique, a coclique and a chain, with arcs from every block to the
     blocks after it and from the last block back to the first."""
-    order = random.Random(16).sample(range(16), 16)
-    blocks = [order[i:i + 4] for i in range(0, 16, 4)]
-    arcs = set()
-    for b, kind in enumerate(("chain", "clique", "coclique", "chain")):
-        for u, v in itertools.permutations(blocks[b], 2):
-            if kind == "clique" or (
-                    kind == "chain" and blocks[b].index(u) < blocks[b].index(v)):
-                arcs.add((u, v))
-        for c in range(b + 1, 4):
-            arcs.update(itertools.product(blocks[b], blocks[c]))
-    arcs.update(itertools.product(blocks[3], blocks[0]))
-    return FiniteRelStruct(ARC, 16, {"arc": arcs}), blocks
+    blocks = near_equal_blocks(random.Random(16).sample(range(16), 16), 4)
+    links = list(itertools.combinations(range(4), 2)) + [(3, 0)]
+    return lex_sum_structure(ARC, blocks, ("chain", "clique", "coclique", "chain"),
+                             links), blocks
 
 
 def test_presentation_spares_the_subsets(monkeypatch):
@@ -484,12 +395,9 @@ def assert_walk_classifies_as_the_oracle(s):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
-    st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
-                                  st.integers(0, n - 1))))))
-def test_one_walk_classifies_as_the_per_pair_tests(digraph):
-    n, arcs = digraph
-    assert_walk_classifies_as_the_oracle(FiniteRelStruct(ARC, n, {"arc": arcs}))
+@given(digraphs(1, 7))
+def test_one_walk_classifies_as_the_per_pair_tests(s):
+    assert_walk_classifies_as_the_oracle(s)
 
 
 def test_one_walk_classifies_as_the_per_pair_tests_on_larger_digraphs():
@@ -521,24 +429,6 @@ def test_decompositions_classify_only_the_degrees_they_need(monkeypatch):
     assert not agealg.algebra._block_automorphisms(present(s))
     assert minimal_decomposition(s) == [[x] for x in range(14)]
     assert max(classified) <= 3
-
-
-def cubic_graph(seed, n):
-    """A 3-regular graph on n elements: three stubs per element, shuffled
-    and paired, drawn again until no pair is a loop or repeats an edge."""
-    rng = random.Random(seed)
-    while True:
-        stubs = [x for x in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        edges = {tuple(sorted(stubs[i:i + 2])) for i in range(0, 3 * n, 2)}
-        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
-            return graph(n, edges)
-
-
-def paley_graph(p):
-    squares = {x * x % p for x in range(1, p)}
-    return graph(p, [(x, y) for x in range(p) for y in range(x + 1, p)
-                     if (y - x) % p in squares])
 
 
 @pytest.mark.parametrize("s", [cubic_graph(0, 20), cubic_graph(0, 30),
@@ -593,16 +483,16 @@ def labelled_composition(draw):
     registry of a random template; or by the registry of the presentation
     of a random digraph, with the counts cut to at most 3."""
     kind = draw(st.sampled_from(["bits", "template", "presented"]))
+    t = None
     if kind == "presented":
-        n = draw(st.integers(1, 5))
-        s = FiniteRelStruct(ARC, n, {"arc": [
-            (a, b) for a in range(n) for b in range(n) if draw(st.booleans())]})
+        s = draw(digraphs(1, 5))
         t = draw(st.sampled_from([_presentation(s)[0], present(s)]))
         caps = [min(c, 3) for c in t.capacities]
+    elif kind == "template":
+        t = draw(infinite_templates(5))
+        caps = [3] * len(t.blocks)
     else:
-        k = draw(st.integers(1, 5))
-        t = None if kind == "bits" else draw(random_template(k))
-        caps = [3] * k
+        caps = [3] * draw(st.integers(1, 5))
     comp = tuple(draw(st.integers(0, c)) for c in caps)
     if t is not None:
         return comp, TypeRegistry(t).id_of
@@ -714,7 +604,6 @@ def test_shape_invariance_on_fat_subsets():
     d = fatness_threshold(t)[0]
     s = instantiate(t, (d + 2, d + 2))
     n = s.size
-    from agealg.structures import canonical_code
     groups = {}
     for subset in itertools.combinations(range(n), 2 * d + 1):
         counts = (sum(1 for x in subset if x < d + 2),
@@ -722,7 +611,7 @@ def test_shape_invariance_on_fat_subsets():
         if min(counts) < d:  # not d-fat
             continue
         shape = tuple(sorted(counts, reverse=True))
-        groups.setdefault(canonical_code(restrict(s, subset)), set()).add(shape)
+        groups.setdefault(subset_code(s, subset), set()).add(shape)
     for shapes in groups.values():
         assert len(shapes) == 1
 
@@ -739,18 +628,9 @@ def test_partition_lower_bound_values():
 
 
 def test_partition_lower_bound_oracle():
-    def brute(m, k):
-        if m == 0:
-            return 1
-        count = 0
-        for parts in itertools.product(range(m + 1), repeat=k):
-            if sum(parts) == m and list(parts) == sorted(parts, reverse=True):
-                count += 1
-        return count
-
     for k in (1, 2, 3):
         for m in range(8):
-            assert partition_lower_bound(k, m, 0) == brute(m, k)
+            assert partition_lower_bound(k, m, 0) == partitions_into_at_most(k, m)
 
 
 def test_partition_lower_bound_into_three_parts_is_the_nearest_integer():
@@ -790,13 +670,6 @@ def test_cpc_is_not_almost_monomorphic_at_small_bound():
     assert not is_F_monomorphic_up_to(t, {0: 2, 1: 1}, 3)
 
 
-def wheel_alone():
-    """Leaves + center of the wheel, without the coclique."""
-    return BlockTemplate.make(
-        GRAPH, [("leaves", INF), ("center", 1)],
-        {"adj": [((0, 1), (0, 0)), ((1, 0), (0, 0))]})
-
-
 def test_wheel_alone_is_center_monomorphic():
     # fixing the center, any two equal-size leaf sets are exchangeable
     t = wheel_alone()
@@ -817,13 +690,13 @@ def brute_F_monomorphic(s, f_set, bound):
     """Oracle: for every n <= bound, the first n-set A avoiding F and every
     other one B admit a bijection A -> B whose extension by the identity on
     F preserves the restrictions to A+F and B+F."""
-    f_set = tuple(sorted(f_set))
-    rest = [x for x in range(s.size) if x not in f_set]
+    fixed = {f: f for f in f_set}
+    rest = [x for x in range(s.size) if x not in fixed]
     for n in range(1, min(bound, len(rest)) + 1):
         first, *others = itertools.combinations(rest, n)
         for other in others:
-            if not any(preserves(s, dict(zip(first + f_set, image + f_set)))
-                       for image in itertools.permutations(other)):
+            if not any(preserves(s, {**m, **fixed})
+                       for m in bijections(first, other)):
                 return False
     return True
 
@@ -862,16 +735,9 @@ def digraph_F_bound(draw):
     named F, an F of up to 3 elements and a bound 1..4.  Half the digraphs
     are circulants, whose symmetries make many restrictions isomorphic by
     maps that move F."""
-    n = draw(st.integers(1, 6))
-    name = draw(st.sampled_from(["arc", "F"]))
-    if draw(st.booleans()):
-        offsets = draw(st.sets(st.integers(0, n - 1)))
-        arcs = [(a, (a + d) % n) for a in range(n) for d in offsets]
-    else:
-        arcs = [(a, b) for a in range(n) for b in range(n)
-                if draw(st.booleans())]
-    s = FiniteRelStruct(Signature(((name, 2),)), n, {name: arcs})
-    return s, draw(st.sets(st.integers(0, n - 1), max_size=3)), \
+    sig = draw(st.sampled_from([ARC, Signature((("F", 2),))]))
+    s = draw(digraphs(1, 6, ("random", "circulant"), sig))
+    return s, draw(st.sets(st.integers(0, s.size - 1), max_size=3)), \
         draw(st.integers(1, 4))
 
 
@@ -907,7 +773,7 @@ def test_F_monomorphy_matches_brute_force(case):
        st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(1, 3))
 def test_template_F_monomorphy_matches_brute_force(rng, f_counts, bound):
     # the box holds f + bound elements of each block, its first f in F
-    t = agealg.verify.random_template(rng)
+    t = random_template(rng)
     box = tuple(f + bound for f in f_counts)
     s = instantiate(t, box)
     f_set = [x for (lo, _), f in zip(block_spans(box), f_counts)

@@ -58,6 +58,26 @@ def test_address_indices_must_be_integers(addr):
         contract([addr])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_reduced(2.0), lambda: enumerate_reduced(True),
+    lambda: default_sample(2.0), lambda: planar_profile(2.5),
+    lambda: planar_profile(True), lambda: reconstruct_from_triples(3.0, {}),
+    lambda: tree_restrict(CARET, [1.0]),
+], ids=["float-leaves", "bool-leaves", "float-sample", "fractional-profile",
+        "bool-profile", "float-reconstruction", "float-leaf-number"])
+def test_counts_must_be_integers(call):
+    with pytest.raises(InputError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("tree, keep", [
+    ((LEAF, LEAF), [5]), ((LEAF, LEAF), [0, 1]), (CARET, [4]), (EMPTY, [1]),
+], ids=["past-the-end", "zero", "caret-4", "empty-tree"])
+def test_restriction_refuses_leaves_outside_the_tree(tree, keep):
+    with pytest.raises(InputError, match="leaf numbers must lie in"):
+        tree_restrict(tree, keep)
+
+
 def test_enumerate_counts_match_schroder():
     for n in range(8):
         assert len(enumerate_reduced(n)) == SCHRODER[n]

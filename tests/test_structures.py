@@ -13,67 +13,13 @@ from agealg.errors import InputError
 from agealg.gallery import GALLERY
 from agealg.structures import (CODE_VERSION, FiniteRelStruct, Signature,
                                _encode, _individualized, _refine, _UnionFind,
-                               canonical_code, find_isomorphism, relabel,
-                               restrict)
+                               canonical_code, find_isomorphism, restrict)
 from agealg.templates import compositions, instantiate, sym
-
-GRAPH = Signature((("adj", 2),))
-
-
-def graph(n, edges):
-    pairs = []
-    for a, b in edges:
-        pairs += [(a, b), (b, a)]
-    return FiniteRelStruct(GRAPH, n, {"adj": pairs})
-
-
-def path(n):
-    return graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def clique(n):
-    return graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-
-
-def brute_isomorphic(s1, s2):
-    """Oracle: try every bijection."""
-    if s1.size != s2.size:
-        return False
-    for perm in itertools.permutations(range(s1.size)):
-        if all(
-            frozenset(tuple(perm[x] for x in t) for t in r1) == r2
-            for r1, r2 in zip(s1.rels, s2.rels)
-        ):
-            return True
-    return False
-
-
-def isomorphic(s1, s2):
-    return find_isomorphism(s1, s2) is not None
-
-
-def subset_types(struct, n):
-    """Oracle: the n-element induced substructures classified by one
-    canonical code each, as {code: multiplicity}; the multiplicities add up
-    to C(size, n)."""
-    if n < 0 or n > struct.size:
-        raise InputError(f"subset size {n} out of range 0..{struct.size}")
-    out = {}
-    for comb in itertools.combinations(range(struct.size), n):
-        code = canonical_code(restrict(struct, comb))
-        out[code] = out.get(code, 0) + 1
-    return out
-
-
-def random_struct(rng, size, sig=GRAPH, density=0.3):
-    rels = {}
-    for name, arity in sig.symbols:
-        tuples = [
-            t for t in itertools.product(range(size), repeat=arity)
-            if rng.random() < density
-        ]
-        rels[name] = tuples
-    return FiniteRelStruct(sig, size, rels)
+from strategies import (GRAPH, brute_isomorphic, circulant_arcs, clique,
+                        cube_graph, digraphs, graph, isomorphic, path,
+                        petersen_graph, random_structure, relabel, rook_graph,
+                        shrikhande_graph, structures, subset_types,
+                        to_networkx)
 
 
 # ---------------------------------------------------------------------------
@@ -147,41 +93,27 @@ def test_find_isomorphism_matches_brute_force():
     sig = Signature((("adj", 2), ("mark", 1)))
     for trial in range(120):
         size = rng.randint(1, 5)
-        s1 = random_struct(rng, size, sig)
+        s1 = random_structure(rng, size, sig)
         if trial % 2 == 0:
             perm = list(range(size))
             rng.shuffle(perm)
             s2 = relabel(s1, perm)
         else:
-            s2 = random_struct(rng, size, sig)
+            s2 = random_structure(rng, size, sig)
         assert (find_isomorphism(s1, s2) is not None) == brute_isomorphic(s1, s2)
 
 
 @st.composite
 def digraph_pair(draw):
     """Two digraphs with loops on up to 7 vertices (half the time the second
-    is a relabelled copy of the first).  Some are circulants, on which
+    is a relabelled copy of the first).  Half are circulants, on which
     colour refinement leaves one cell to search."""
-    n = draw(st.integers(1, 7))
-
-    def digraph():
-        if draw(st.booleans()):
-            offsets = draw(st.sets(st.integers(0, n - 1)))
-            arcs = [(a, (a + d) % n) for a in range(n) for d in offsets]
-        else:
-            arcs = [(a, b) for a in range(n) for b in range(n) if draw(st.booleans())]
-        return FiniteRelStruct(GRAPH, n, {"adj": arcs})
-
-    s1 = digraph()
-    s2 = relabel(s1, draw(st.permutations(range(n)))) if draw(st.booleans()) else digraph()
+    kinds = ("random", "circulant")
+    s1 = draw(digraphs(1, 7, kinds))
+    n = s1.size
+    s2 = (relabel(s1, draw(st.permutations(range(n)))) if draw(st.booleans())
+          else draw(digraphs(n, n, kinds)))
     return s1, s2
-
-
-def to_networkx(s):
-    g = nx.DiGraph()
-    g.add_nodes_from(range(s.size))
-    g.add_edges_from(s.relation("adj"))
-    return g
 
 
 @settings(max_examples=150, deadline=None)
@@ -225,7 +157,7 @@ def test_eleven_unlabelled_graphs_on_four_vertices():
 def test_code_agreement_iff_isomorphic():
     rng = random.Random(777)
     sig = Signature((("r", 2), ("u", 1)))
-    pool = [random_struct(rng, rng.randint(1, 6), sig) for _ in range(40)]
+    pool = [random_structure(rng, rng.randint(1, 6), sig) for _ in range(40)]
     pool += [relabel(s, rng.sample(range(s.size), s.size)) for s in pool[:20]]
     for s1, s2 in itertools.combinations(rng.sample(pool, 24), 2):
         if s1.size != s2.size:
@@ -245,29 +177,6 @@ def test_code_separates_refinement_equivalent_pair():
     kk = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert canonical_code(c6) != canonical_code(kk)
     assert find_isomorphism(c6, kk) is None
-
-
-def rook_graph():
-    """The 4x4 rook graph, one of the SRG(16,6,2,2) pair."""
-    return graph(16, [(a, b) for a, b in itertools.combinations(range(16), 2)
-                      if a // 4 == b // 4 or a % 4 == b % 4])
-
-
-def shrikhande_graph():
-    """The Shrikhande graph, the other of the SRG(16,6,2,2) pair."""
-    diffs = {(1, 0), (0, 1), (1, 1), (3, 0), (0, 3), (3, 3)}
-    return graph(16, [(a, b) for a, b in itertools.combinations(range(16), 2)
-                      if ((a // 4 - b // 4) % 4, (a % 4 - b % 4) % 4) in diffs])
-
-
-def petersen_graph():
-    return graph(10, [(i, (i + 1) % 5) for i in range(5)]
-                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-                 + [(i, i + 5) for i in range(5)])
-
-
-def cube_graph(d):
-    return graph(2 ** d, [(a, a ^ (1 << i)) for a in range(2 ** d) for i in range(d)])
 
 
 def test_code_separates_strongly_regular_pair():
@@ -407,10 +316,6 @@ def test_code_and_label_match_the_oracle_on_symmetric_graphs():
         assert_matches_oracle(s)
 
 
-def circulant_arcs(n, steps, offset=0):
-    return [(offset + i, offset + (i + d) % n) for i in range(n) for d in steps]
-
-
 @st.composite
 def symmetric_or_random(draw):
     """A relabelled structure of at most 10 elements: a union of cliques, a
@@ -422,12 +327,7 @@ def symmetric_or_random(draw):
     kind = draw(st.sampled_from(
         ["cliques", "multipartite", "circulants", "permutations", "random"]))
     if kind == "random":
-        n = draw(st.integers(1, 10))
-        arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-        sig = Signature(tuple((f"r{i}", a) for i, a in enumerate(arities)))
-        entry = st.integers(0, n - 1)
-        s = FiniteRelStruct(sig, n, [
-            draw(st.lists(st.tuples(*[entry] * a), max_size=3 * n)) for a in arities])
+        s = draw(structures(min_size=1, max_size=10, max_tuples=30))
     elif kind == "circulants":
         n1 = draw(st.integers(1, 10))
         n2 = draw(st.integers(0, 10 - n1))
@@ -497,7 +397,7 @@ def test_backjumps_bound_the_refinements(monkeypatch):
 
 def test_isomorphism_is_an_equivalence():
     rng = random.Random(2024)
-    pool = [random_struct(rng, 4) for _ in range(12)]
+    pool = [random_structure(rng, 4, GRAPH) for _ in range(12)]
     for s in pool:
         assert isomorphic(s, s)
     for s1, s2 in itertools.combinations(pool, 2):

@@ -16,8 +16,9 @@ from agealg.templates import (INF, BlockTemplate, TuplePattern, c3_chains,
                               block_spans, clique_plus_coclique, clique_sum,
                               coclique, compositions, groupoid_example,
                               instantiate, lex_sum, normalize_ranks, present,
-                              qsym, rqsym, subcompositions, sym,
-                              through_tuples, validate, wheel_plus_coclique)
+                              qsym, rqsym, spans_through, subcompositions, sym,
+                              validate, wheel_plus_coclique)
+from strategies import ARC, random_templates, structures
 
 
 def test_pattern_normalization():
@@ -47,9 +48,6 @@ def remapped_ranks(blocks, ranks):
 def test_normalize_ranks_matches_the_remapping(case):
     blocks, ranks = case
     assert normalize_ranks(blocks, ranks) == remapped_ranks(blocks, ranks)
-
-
-ARC = Signature((("arc", 2),))
 
 
 @pytest.mark.parametrize("build", [
@@ -187,31 +185,12 @@ def filtered_relations(t, comp):
 @st.composite
 def template_and_composition(draw):
     """A template with 1-3 blocks of capacity 1, 2, 3 or infinite, 1-2
-    symbols of arity 1-4 and random accepted patterns that fit the
-    capacities, and a composition of at most 3 elements per block."""
-    caps = draw(st.lists(st.sampled_from([None, 1, 2, 3]), min_size=1,
-                         max_size=3))
-    nblocks = len(caps)
-    arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
-    sig = Signature(tuple((f"r{k}", a) for k, a in enumerate(arities)))
-    accepted = {}
-    for name, arity in sig.symbols:
-        pats = set()
-        for _ in range(draw(st.integers(0, 6))):
-            blocks = draw(st.lists(st.integers(0, nblocks - 1),
-                                   min_size=arity, max_size=arity))
-            ranks = draw(st.lists(st.integers(0, arity - 1),
-                                  min_size=arity, max_size=arity))
-            p = TuplePattern.make(blocks, ranks)
-            if all(caps[b] is None or r < caps[b]
-                   for b, r in zip(p.blocks, p.ranks)):
-                pats.add(p)
-        accepted[name] = pats
-    t = BlockTemplate.make(sig, [(f"b{b}", cap) for b, cap in enumerate(caps)],
-                           accepted)
-    comp = tuple(draw(st.integers(0, 3 if cap is None else min(cap, 3)))
-                 for cap in caps)
-    return t, comp
+    symbols of arity 1-4 and up to 6 accepted patterns per symbol, and a
+    composition of at most 3 elements per block."""
+    t = draw(random_templates(arities=st.lists(
+        st.integers(1, 4), min_size=1, max_size=2).map(tuple), max_patterns=6))
+    return t, tuple(draw(st.integers(0, 3 if cap is None else min(cap, 3)))
+                    for cap in t.capacities)
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,18 +199,16 @@ def template_and_composition(draw):
 @example((c3_chains(), (2, 0, 3)))
 def test_instantiate_matches_pattern_filter(case):
     # pattern by pattern enumeration finds exactly the tuples whose pattern
-    # is accepted, and the tuples through the last element of a block are
-    # exactly those of the instantiation that contain it
+    # is accepted, and the tuples through the last element of a nonempty
+    # block are exactly those of the instantiation that contain it
     t, comp = case
     s = instantiate(t, comp)
     assert list(s.rels) == filtered_relations(t, comp)
     spans = block_spans(comp)
     for i, (lo, hi) in enumerate(spans):
         if hi == lo:
-            with pytest.raises(InputError):
-                through_tuples(t, comp, i)
             continue
-        through = through_tuples(t, comp, i)
+        through = spans_through(t, spans, i)
         for rel, tuples in zip(s.rels, through):
             assert len(set(tuples)) == len(tuples)
             assert set(tuples) == {tup for tup in rel if hi - 1 in tup}
@@ -380,19 +357,8 @@ def test_subcomposition_restriction_is_instantiation(build):
 MIXED = Signature((("mark", 1), ("arc", 2), ("between", 3)))
 
 
-@st.composite
-def mixed_structure(draw):
-    """A structure on at most 5 elements with a unary, a binary and a
-    ternary symbol, whose tuples may repeat entries (loops included)."""
-    n = draw(st.integers(0, 5))
-    return FiniteRelStruct(MIXED, n, {
-        name: draw(st.sets(st.tuples(*[st.integers(0, n - 1)] * arity),
-                           max_size=8)) if n else []
-        for name, arity in MIXED.symbols})
-
-
 @settings(max_examples=80, deadline=None)
-@given(mixed_structure())
+@given(structures(MIXED))
 @example(FiniteRelStruct(MIXED, 0, {}))
 @example(FiniteRelStruct(MIXED, 1, {"mark": [(0,)], "arc": [(0, 0)],
                                     "between": [(0, 0, 0)]}))
