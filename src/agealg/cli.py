@@ -120,9 +120,10 @@ def cmd_decompose(args):
 def _two_path(args, t):
     registry = TypeRegistry(t)
     components = template_components(t, d_max=args.d_max, registry=registry)
+    dimension = components.dimension if args.dim is None else args.dim
     return two_path_hilbert(t, args.degree, gen_bound=args.gen_bound,
                             guard=args.guard, registry=registry,
-                            dimension=args.dim, components=components)
+                            dimension=dimension)
 
 
 def cmd_hilbert(args):

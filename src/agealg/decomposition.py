@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 from .algebra import TypeRegistry
 from .errors import ConsistencyError, InputError, UndeterminedError
+from .hilbert import expand
 from .structures import (FiniteRelStruct, Signature, _UnionFind, json_int,
                          nonnegative_int)
 from .templates import (block_spans, instantiate, present, spans_tuples,
@@ -262,8 +263,8 @@ def _level_classes(t, d, registry):
 
 
 def _fatness(t, d_max, registry=None):
-    """(d, certificate, classes at level d) for `fatness_threshold`: the
-    first level whose block coarsening level d+1 repeats."""
+    """(d, classes at level d) for `fatness_threshold`: the first level
+    whose block coarsening level d+1 repeats."""
     if json_int(d_max, "d_max") < 1:
         raise InputError("d_max must be at least 1")
     registry = registry or TypeRegistry(t)
@@ -271,7 +272,7 @@ def _fatness(t, d_max, registry=None):
     for d in range(1, d_max + 1):
         nxt = _level_classes(t, d + 1, registry)
         if nxt == prev:
-            return d, (d, d + 1), prev
+            return d, prev
         prev = nxt
     raise UndeterminedError(
         f"block coarsening did not stabilize up to level {d_max}; "
@@ -281,8 +282,8 @@ def _fatness(t, d_max, registry=None):
 def fatness_threshold(t, d_max=DEFAULT_D_MAX):
     """Smallest level d <= d_max whose block coarsening agrees with level
     d+1, plus the (d, d+1) stability certificate."""
-    d, cert, _ = _fatness(t, d_max)
-    return d, cert
+    d, _ = _fatness(t, d_max)
+    return d, (d, d + 1)
 
 
 @dataclass(frozen=True)
@@ -292,11 +293,15 @@ class TemplateComponents:
     classes: tuple          # tuple of tuples of block indices
     dimension: int          # number of classes containing an infinite block
     fatness: int
-    certificate: tuple
 
     @property
     def count(self):
         return len(self.classes)
+
+    @property
+    def certificate(self):
+        """The levels whose block coarsenings agree."""
+        return (self.fatness, self.fatness + 1)
 
 
 def template_components(t, d_max=DEFAULT_D_MAX, registry=None):
@@ -304,10 +309,10 @@ def template_components(t, d_max=DEFAULT_D_MAX, registry=None):
     tests on a fat instantiation; the dimension counts infinite classes.
     The pair and part tests classify through `registry` (default: a new
     registry of `t`)."""
-    d, cert, classes = _fatness(t, d_max, registry)
+    d, classes = _fatness(t, d_max, registry)
     caps = t.capacities
     k = sum(1 for cls in classes if any(caps[b] is None for b in cls))
-    return TemplateComponents(tuple(tuple(c) for c in classes), k, d, cert)
+    return TemplateComponents(tuple(tuple(c) for c in classes), k, d)
 
 
 def component_sizes(t, comps):
@@ -339,18 +344,14 @@ def profile_floor_params(t, comps=None, d_max=DEFAULT_D_MAX):
 def partition_lower_bound(k, n, n0):
     """p_k(n - n0): integer partitions of n - n0 into at most k parts
     (0 below n0, 1 at n0 for the empty partition), which are the partitions
-    into parts of size at most k, counted over a table of n - n0 + 1
-    entries that takes in the part sizes 1..k one at a time."""
+    into parts of size at most k: the coefficient of Z^(n - n0) in
+    1/((1-Z)...(1-Z^k)), where factors past n - n0 change nothing."""
     if json_int(k, "k") < 1:
         raise InputError("partition_lower_bound needs k >= 1")
     m = json_int(n, "n") - json_int(n0, "n0")
     if m < 0:
         return 0
-    count = [1] + [0] * m
-    for part in range(1, min(k, m) + 1):
-        for x in range(part, m + 1):
-            count[x] += count[x - part]
-    return count[m]
+    return expand([1], range(1, min(k, m) + 1), m)[m]
 
 
 # ---------------------------------------------------------------------------

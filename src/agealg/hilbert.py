@@ -95,7 +95,7 @@ class IntSeries:
 
     @staticmethod
     def make(coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(json_int(c, "series coefficient") for c in coeffs)
         return IntSeries(coeffs, len(coeffs) - 1)
 
     def __getitem__(self, n):
@@ -113,11 +113,13 @@ class HilbertForm:
 
     @staticmethod
     def make(numerator, denominators):
-        denominators = tuple(sorted(int(d) for d in denominators))
+        denominators = tuple(sorted(json_int(d, "denominator exponent")
+                                    for d in denominators))
         if denominators and denominators[0] < 1:
             raise InputError(f"denominator factor (1 - Z^{denominators[0]}): "
                              f"exponents must be >= 1")
-        return HilbertForm(tuple(ptrim(list(numerator))), denominators)
+        return HilbertForm(tuple(ptrim([json_int(c, "numerator coefficient")
+                                        for c in numerator])), denominators)
 
     @property
     def is_zero(self):
@@ -491,10 +493,10 @@ def _chain_generators(chain, caps, bound, leading):
     return _minimal(weights, over + list(leading)), _minimal(weights, over)
 
 
-def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
-                        components=None):
+def hilbert_via_leading(t, degree, gen_bound=None, registry=None):
     """Assemble the Hilbert series by summing per-chain monomial-ideal
-    series of leading monomials, then put it over (1-Z)...(1-Z^k).
+    series of leading monomials, then put it over (1-Z)...(1-Z^k), k the
+    largest all-infinite layer of any chain.
 
     The expansion is verified against the profile series up to `degree`; a
     mismatch means the generators (cut at `gen_bound`, default `degree`)
@@ -503,15 +505,11 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
     from a chain series, as generators cut too early leave it.
     """
     from .algebra import TypeRegistry, profile_series
-    from .decomposition import template_components
 
     nonnegative_int(degree, "degree")
     bound = degree if gen_bound is None else min(
         nonnegative_int(gen_bound, "gen_bound"), degree)
     registry = registry or TypeRegistry(t)
-    if components is None:
-        components = template_components(t, registry=registry)
-    k = components.dimension
 
     # chain -> the layer exponents of its leading monomials
     by_chain = {}
@@ -523,6 +521,7 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
     caps = t.capacities
     # the empty leading monomial's 1, then one form per chain
     forms = [HilbertForm.make([1], [])]
+    k = 0  # the largest all-infinite layer so far
 
     for chain in sorted(by_chain):
         weights = tuple(len(s) for s in chain)
@@ -543,9 +542,6 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None,
                 f"{bound}; retry with a larger bound")
         if len(set(dens)) != len(dens):
             raise ConsistencyError(f"repeated layer sizes in chain {chain}")
-        # for a non-minimal template an all-infinite layer may exceed the
-        # dimension; the assembly target grows accordingly and the final
-        # normalization brings the form back down
         k = max(k, max(dens, default=0))
         forms.append(HilbertForm.make(num, dens))
 
@@ -583,7 +579,7 @@ def fit_rational(series, k, guard=DEFAULT_GUARD):
     if isinstance(series, IntSeries):
         coeffs = list(series.coefficients)
     else:
-        coeffs = [int(c) for c in series]
+        coeffs = [json_int(c, "series coefficient") for c in series]
     nonnegative_int(k, "k")
     nonnegative_int(guard, "guard")
     degree = len(coeffs) - 1
@@ -752,11 +748,11 @@ def nonnegative_form(form, max_part=None, count=None):
 
 
 def two_path_hilbert(t, degree, gen_bound=None, guard=DEFAULT_GUARD,
-                     registry=None, dimension=None, components=None):
+                     registry=None, dimension=None):
     """Run both routes to the Hilbert series and return (fitted, leading)
-    when they agree.  The fitted form uses the monomorphic dimension of
-    `components` (default: `template_components(t)`) unless `dimension`
-    overrides it.
+    when they agree.  The fitted form has the denominator
+    (1-Z)...(1-Z^dimension), by default the monomorphic dimension
+    `template_components(t).dimension`.
 
     Each route has been checked against the profile through `degree`, so
     forms that differ only beyond it ask for a larger degree
@@ -768,12 +764,11 @@ def two_path_hilbert(t, degree, gen_bound=None, guard=DEFAULT_GUARD,
 
     nonnegative_int(degree, "degree")
     registry = registry or TypeRegistry(t)
-    if components is None:
-        components = template_components(t, registry=registry)
-    k = dimension if dimension is not None else components.dimension
+    if dimension is None:
+        dimension = template_components(t, registry=registry).dimension
     series = profile_series(t, degree, registry)
-    fitted = fit_rational(series, k, guard)
-    lead = hilbert_via_leading(t, degree, gen_bound, registry, components)
+    fitted = fit_rational(series, dimension, guard)
+    lead = hilbert_via_leading(t, degree, gen_bound, registry)
     if not fitted.same_series(lead):
         detail = f"{fitted.pretty()} vs {lead.pretty()}"
         if fitted.series(degree) != lead.series(degree):

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 from .errors import ConsistencyError, InputError
 from .structures import json_int, nonnegative_int
+from .templates import subcompositions
 
 LEAF = "o"
 EMPTY = None
@@ -94,46 +95,23 @@ def _enumerate_reduced(n):
         return (LEAF,)
     out = []
     for m in range(2, n + 1):
-        for comp in _positive_compositions(n, m):
-            for kids in itertools.product(*(_enumerate_reduced(c) for c in comp)):
+        # the compositions of n into m positive parts, in lex order
+        for comp in subcompositions((n - m,) * m, n - m):
+            for kids in itertools.product(*(_enumerate_reduced(c + 1) for c in comp)):
                 out.append(tuple(kids))
     return tuple(out)
 
 
-def _positive_compositions(n, m):
-    if m == 1:
-        if n >= 1:
-            yield (n,)
-        return
-    for first in range(1, n - m + 2):
-        for rest in _positive_compositions(n - first, m - 1):
-            yield (first,) + rest
-
-
 def tree_restrict(tree, keep):
     """Contraction of a finite reduced tree onto a subset of its leaves
-    (1-based leaf numbers in left-right order)."""
+    (1-based leaf numbers in left-right order): the contraction of those
+    leaves of its embedding into the host."""
     keep = {json_int(x, "leaf number") for x in keep}
     n = leaves(tree)
     if not all(1 <= x <= n for x in keep):
         raise InputError(f"leaf numbers must lie in 1..{n}, got {sorted(keep)}")
-    counter = [0]
-
-    def prune(node):
-        if node == LEAF:
-            counter[0] += 1
-            return LEAF if counter[0] in keep else None
-        kids = [k for k in (prune(c) for c in node) if k is not None]
-        if not kids:
-            return None
-        if len(kids) == 1:
-            return kids[0]
-        return tuple(kids)
-
-    if tree is EMPTY:
-        return EMPTY
-    out = prune(tree)
-    return EMPTY if out is None else out
+    addresses = embed(tree)
+    return contract([addresses[k - 1] for k in keep])
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,6 @@ class Signature:
     def names(self):
         return tuple(n for n, _ in self.symbols)
 
-    def arity(self, name):
-        for n, a in self.symbols:
-            if n == name:
-                return a
-        raise InputError(f"unknown symbol {name!r}")
-
     def index(self, name):
         for i, (n, _) in enumerate(self.symbols):
             if n == name:
@@ -307,12 +301,6 @@ def canonical_code(struct):
     if struct._code is not None:
         return struct._code
     n = struct.size
-    if n == 0:
-        struct._code = CODE_VERSION + ":" + _encode(struct, [])
-        struct._label = ()
-        struct._autos = ()
-        return struct._code
-
     start = _refine(struct, [0] * n)
     best = [None, None, None]  # encoding, perm, prefix
     autos = []
@@ -381,11 +369,7 @@ def automorphisms(struct):
     g with g[x] the image of x: the automorphisms that `canonical_code`
     records, one for each leaf that encodes like the best leaf.  The search
     prunes only by those, so they generate the group, and the identity is
-    not among them.  When the refinement of the root is already discrete
-    the group is trivial, and no search is run."""
-    n = struct.size
-    if struct._code is None and len(set(_refine(struct, [0] * n))) == n:
-        return []
+    not among them."""
     canonical_code(struct)
     return list(struct._autos)
 

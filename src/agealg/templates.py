@@ -39,6 +39,13 @@ def normalize_ranks(blocks, ranks):
                  for b, r in zip(blocks, ranks))
 
 
+def rank_patterns(blocks):
+    """The normalized rank vectors of the block vector `blocks`, in lex
+    order."""
+    return [ranks for ranks in itertools.product(range(len(blocks)), repeat=len(blocks))
+            if normalize_ranks(blocks, ranks) == ranks]
+
+
 @dataclass(frozen=True)
 class TuplePattern:
     """Block and rank assignment of one accepted tuple shape."""
@@ -402,24 +409,6 @@ def compositions(t, n, max_degree=None):
 # builders for the gallery of worked examples
 
 
-def _all_rank_patterns(blocks, distinct=False):
-    """All normalized rank assignments for a fixed block vector."""
-    arity = len(blocks)
-    pats = set()
-    for ranks in itertools.product(range(arity), repeat=arity):
-        p = TuplePattern.make(blocks, ranks)
-        if distinct:
-            ok = all(
-                len({p.ranks[i] for i in range(arity) if p.blocks[i] == b})
-                == sum(1 for x in p.blocks if x == b)
-                for b in set(p.blocks)
-            )
-            if not ok:
-                continue
-        pats.add(p)
-    return pats
-
-
 def coclique():
     """Infinite independent set; profile 1,1,1,..."""
     sig = Signature((("adj", 2),))
@@ -531,14 +520,15 @@ def lex_sum(quotient, block_kinds, capacities):
         for b in range(m):
             kind = block_kinds[b]
             vec = (b,) * arity
-            if kind == "clique":
-                pats |= _all_rank_patterns(vec, distinct=True)
+            if kind == "clique":  # distinct elements, in every order
+                pats |= {TuplePattern(vec, ranks)
+                         for ranks in itertools.permutations(range(arity))}
             elif kind == "chain":
                 pats.add(TuplePattern.make(vec, tuple(range(arity))))
         # quotient tuples touching >= 2 blocks lift with all rank patterns
         for q in rel:
             if len(set(q)) >= 2:
-                pats |= _all_rank_patterns(q)
+                pats |= {TuplePattern(q, ranks) for ranks in rank_patterns(q)}
         accepted[name] = pats
     return BlockTemplate.make(quotient.signature, blocks, accepted)
 

@@ -29,7 +29,7 @@ from .planar import (SCHRODER, default_sample, embed, enumerate_reduced,
                      reconstruct_from_triples, tree_restrict)
 from .structures import Signature
 from .templates import (INF, BlockTemplate, TuplePattern, compositions,
-                        normalize_ranks, validate)
+                        rank_patterns, validate)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class Case:
     @cached_property
     def forms(self):
         return two_path_hilbert(self.t, self.bounds.degree, registry=self.registry,
-                                components=self.components)
+                                dimension=self.components.dimension)
 
     def valid(self):
         diags = validate(self.t, swap_degree=4)
@@ -180,8 +180,7 @@ def _ideal_oracle(bounds):
 def _normalized_patterns(blocks, arity):
     return tuple(TuplePattern(bs, ranks)
                  for bs in itertools.product(range(blocks), repeat=arity)
-                 for ranks in itertools.product(range(arity), repeat=arity)
-                 if normalize_ranks(bs, ranks) == ranks)
+                 for ranks in rank_patterns(bs))
 
 
 def pattern_universe(caps, arity):
@@ -234,7 +233,7 @@ def _scope_replacements(bounds):
         registry = TypeRegistry(t)
         comps = template_components(t, registry=registry)
         fitted, _ = two_path_hilbert(t, RANDOM_DEGREE, registry=registry,
-                                     components=comps)
+                                     dimension=comps.dimension)
         qp = quasi_polynomial(fitted)
         series = profile_series(t, RANDOM_DEGREE, registry)
         if (qp.degree > comps.dimension - 1

@@ -11,13 +11,15 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import agealg.decomposition
 import agealg.hilbert
 from agealg.algebra import (TypeRegistry, kernel_elements_bounded,
                             mult_by_e_rank, profile_series)
 from agealg.errors import (ConsistencyError, InputError, NotRationalError,
                            UndeterminedError)
 from agealg.gallery import GALLERY, resolve_builtin
-from agealg.hilbert import (HilbertForm, QuasiPolynomial, WeightedMonomialIdeal,
+from agealg.hilbert import (HilbertForm, IntSeries, QuasiPolynomial,
+                            WeightedMonomialIdeal,
                             _brute_ideal_series, _chain_generators,
                             _minimal, _quotient_numerator,
                             check_addlayer, compare_monomials,
@@ -917,6 +919,19 @@ def test_groupoid_two_paths_and_published_forms(registries):
     assert fitted.same_series(HilbertForm.make([1, 0, 1, 1, -1], [1, 1, 2]))
 
 
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_leading_route_reads_only_the_registry(name, registries, monkeypatch):
+    # the denominator comes from the chains, so no decomposition is run
+    t, registry = registries(name)
+    _, lead = two_path_hilbert(t, 12, registry=registry)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("template_components called")
+
+    monkeypatch.setattr(agealg.decomposition, "template_components", refuse)
+    assert hilbert_via_leading(t, 12, registry=registry) == lead
+
+
 def test_two_paths_differing_beyond_the_degree_are_undetermined(registries):
     # the leading route scanned to degree 5 misses sym(3)'s generator of
     # weighted degree 6; both forms match the profile through degree 5
@@ -1134,7 +1149,15 @@ def test_nonnegative_form_refuses_bad_arguments(kwargs):
     (lambda s: fit_rational(s, 1, guard=2.5), "^guard"),
     (lambda s: quasi_polynomial(fit_rational(s, 1)).value(2.5), "^n "),
     (lambda s: quasi_polynomial(fit_rational(s, 1)).value(True), "^n "),
-], ids=["fractional-k", "bool-k", "fractional-guard", "fractional-n", "bool-n"])
+    (lambda s: fit_rational([1.9] * len(s), 1), "^series coefficient"),
+    (lambda s: fit_rational(["1"] * len(s), 1), "^series coefficient"),
+    (lambda s: fit_rational([True] * len(s), 1), "^series coefficient"),
+    (lambda s: IntSeries.make([*s[:-1], 1.0]), "^series coefficient"),
+    (lambda s: HilbertForm.make([1], [1.9]), "^denominator exponent"),
+    (lambda s: HilbertForm.make([1.5, 2], [1]), "^numerator coefficient"),
+], ids=["fractional-k", "bool-k", "fractional-guard", "fractional-n", "bool-n",
+        "fractional-series", "string-series", "bool-series", "float-int-series",
+        "fractional-denominator", "fractional-numerator"])
 def test_fit_rational_refuses_non_integers(call, what):
     with pytest.raises(InputError, match=what):
         call([1] * 12)

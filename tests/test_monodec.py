@@ -616,6 +616,24 @@ def test_shape_invariance_on_fat_subsets():
         assert len(shapes) == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_templates(max_blocks=4,
+                        arities=st.sampled_from([(2,), (3,), (1, 2)])))
+def test_components_are_the_parts_of_a_fat_instantiation(t):
+    # past the fatness level, the minimal decomposition of the instantiation
+    # is the block coarsening: each part is a union of whole blocks, and the
+    # parts are the component classes
+    comps = template_components(t)
+    for level in (comps.fatness + 1, comps.fatness + 2):
+        spans = block_spans(t.max_composition(level))
+        owner = {x: b for b, (lo, hi) in enumerate(spans) for x in range(lo, hi)}
+        parts = minimal_decomposition(instantiate(t, t.max_composition(level)))
+        classes = [sorted({owner[x] for x in part}) for part in parts]
+        for part, cls in zip(parts, classes):
+            assert part == [x for b in cls for x in range(*spans[b])], (level, parts)
+        assert sorted(map(tuple, classes)) == sorted(comps.classes), level
+
+
 # ---------------------------------------------------------------------------
 # partition counting
 

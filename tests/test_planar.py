@@ -99,10 +99,31 @@ def test_enumerate_is_duplicate_free():
 # embeddings and profiles
 
 
+def pruned(tree, keep):
+    """The restriction of `tree` to the leaf numbers `keep` by definition:
+    drop the other leaves and the nodes left without leaves, and suppress
+    the unary nodes."""
+    number = itertools.count(1)
+
+    def prune(node):
+        if node == LEAF:
+            return LEAF if next(number) in keep else EMPTY
+        kids = [k for k in map(prune, node) if k is not EMPTY]
+        return tuple(kids) if len(kids) > 1 else (kids[0] if kids else EMPTY)
+
+    return EMPTY if tree is EMPTY else prune(tree)
+
+
 def test_embed_round_trip_small():
+    # and every leaf subset of an embedding contracts to the restriction
     for n in range(6):
         for tree in enumerate_reduced(n):
-            assert contract(embed(tree)) == tree
+            addresses = embed(tree)
+            assert contract(addresses) == tree
+            for keep in itertools.chain.from_iterable(
+                    itertools.combinations(range(1, n + 1), r) for r in range(n + 1)):
+                assert contract([addresses[k - 1] for k in keep]) \
+                    == tree_restrict(tree, keep) == pruned(tree, set(keep)), (tree, keep)
 
 
 def test_embed_round_trip_shifted():

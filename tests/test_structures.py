@@ -13,7 +13,8 @@ from agealg.errors import InputError
 from agealg.gallery import GALLERY
 from agealg.structures import (CODE_VERSION, FiniteRelStruct, Signature,
                                _encode, _individualized, _refine, _UnionFind,
-                               canonical_code, find_isomorphism, restrict)
+                               automorphisms, canonical_code, find_isomorphism,
+                               restrict)
 from agealg.templates import compositions, instantiate, sym
 from strategies import (GRAPH, brute_isomorphic, circulant_arcs, clique,
                         cube_graph, digraphs, graph, isomorphic, path,
@@ -197,6 +198,8 @@ def test_code_of_empty_and_singleton():
     bare = FiniteRelStruct(GRAPH, 1, {})
     assert canonical_code(empty) != canonical_code(bare)
     assert canonical_code(single) != canonical_code(bare)
+    assert canonical_code(empty) == CODE_VERSION + ":" + _encode(empty, [])
+    assert empty._label == () and automorphisms(empty) == []
 
 
 def test_code_handles_ternary_relations():
@@ -370,25 +373,35 @@ def test_refine_matches_the_oracle_refine(s, data):
         s, _individualized(stable, v))
 
 
-def refine_calls(monkeypatch, struct):
+def refine_calls(monkeypatch, struct, run=canonical_code):
+    """The colourings `run(struct)` passes to `_refine`."""
     calls = []
     refine = agealg.structures._refine
 
-    def counted(*args):
-        calls.append(None)
-        return refine(*args)
+    def counted(struct, colors):
+        calls.append(list(colors))
+        return refine(struct, colors)
 
     monkeypatch.setattr(agealg.structures, "_refine", counted)
-    canonical_code(struct)
+    run(struct)
     monkeypatch.undo()
-    return len(calls)
+    return calls
 
 
 def test_backjumps_bound_the_refinements(monkeypatch):
     # the oracle search refines 41 times on the complete loop graph on 6
     # points, and 92 times on K8
-    assert refine_calls(monkeypatch, instantiate(sym(3), (0, 0, 6))) <= 21
-    assert refine_calls(monkeypatch, clique(8)) <= 36
+    assert len(refine_calls(monkeypatch, instantiate(sym(3), (0, 0, 6)))) <= 21
+    assert len(refine_calls(monkeypatch, clique(8))) <= 36
+
+
+def test_automorphisms_refine_the_root_once(monkeypatch):
+    # the root refinement of the 5-cycle is one cell; the generators are
+    # those that the canonical search records
+    s = graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    calls = refine_calls(monkeypatch, s, automorphisms)
+    assert calls.count([0] * 5) == 1
+    assert automorphisms(s) == list(s._autos) != []
 
 
 # ---------------------------------------------------------------------------
