@@ -66,13 +66,52 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, gcd, prod
+from operator import neg
 
 from .errors import ConsistencyError, InputError
-from .hilbert import monomial_key
 from .structures import (automorphisms, canonical_code, find_isomorphism,
                          maps_onto, nonnegative_int)
 from .templates import (block_spans, block_structure, compositions,
                         instantiate, spans_through, subcompositions)
+
+
+# ---------------------------------------------------------------------------
+# the monomial order that picks a type's leading composition
+
+
+def shape(comp):
+    return tuple(sorted(comp, reverse=True))
+
+
+def compare_monomials(a, b):
+    """Total order: degree first, then revlex on shapes, then lex on the
+    exponents in block-declaration order.  Returns -1, 0 or +1."""
+    a = tuple(a)
+    b = tuple(b)
+    if len(a) != len(b):
+        raise InputError("compare_monomials needs a common block set")
+    if a == b:
+        return 0
+    da, db = sum(a), sum(b)
+    if da != db:
+        return -1 if da < db else 1
+    sa, sb = shape(a), shape(b)
+    if sa != sb:
+        i = max(j for j in range(len(a)) if sa[j] != sb[j])
+        # at the largest differing index, the larger entry loses
+        return -1 if sa[i] > sb[i] else 1
+    return -1 if a < b else 1
+
+
+def monomial_key(a):
+    """A sort key for the order of `compare_monomials`: the degree, then
+    the ascending shape negated (the shapes' largest differing index comes
+    first, and there the larger entry sorts lower), then the exponents."""
+    return sum(a), tuple(map(neg, sorted(a))), tuple(a)
+
+
+# ---------------------------------------------------------------------------
+# the type registry
 
 
 @dataclass(eq=False)
@@ -99,7 +138,7 @@ class TypeEntry:
     @functools.cached_property
     def lead(self):
         """The realizing composition that is largest in the monomial order
-        (`hilbert.compare_monomials`, through `hilbert.monomial_key`).  The
+        (`compare_monomials`, through `monomial_key`).  The
         reps grow only while their degree is built, and `types_at` finishes
         that degree first."""
         return max(self.reps, key=monomial_key)
@@ -406,8 +445,7 @@ def orbit_product(t, o1, o2, registry=None):
     out = {}
     for entry in registry.types_at(n):
         total = 0
-        splits = _splits(registry, entry.reps[0], o1.degree)
-        for (c1, c2), mult in splits.items():
+        for (c1, c2), mult in split_census(registry, entry, o1.degree).items():
             v1 = o1.coeffs.get(c1, 0)
             if not v1:
                 continue

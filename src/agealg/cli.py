@@ -17,7 +17,8 @@ import sys
 
 from . import __version__
 from .algebra import TypeRegistry, kernel_elements_bounded, profile_series, split_census
-from .decomposition import DEFAULT_D_MAX, profile_floor_params, template_components
+from .decomposition import (DEFAULT_D_MAX, minimal_decomposition,
+                            template_components)
 from .errors import (ConsistencyError, InputError, NotRationalError,
                      UndeterminedError)
 from .gallery import builtin_names, resolve_builtin
@@ -89,7 +90,6 @@ def cmd_decompose(args):
         text = _read_input(args.input)
         data = json.loads(text)
         if not isinstance(data, dict) or "blocks" not in data:
-            from .decomposition import minimal_decomposition
             s = FiniteRelStruct.from_json_dict(data)
             blocks = minimal_decomposition(s)
             return {
@@ -102,7 +102,6 @@ def cmd_decompose(args):
             }
     t, source = _load_template(args, text)
     comps = template_components(t, d_max=args.d_max)
-    k, n0 = profile_floor_params(t, comps)
     return {
         "command": "decompose",
         "source": source,
@@ -112,7 +111,7 @@ def cmd_decompose(args):
         "dimension": comps.dimension,
         "fatness": comps.fatness,
         "certificate": list(comps.certificate),
-        "lower_bound_offset": n0,
+        "lower_bound_offset": comps.offset,
         "meta": _meta(args, t),
     }
 

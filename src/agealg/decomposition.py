@@ -18,20 +18,20 @@ compositions of (1,)*n are the subsets.  Either way the blocks are
 monomorphic parts, the compositions stand for the subsets, and a
 `TypeRegistry` of the template classifies them for `_coarsening`, one degree
 per pass, extending isomorphism witnesses from the degree below without a
-canonical code for every composition.  A template's fatness level d
-classifies only the compositions inside its level box `t.max_composition(d)`,
-through one `TypeRegistry` of the template shared by every level and by
-the Hilbert routes that run after it.
+canonical code for every composition.  A template's fatness level d reads
+only the compositions inside its level box `t.max_composition(d)`, through
+one `TypeRegistry` of the template shared by every level and by the Hilbert
+routes that run after it.  The components found at the fatness level also
+give the offset n0 of the growth floor phi(n) >= p_k(n - n0).
 All pair tests are decided together, degree by degree, in one walk over
 the sub-compositions: a pair drops out at its first witness against the
 merge and the walk ends when no pair is left undecided, and the part test
 skips the sizes with a single inside count, so the registry is built only
 to the degrees the answer needs; a merge is still checked on every
 sub-composition.  `pair_mergeable` and `is_monomorphic_part` always take the
-subsets, as the oracles of the twin-class presentation.  On a 2-vCPU Xeon
-VM a planted 16-element digraph (four blocks of four) decomposes in about
-0.002 s, over 15 of its 625 compositions, and about 3 s over its 2^16
-subsets.
+subsets, as the oracles of the twin-class presentation.  A planted
+16-element digraph (four blocks of four) decomposes over 15 of its 625
+compositions instead of its 2^16 subsets.
 F-monomorphy uses a registry of the presentation of the expansion of the
 structure by the constants of F, on the elements outside F.
 """
@@ -44,9 +44,7 @@ from dataclasses import dataclass
 
 from .algebra import TypeRegistry
 from .errors import ConsistencyError, InputError, UndeterminedError
-from .hilbert import expand
-from .structures import (FiniteRelStruct, Signature, _UnionFind, json_int,
-                         nonnegative_int)
+from .structures import _UnionFind, json_int, keyed_structure, nonnegative_int
 from .templates import (block_spans, instantiate, present, spans_tuples,
                         subcompositions)
 
@@ -253,46 +251,16 @@ def _is_part(comp, cls, type_of):
     return True
 
 
-def _level_classes(t, d, registry):
-    """Block coarsening at level d: `_coarsening` over the level box
-    `t.max_composition(d)`, classified by `registry`, a registry of `t`.
-    Its labels are compared within a degree only, and a composition inside
-    the box instantiates the same structure whatever else the registry
-    holds, so one registry serves every level."""
-    return _coarsening(t.max_composition(d), registry.id_of)
-
-
-def _fatness(t, d_max, registry=None):
-    """(d, classes at level d) for `fatness_threshold`: the first level
-    whose block coarsening level d+1 repeats."""
-    if json_int(d_max, "d_max") < 1:
-        raise InputError("d_max must be at least 1")
-    registry = registry or TypeRegistry(t)
-    prev = _level_classes(t, 1, registry)
-    for d in range(1, d_max + 1):
-        nxt = _level_classes(t, d + 1, registry)
-        if nxt == prev:
-            return d, prev
-        prev = nxt
-    raise UndeterminedError(
-        f"block coarsening did not stabilize up to level {d_max}; "
-        f"level-{d_max} guess: {prev}")
-
-
-def fatness_threshold(t, d_max=DEFAULT_D_MAX):
-    """Smallest level d <= d_max whose block coarsening agrees with level
-    d+1, plus the (d, d+1) stability certificate."""
-    d, _ = _fatness(t, d_max)
-    return d, (d, d + 1)
-
-
 @dataclass(frozen=True)
 class TemplateComponents:
-    """Monomorphic components of a template, at block granularity."""
+    """Monomorphic components of a template, at block granularity, and the
+    floor they put under its profile: phi(n) >= p_k(n - offset), with k the
+    dimension (`hilbert.partition_lower_bound`)."""
 
     classes: tuple          # tuple of tuples of block indices
     dimension: int          # number of classes containing an infinite block
     fatness: int
+    offset: int             # n0: per class, min(its capacity, fatness)
 
     @property
     def count(self):
@@ -306,52 +274,34 @@ class TemplateComponents:
 
 def template_components(t, d_max=DEFAULT_D_MAX, registry=None):
     """Coarsen the declared blocks into monomorphic components via pair
-    tests on a fat instantiation; the dimension counts infinite classes.
-    The pair and part tests classify through `registry` (default: a new
-    registry of `t`)."""
-    d, classes = _fatness(t, d_max, registry)
+    tests on a fat instantiation: the block coarsening at the first level
+    d <= d_max that level d+1 repeats, level d being `_coarsening` over the
+    level box `t.max_composition(d)`.  The pair and part tests classify
+    through `registry` (default: a new registry of `t`); its labels are
+    compared within a degree only, and a composition inside a box
+    instantiates the same structure whatever else the registry holds, so
+    one registry serves every level.  The dimension counts the classes with
+    an infinite block, and each class adds min(its capacity, d) to the
+    offset, an infinite one d."""
+    if json_int(d_max, "d_max") < 1:
+        raise InputError("d_max must be at least 1")
+    registry = registry or TypeRegistry(t)
+    classes = _coarsening(t.max_composition(1), registry.id_of)
+    for d in range(1, d_max + 1):
+        above = _coarsening(t.max_composition(d + 1), registry.id_of)
+        if above == classes:
+            break
+        classes = above
+    else:
+        raise UndeterminedError(
+            f"block coarsening did not stabilize up to level {d_max}; "
+            f"level-{d_max} guess: {classes}")
     caps = t.capacities
-    k = sum(1 for cls in classes if any(caps[b] is None for b in cls))
-    return TemplateComponents(tuple(tuple(c) for c in classes), k, d)
-
-
-def component_sizes(t, comps):
-    """Total capacity of each component class (None = infinite)."""
-    sizes = []
-    for cls in comps.classes:
-        caps = [t.capacities[b] for b in cls]
-        sizes.append(None if any(c is None for c in caps) else sum(caps))
-    return sizes
-
-
-def profile_floor_params(t, comps=None, d_max=DEFAULT_D_MAX):
-    """(k, n0) for the lower bound phi(n) >= p_k(n - n0): n0 = k1*d + m with
-    k1 the number of components of size >= d and m the total size of the
-    remaining finite components."""
-    json_int(d_max, "d_max")
-    comps = comps or template_components(t, d_max)
-    d = comps.fatness
-    k1 = 0
-    m = 0
-    for size in component_sizes(t, comps):
-        if size is None or size >= d:
-            k1 += 1
-        else:
-            m += size
-    return comps.dimension, k1 * d + m
-
-
-def partition_lower_bound(k, n, n0):
-    """p_k(n - n0): integer partitions of n - n0 into at most k parts
-    (0 below n0, 1 at n0 for the empty partition), which are the partitions
-    into parts of size at most k: the coefficient of Z^(n - n0) in
-    1/((1-Z)...(1-Z^k)), where factors past n - n0 change nothing."""
-    if json_int(k, "k") < 1:
-        raise InputError("partition_lower_bound needs k >= 1")
-    m = json_int(n, "n") - json_int(n0, "n0")
-    if m < 0:
-        return 0
-    return expand([1], range(1, min(k, m) + 1), m)[m]
+    sizes = [None if any(caps[b] is None for b in cls)
+             else sum(caps[b] for b in cls) for cls in classes]
+    return TemplateComponents(
+        tuple(map(tuple, classes)), sizes.count(None), d,
+        sum(d if size is None else min(size, d) for size in sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +324,7 @@ def _expansion(struct, f_set):
             if len(placed) < len(tup):
                 rels.setdefault((si, placed), []).append(
                     tuple(position[x] for x in tup if x not in f_set))
-    if not rels:
-        return None
-    keys = sorted(rels)
-    sig = Signature(tuple((f"r{i}", len(rels[k][0])) for i, k in enumerate(keys)))
-    return FiniteRelStruct(sig, len(rest), [rels[k] for k in keys])
+    return keyed_structure(len(rest), rels) if rels else None
 
 
 def is_F_monomorphic_struct(struct, f_set, bound):

@@ -1,15 +1,16 @@
 """Leading monomials, monomial ideals, and exact Hilbert series assembly.
 
 Monomials (exponent vectors over the template blocks) are ordered by
-comparing shapes with the degree reverse lexicographic order and breaking
-ties with plain lex in block-declaration order.  This order is well founded
-but not a monomial order, so all ideal computations happen per chain support
-in the layer-variable ring: for each chain S_1 c ... c S_l arising among
-leading monomials, the span of those leading monomials together with the
-over-capacity monomials is a monomial ideal there, and its Hilbert series
-comes out of Bigatti's pivot recursion on the minimal generators.  Summing the
-per-chain series over all chains rebuilds the profile generating series as
-an explicit rational function with denominator (1-Z)...(1-Z^k).
+`algebra.compare_monomials`: shapes in the degree reverse lexicographic
+order, ties broken by plain lex in block-declaration order.  This order is
+well founded but not a monomial order, so all ideal computations happen per
+chain support in the layer-variable ring: for each chain S_1 c ... c S_l
+arising among leading monomials, the span of those leading monomials
+together with the over-capacity monomials is a monomial ideal there, and
+its Hilbert series comes out of Bigatti's pivot recursion on the minimal
+generators.  Summing the per-chain series over all chains rebuilds the
+profile generating series as an explicit rational function with
+denominator (1-Z)...(1-Z^k).
 
 Everything is exact: integer polynomial arithmetic and rational
 interpolation via fractions.Fraction.  No floating point anywhere.
@@ -22,8 +23,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from operator import itemgetter, le, mul, neg, sub
+from operator import itemgetter, le, mul, sub
 
+from .algebra import TypeRegistry, profile_series
+from .decomposition import template_components
 from .errors import ConsistencyError, InputError, NotRationalError, UndeterminedError
 from .structures import json_int, nonnegative_int
 from .templates import subcompositions
@@ -86,22 +89,28 @@ def expand(numerator, denominators, degree):
     return out
 
 
+def partition_lower_bound(k, n, n0):
+    """p_k(n - n0): integer partitions of n - n0 into at most k parts
+    (0 below n0, 1 at n0 for the empty partition), which are the partitions
+    into parts of size at most k: the coefficient of Z^(n - n0) in
+    1/((1-Z)...(1-Z^k)), where factors past n - n0 change nothing."""
+    if json_int(k, "k") < 1:
+        raise InputError("partition_lower_bound needs k >= 1")
+    m = json_int(n, "n") - json_int(n0, "n0")
+    if m < 0:
+        return 0
+    return expand([1], range(1, min(k, m) + 1), m)[m]
+
+
 @dataclass(frozen=True)
 class IntSeries:
     """Exact integer series truncated at a fixed order."""
 
     coefficients: tuple
-    order: int
 
     @staticmethod
     def make(coeffs):
-        coeffs = tuple(json_int(c, "series coefficient") for c in coeffs)
-        return IntSeries(coeffs, len(coeffs) - 1)
-
-    def __getitem__(self, n):
-        if n < 0 or n > self.order:
-            raise InputError(f"series index {n} beyond truncation {self.order}")
-        return self.coefficients[n]
+        return IntSeries(tuple(json_int(c, "series coefficient") for c in coeffs))
 
 
 @dataclass(frozen=True)
@@ -210,38 +219,7 @@ class HilbertForm:
 
 
 # ---------------------------------------------------------------------------
-# monomial order, leading monomials, layers
-
-
-def shape(comp):
-    return tuple(sorted(comp, reverse=True))
-
-
-def compare_monomials(a, b):
-    """Total order: degree first, then revlex on shapes, then lex on the
-    exponents in block-declaration order.  Returns -1, 0 or +1."""
-    a = tuple(a)
-    b = tuple(b)
-    if len(a) != len(b):
-        raise InputError("compare_monomials needs a common block set")
-    if a == b:
-        return 0
-    da, db = sum(a), sum(b)
-    if da != db:
-        return -1 if da < db else 1
-    sa, sb = shape(a), shape(b)
-    if sa != sb:
-        i = max(j for j in range(len(a)) if sa[j] != sb[j])
-        # at the largest differing index, the larger entry loses
-        return -1 if sa[i] > sb[i] else 1
-    return -1 if a < b else 1
-
-
-def monomial_key(a):
-    """A sort key for the order of `compare_monomials`: the degree, then
-    the ascending shape negated (the shapes' largest differing index comes
-    first, and there the larger entry sorts lower), then the exponents."""
-    return sum(a), tuple(map(neg, sorted(a))), tuple(a)
+# layers of a leading monomial
 
 
 def layers(comp):
@@ -437,8 +415,6 @@ def check_addlayer(t, degree, registry=None):
     """For every leading monomial m of degree <= `degree` and every layer S
     of m whose blocks are not saturated, m * x_S must again be a leading
     monomial.  A violation contradicts the theory and fails the build."""
-    from .algebra import TypeRegistry
-
     nonnegative_int(degree, "degree")
     registry = registry or TypeRegistry(t)
     nblocks = len(t.blocks)
@@ -504,8 +480,6 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None):
     exposes a genuine bug.  So does a finite layer that does not cancel
     from a chain series, as generators cut too early leave it.
     """
-    from .algebra import TypeRegistry, profile_series
-
     nonnegative_int(degree, "degree")
     bound = degree if gen_bound is None else min(
         nonnegative_int(gen_bound, "gen_bound"), degree)
@@ -576,10 +550,7 @@ def fit_rational(series, k, guard=DEFAULT_GUARD):
     window ends with at least `guard` zero coefficients.  The result is
     normalized so that no denominator factor divides P.
     """
-    if isinstance(series, IntSeries):
-        coeffs = list(series.coefficients)
-    else:
-        coeffs = [json_int(c, "series coefficient") for c in series]
+    coeffs = [json_int(c, "series coefficient") for c in series]
     nonnegative_int(k, "k")
     nonnegative_int(guard, "guard")
     degree = len(coeffs) - 1
@@ -759,9 +730,6 @@ def two_path_hilbert(t, degree, gen_bound=None, guard=DEFAULT_GUARD,
     (UndeterminedError), and a difference within it is a bug
     (ConsistencyError).
     """
-    from .algebra import TypeRegistry, profile_series
-    from .decomposition import template_components
-
     nonnegative_int(degree, "degree")
     registry = registry or TypeRegistry(t)
     if dimension is None:

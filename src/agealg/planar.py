@@ -114,6 +114,15 @@ def tree_restrict(tree, keep):
     return contract([addresses[k - 1] for k in keep])
 
 
+def triple_contractions(tree):
+    """{(i, j, k): the contraction of a finite reduced tree onto its leaves
+    i < j < k} over all its 3-subsets of leaves, 1-based as in
+    `tree_restrict`, from one embedding of the tree."""
+    addresses = embed(tree)
+    return {key: contract([addresses[x - 1] for x in key])
+            for key in itertools.combinations(range(1, len(addresses) + 1), 3)}
+
+
 # ---------------------------------------------------------------------------
 # leaf addresses of the infinite host tree
 
@@ -347,8 +356,8 @@ def reconstruct_from_triples(d, triples):
     tree = build(1, d)
     if tree is None or leaves(tree) != d:
         return None
-    for key in itertools.combinations(range(1, d + 1), 3):
-        if tree_restrict(tree, key) != table[frozenset(key)]:
+    for key, contraction in triple_contractions(tree).items():
+        if contraction != table[frozenset(key)]:
             return None
     return tree
 

@@ -40,11 +40,10 @@ the search without either pruning.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, UndeterminedError
 
 # Bump whenever codes or labellings change: codes are only comparable within
 # one version.  A faster search with the same output keeps the version.
@@ -177,14 +176,6 @@ class FiniteRelStruct:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed structure JSON: {exc}") from exc
 
-    @staticmethod
-    def from_json(text):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
-        return FiniteRelStruct.from_json_dict(data)
-
     # -- occurrence index for refinement ------------------------------------
 
     def _occurrences(self):
@@ -199,6 +190,15 @@ class FiniteRelStruct:
                         occ[e].append((si, tuple(pos), t))
             self._occ = occ
         return self._occ
+
+
+def keyed_structure(size, rels):
+    """The structure on `size` elements with one relation per key of the
+    dict `rels`, which maps keys to nonempty tuple lists: symbols r0, r1,
+    ... in the order of the sorted keys, each of the arity of its tuples."""
+    keys = sorted(rels)
+    sig = Signature(tuple((f"r{i}", len(rels[k][0])) for i, k in enumerate(keys)))
+    return FiniteRelStruct(sig, size, [rels[k] for k in keys])
 
 
 def restrict(struct, subset):
@@ -357,7 +357,13 @@ def canonical_code(struct):
             explored.append(v)
         return len(prefix)
 
-    search(start, ())
+    try:
+        search(start, ())
+    except RecursionError:
+        # the search recurses once per individualized element
+        raise UndeterminedError(
+            f"the canonical search of a {n}-element structure goes deeper "
+            f"than the interpreter's recursion limit") from None
     struct._code = CODE_VERSION + ":" + best[0]
     struct._label = tuple(best[1])
     struct._autos = tuple(autos)

@@ -26,7 +26,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .structures import FiniteRelStruct, Signature, json_int, restrict
+from .structures import (FiniteRelStruct, Signature, json_int, keyed_structure,
+                         restrict)
 
 INF = None  # capacity marker for infinite blocks
 
@@ -377,9 +378,7 @@ def block_structure(t):
             rels.setdefault((si, p.ranks), []).append(p.blocks)
     for b, cap in enumerate(t.capacities):
         rels.setdefault((-1, (-1 if cap is None else cap,)), []).append((b,))
-    keys = sorted(rels)
-    sig = Signature(tuple((f"r{i}", len(rels[k][0])) for i, k in enumerate(keys)))
-    return FiniteRelStruct(sig, len(t.blocks), [rels[k] for k in keys])
+    return keyed_structure(len(t.blocks), rels)
 
 
 def spans_through(t, spans, i):

@@ -19,14 +19,15 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .algebra import TypeRegistry, mult_by_e_rank, profile_series
-from .decomposition import partition_lower_bound, profile_floor_params, template_components
+from .decomposition import template_components
 from .errors import ConsistencyError
 from .gallery import GALLERY
 from .hilbert import (WeightedMonomialIdeal, check_addlayer, ideal_hilbert,
-                      nonnegative_form, quasi_polynomial, two_path_hilbert)
+                      nonnegative_form, partition_lower_bound,
+                      quasi_polynomial, two_path_hilbert)
 from .planar import (SCHRODER, default_sample, embed, enumerate_reduced,
                      no_pair_monopart, planar_profile,
-                     reconstruct_from_triples, tree_restrict)
+                     reconstruct_from_triples, triple_contractions)
 from .structures import Signature
 from .templates import (INF, BlockTemplate, TuplePattern, compositions,
                         rank_patterns, validate)
@@ -119,7 +120,7 @@ class Case:
         return report.ok, f"checked={report.checked} violations={len(report.violations)}"
 
     def growth(self):
-        k, n0 = profile_floor_params(self.t, self.components)
+        k, n0 = self.components.dimension, self.components.offset
         ok = all(partition_lower_bound(k, n, n0) <= phi
                  <= sum(1 for _ in compositions(self.t, n))
                  for n, phi in enumerate(self.series))
@@ -145,10 +146,8 @@ def _planar_profile(bounds):
 
 def _reconstruction(bounds):
     ns = bounds.reconstruction
-    ok = all(reconstruct_from_triples(n, {
-        key: tree_restrict(tree, key)
-        for key in itertools.combinations(range(1, n + 1), 3)}) == tree
-        for n in ns for tree in enumerate_reduced(n))
+    ok = all(reconstruct_from_triples(n, triple_contractions(tree)) == tree
+             for n in ns for tree in enumerate_reduced(n))
     return ok, ",".join(map(str, ns)) + " leaves"
 
 

@@ -1,3 +1,4 @@
+import inspect
 import sys
 from pathlib import Path
 
@@ -33,6 +34,21 @@ def miss_every_isomorphism(monkeypatch):
 
     monkeypatch.setattr(agealg.algebra, "maps_onto", lambda *a: False)
     monkeypatch.setattr(agealg.structures, "maps_onto", lambda *a: False)
+
+
+@pytest.fixture
+def recursion_headroom():
+    """recursion_headroom(frames): set the recursion limit `frames` frames
+    above the caller's depth, until the test ends.  A search that recurses
+    once per element then runs out of stack on a few hundred elements
+    instead of about a thousand."""
+    limit = sys.getrecursionlimit()
+
+    def lower(frames):
+        sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+
+    yield lower
+    sys.setrecursionlimit(limit)
 
 
 @pytest.fixture(scope="session")

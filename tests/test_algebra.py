@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import agealg.algebra
 from agealg.algebra import (OrbitSum, TypeRegistry,
                             _block_automorphisms, _e_rows, _int_matrix_rank,
-                            e_orbit,
+                            compare_monomials, e_orbit,
                             kernel_elements_bounded, mult_by_e_rank,
                             orbit_product, profile, profile_series,
                             structure_constant, unit_orbit)
@@ -77,6 +77,19 @@ def test_profiles_match_their_closed_forms(k):
 def test_negative_degrees_are_refused(call):
     with pytest.raises(InputError, match="degree"):
         call(sym(2), -1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: compare_monomials((1, 0), (1, 0, 0)),
+     "^compare_monomials needs a common block set"),
+    (lambda: TypeRegistry(wheel_alone()).id_of((0, 2)),
+     r"^composition \(0, 2\) not realizable"),
+    (lambda: orbit_product(sym(2), OrbitSum({0: 1}), OrbitSum({0: 1}, 1)),
+     "^orbit_product needs homogeneous inputs"),
+], ids=["monomial-lengths", "over-capacity", "inhomogeneous-product"])
+def test_algebra_refusals(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 def test_profile_cross_checks_subset_types(registries):

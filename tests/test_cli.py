@@ -364,9 +364,8 @@ def test_cached_leads_are_the_maximal_reps_on_the_pinned_sources():
     # each degree's leads are read as soon as it is built, as the leading
     # route reads them, and checked once the registry is past the pinned
     # degree
-    from agealg.algebra import TypeRegistry
+    from agealg.algebra import TypeRegistry, monomial_key
     from agealg.gallery import resolve_builtin
-    from agealg.hilbert import monomial_key
 
     top = {}
     for argv in GOLDEN_STDOUT:
@@ -444,6 +443,29 @@ def test_decompose_undetermined_fatness_is_exit_3(capsys):
     code, _, err = run(capsys, "decompose", "--builtin", "wheel_plus_coclique",
                        "--d-max", "1")
     assert code == 3 and "undetermined" in err
+
+
+def test_a_search_past_the_recursion_limit_is_exit_3(capsys, recursion_headroom):
+    # sym:300's block structure has 300 interchangeable blocks, which the
+    # canonical search individualizes a frame at a time
+    recursion_headroom(120)
+    code, out, err = run(capsys, "profile", "--builtin", "sym:300",
+                         "--degree", "1")
+    assert code == 3 and not out
+    assert err.startswith(
+        "undetermined: the canonical search of a 300-element structure")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["profile"], "need --builtin NAME or --input FILE"),
+    (["profile", "--builtin", "sym"],
+     "builtin 'sym' takes 1 parameter(s), got 0"),
+    (["profile", "--builtin", "sym:two"], "builtin parameters must be integers"),
+], ids=["no-template", "missing-parameter", "non-integer-parameter"])
+def test_cli_refusals(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("command", ["hilbert", "qpoly"])

@@ -16,13 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agealg.algebra import (OrbitSum, TypeRegistry, _e_rows,
-                            kernel_elements_bounded, orbit_product,
-                            profile_series, structure_constant)
+                            compare_monomials, kernel_elements_bounded,
+                            orbit_product, profile_series, structure_constant)
 from agealg.cli import main
-from agealg.decomposition import (_coarsening, _level_classes,
-                                  minimal_decomposition)
+from agealg.decomposition import _coarsening, minimal_decomposition
 from agealg.gallery import GALLERY
-from agealg.hilbert import compare_monomials
 from agealg.structures import Signature, restrict
 from agealg.templates import INF, BlockTemplate, block_spans, instantiate
 from agealg.verify import random_template
@@ -132,6 +130,12 @@ def outgrows_box(t, level):
                for b, d in enumerate(box))
 
 
+def level_classes(t, level, registry):
+    """The block coarsening at a fatness level, as `template_components`
+    computes it: `_coarsening` over the level box, through `registry`."""
+    return _coarsening(t.max_composition(level), registry.id_of)
+
+
 def test_block_coarsening_matches_minimal_decomposition():
     templates = ([(name, entry.build()) for name, entry in GALLERY.items()]
                  + [(f"random{i}", t) for i, t in enumerate(level_templates())])
@@ -139,12 +143,12 @@ def test_block_coarsening_matches_minimal_decomposition():
     for name, t in templates:
         registry = TypeRegistry(t)
         for level in (1, 2, 3):
-            assert _level_classes(t, level, registry) == \
+            assert level_classes(t, level, registry) == \
                 subset_block_coarsening(t, level), (name, level)
 
 
 def boxed_level_classes(t, level):
-    """`_level_classes` through a registry of `t` with its capacities cut to
+    """`level_classes` through a registry of `t` with its capacities cut to
     the level box, a registry per level.  The plain constructor keeps the
     patterns that need more elements of a block than the box holds."""
     box = t.max_composition(level)
@@ -163,8 +167,8 @@ def test_one_registry_classifies_the_level_boxes_as_boxed_registries(census_plan
         prebuilt.ensure_degree(sum(t.max_composition(3)) + 1)
         for level in (1, 2, 3):
             want = boxed_level_classes(t, level)
-            assert _level_classes(t, level, prebuilt) == want, (name, level)
-            assert _level_classes(t, level, TypeRegistry(t)) == want, (name, level)
+            assert level_classes(t, level, prebuilt) == want, (name, level)
+            assert level_classes(t, level, TypeRegistry(t)) == want, (name, level)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import agealg.decomposition
 import agealg.hilbert
-from agealg.algebra import (TypeRegistry, kernel_elements_bounded,
+from agealg.algebra import (TypeRegistry, compare_monomials,
+                            kernel_elements_bounded, monomial_key,
                             mult_by_e_rank, profile_series)
 from agealg.errors import (ConsistencyError, InputError, NotRationalError,
                            UndeterminedError)
@@ -22,9 +23,9 @@ from agealg.hilbert import (HilbertForm, IntSeries, QuasiPolynomial,
                             WeightedMonomialIdeal,
                             _brute_ideal_series, _chain_generators,
                             _minimal, _quotient_numerator,
-                            check_addlayer, compare_monomials,
+                            check_addlayer,
                             div_geom, expand, fit_rational, hilbert_via_leading,
-                            ideal_hilbert, layers, monomial_key, mul_geom,
+                            ideal_hilbert, layers, mul_geom,
                             nonnegative_form, padd, ptrim, quasi_polynomial,
                             two_path_hilbert)
 from agealg.structures import canonical_code
@@ -541,6 +542,23 @@ def test_degree_arguments_are_refused(name, bad):
 def test_ideal_refuses_non_integers(degrees, gens):
     with pytest.raises(InputError, match="must be an integer"):
         WeightedMonomialIdeal.make(degrees, gens)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WeightedMonomialIdeal.make((1, 0), [(1, 1)]),
+     "^variable degrees must be positive"),
+    (lambda: WeightedMonomialIdeal.make((1, 1), [(1, 1, 1)]),
+     "^generator length != number of variables"),
+    (lambda: WeightedMonomialIdeal.make((1, 1), [(1, -1)]),
+     "^negative exponent in generator"),
+    # n_min = deg N - sum of denominators + 1 = 3
+    (lambda: quasi_polynomial(HilbertForm.make([1, 0, 0, 1], [1])).value(2),
+     "^quasi-polynomial only valid from 3"),
+], ids=["zero-variable-degree", "generator-length", "negative-exponent",
+        "below-n-min"])
+def test_hilbert_refusals(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 def scan_minimal_generators(weights, member, bound):

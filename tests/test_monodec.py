@@ -15,12 +15,12 @@ import agealg.decomposition
 from agealg.algebra import TypeRegistry
 from agealg.decomposition import (_UnionFind, _coarsening, _is_part,
                                   _pair_verdicts, _presentation, _twin_classes,
-                                  fatness_threshold, is_F_monomorphic_struct,
+                                  is_F_monomorphic_struct,
                                   is_F_monomorphic_up_to, is_monomorphic_part,
                                   minimal_decomposition, pair_mergeable,
-                                  partition_lower_bound, profile_floor_params,
                                   template_components)
 from agealg.errors import ConsistencyError, InputError
+from agealg.hilbert import partition_lower_bound
 from agealg.structures import (FiniteRelStruct, Signature, find_isomorphism,
                                restrict)
 from agealg.templates import (INF, block_spans, clique_plus_coclique,
@@ -580,14 +580,14 @@ def test_template_components_examples():
 
 
 def test_fatness_thresholds_are_small():
-    assert fatness_threshold(clique_sum(1))[0] == 1
-    assert fatness_threshold(wheel_plus_coclique())[0] <= 3
-    assert fatness_threshold(groupoid_example())[0] == 1
+    assert template_components(clique_sum(1)).fatness == 1
+    assert template_components(wheel_plus_coclique()).fatness <= 3
+    assert template_components(groupoid_example()).fatness == 1
 
 
 def test_fatness_certificate_levels_agree():
-    d, cert = fatness_threshold(clique_plus_coclique())
-    assert cert == (d, d + 1)
+    comps = template_components(clique_plus_coclique())
+    assert comps.certificate == (comps.fatness, comps.fatness + 1)
 
 
 def test_fatness_cap_reports_undetermined():
@@ -595,13 +595,13 @@ def test_fatness_cap_reports_undetermined():
     # at level 2, so a cap of 1 cannot certify stability
     from agealg.errors import UndeterminedError
     with pytest.raises(UndeterminedError):
-        fatness_threshold(wheel_plus_coclique(), d_max=1)
+        template_components(wheel_plus_coclique(), d_max=1)
 
 
 def test_shape_invariance_on_fat_subsets():
     # isomorphic d-fat subsets of a fat instantiation have equal shape
     t = clique_plus_coclique()
-    d = fatness_threshold(t)[0]
+    d = template_components(t).fatness
     s = instantiate(t, (d + 2, d + 2))
     n = s.size
     groups = {}
@@ -665,12 +665,10 @@ def test_partition_lower_bound_needs_positive_k():
 
 
 def test_profile_floor_params_wheel():
-    t = wheel_plus_coclique()
-    k, n0 = profile_floor_params(t)
-    assert k == 2
-    comps = template_components(t)
-    d = comps.fatness
-    assert n0 == 2 * d + 1  # two big components, the center contributes 1
+    comps = template_components(wheel_plus_coclique())
+    assert comps.dimension == 2
+    # two infinite components, and the center contributes 1
+    assert comps.offset == 2 * comps.fatness + 1
 
 
 # ---------------------------------------------------------------------------
@@ -817,25 +815,26 @@ def test_template_F_monomorphy_matches_brute_force(rng, f_counts, bound):
     (lambda t: is_monomorphic_part(instantiate(t, (3, 1)), [0.5]),
      "part element"),
     (lambda t: pair_mergeable(instantiate(t, (3, 1)), True, 2), "element"),
-    (lambda t: fatness_threshold(t, d_max=0), "d_max"),
+    (lambda t: template_components(t, d_max=0), "d_max"),
     (lambda t: template_components(t, d_max=-1), "d_max"),
-    (lambda t: fatness_threshold(t, d_max=2.5), "d_max"),
-    (lambda t: fatness_threshold(t, d_max=True), "d_max"),
+    (lambda t: template_components(t, d_max=2.5), "d_max"),
+    (lambda t: template_components(t, d_max=True), "d_max"),
     (lambda t: template_components(t, d_max=1.5), "d_max"),
-    (lambda t: profile_floor_params(t, d_max=2.5), "d_max"),
-    (lambda t: profile_floor_params(t, template_components(t), d_max=2.5),
-     "d_max"),
     (lambda t: partition_lower_bound(2, 2.5, 0), "^n must"),
     (lambda t: partition_lower_bound(True, 5, 0), "^k must"),
     (lambda t: partition_lower_bound(2, 5, 1.0), "^n0 must"),
+    (lambda t: is_monomorphic_part(instantiate(t, (3, 1)), [4]),
+     "^part element out of range"),
+    (lambda t: is_F_monomorphic_up_to(t, {2: 1}, 2),
+     "^F block index out of range"),
 ], ids=["bool-count", "negative-count", "negative-infinite-count",
         "fractional-count", "negative-bound", "fractional-bound",
         "negative-bound-struct", "fractional-bound-struct",
         "fractional-F-element", "fractional-part", "bool-pair-element",
         "d-max-0", "d-max-negative", "fractional-d-max", "bool-d-max",
-        "fractional-d-max-components", "fractional-d-max-floor",
-        "fractional-d-max-given-components", "fractional-partition-n",
-        "bool-partition-k", "fractional-partition-n0"])
+        "fractional-d-max-components", "fractional-partition-n",
+        "bool-partition-k", "fractional-partition-n0",
+        "part-element-out-of-range", "F-block-out-of-range"])
 def test_bad_bounds_are_refused(call, what):
     # each refusal names the argument at fault
     with pytest.raises(InputError, match=what):

@@ -16,7 +16,7 @@ from agealg.planar import (EMPTY, LEAF, SCHRODER, _common_prefix,
                            planar_profile, planar_profile_report,
                            reconstruct_from_triples, reduce_tree,
                            shuffle_constant, tree_from_text, tree_restrict,
-                           tree_to_text)
+                           tree_to_text, triple_contractions)
 
 CARET = (LEAF, (LEAF, LEAF))      # (o,(o,o))
 TENT = ((LEAF, LEAF), LEAF)       # ((o,o),o)
@@ -67,6 +67,24 @@ def test_address_indices_must_be_integers(addr):
         "bool-profile", "float-reconstruction", "float-leaf-number"])
 def test_counts_must_be_integers(call):
     with pytest.raises(InputError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tree_from_text("x"), "^bad tree text at 0: 'x'"),
+    (lambda: tree_from_text("(o,o"), r"^unbalanced tree text: '\(o,o'"),
+    (lambda: tree_from_text("o)"), r"^trailing characters in tree text: 'o\)'"),
+    (lambda: check_address(()), "^empty address"),
+    (lambda: check_address((0,)), "^address indices must be >= 1"),
+    (lambda: reconstruct_from_triples(2, {}), "^reconstruction needs d >= 3"),
+    (lambda: reconstruct_from_triples(3, {(1, 2, 4): CARET}),
+     r"^bad triple key \[1, 2, 4\]"),
+    (lambda: reconstruct_from_triples(4, {(1, 2, 3): CARET}),
+     r"^triple map must be total; missing \(1, 2, 4\)"),
+], ids=["bad-text", "unbalanced-text", "trailing-text", "empty-address",
+        "zero-index", "two-leaves", "bad-triple-key", "partial-triple-map"])
+def test_planar_refusals(call, message):
+    with pytest.raises(InputError, match=message):
         call()
 
 
@@ -349,6 +367,29 @@ def test_reconstruct_round_trip_up_to_six_leaves():
     for n in (5, 6):
         for tree in enumerate_reduced(n):
             assert reconstruct_from_triples(n, triples_of(tree)) == tree
+
+
+def test_triple_contractions_are_the_restrictions():
+    for n in range(7):
+        for tree in enumerate_reduced(n):
+            assert triple_contractions(tree) == triples_of(tree), tree
+
+
+def test_reconstruction_embeds_its_tree_once(monkeypatch):
+    # the final check contracts every triple of one embedding
+    calls = []
+    original = agealg.planar.embed
+
+    def counting(tree):
+        calls.append(tree)
+        return original(tree)
+
+    triples = {tree: triples_of(tree) for tree in enumerate_reduced(6)}
+    monkeypatch.setattr(agealg.planar, "embed", counting)
+    for tree, table in triples.items():
+        calls.clear()
+        assert reconstruct_from_triples(6, table) == tree
+        assert calls == [tree]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agealg.structures
-from agealg.errors import InputError
+from agealg.errors import InputError, UndeterminedError
 from agealg.gallery import GALLERY
 from agealg.structures import (CODE_VERSION, FiniteRelStruct, Signature,
                                _encode, _individualized, _refine, _UnionFind,
@@ -480,3 +480,30 @@ def test_json_round_trip():
     s = path(3)
     again = FiniteRelStruct.from_json_dict(s.to_json_dict())
     assert again == s
+
+
+def test_a_search_past_the_recursion_limit_refuses(recursion_headroom):
+    # the canonical search individualizes the elements of an edgeless graph
+    # one at a time, a frame each
+    s = FiniteRelStruct(GRAPH, 300, {"adj": []})
+    recursion_headroom(120)
+    with pytest.raises(UndeterminedError, match="300-element structure"):
+        canonical_code(s)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Signature((("adj", 2), ("adj", 1))), "^duplicate symbol names"),
+    (lambda: Signature((("adj", 0),)), "^symbol 'adj' has arity 0 < 1"),
+    (lambda: path(3).relation("arc"), "^unknown symbol 'arc'"),
+    (lambda: FiniteRelStruct(GRAPH, -1, {}), "^size must be >= 0"),
+    (lambda: FiniteRelStruct(GRAPH, 2, {"arc": []}),
+     r"^relations for unknown symbols: \['arc'\]"),
+    (lambda: FiniteRelStruct(GRAPH, 2, {"adj": [(0,)]}),
+     r"^tuple \(0,\) has wrong arity for symbol 'adj'"),
+    (lambda: FiniteRelStruct(GRAPH, 2, {"adj": [(0, 2)]}),
+     r"^tuple \(0, 2\) out of range for size 2"),
+], ids=["duplicate-symbol", "zero-arity", "unknown-symbol", "negative-size",
+        "unknown-relation", "wrong-arity", "entry-out-of-range"])
+def test_structures_refusals(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

@@ -418,3 +418,53 @@ def test_template_json_ranks_must_be_an_initial_segment():
             BlockTemplate.from_json_dict(data)
     # the builders still normalize
     assert TuplePattern.make([0, 0], [0, 5]).ranks == (0, 1)
+
+
+def with_accepted(name):
+    """clique_plus_coclique's JSON with its patterns listed under `name`."""
+    data = clique_plus_coclique().to_json_dict()
+    data["accepted"] = {name: data["accepted"]["adj"]}
+    return data
+
+
+C3 = FiniteRelStruct(ARC, 3, {"arc": [(0, 1), (1, 2), (2, 0)]})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TuplePattern.make((0, 1), (0,)),
+     "^pattern blocks and ranks must have equal length"),
+    (lambda: TuplePattern.make((0,), (-1,)),
+     "^pattern ranks must be non-negative"),
+    (lambda: BlockTemplate.from_json_dict(with_accepted("arc")),
+     r"^accepted patterns for unknown symbols: \['arc'\]"),
+    (lambda: BlockTemplate.make(ARC, [("b", INF), ("b", INF)], {}),
+     "^invalid template: duplicate block names"),
+    (lambda: BlockTemplate.make(ARC, [], {}),
+     "^invalid template: template needs at least one block"),
+    (lambda: BlockTemplate.make(ARC, [("b", 0)], {}),
+     "^invalid template: block 'b' has capacity 0 < 1"),
+    (lambda: BlockTemplate.make(ARC, [("b", INF)], {"arc": [((0,), (0,))]}),
+     "^invalid template: symbol 'arc' pattern 0: length != arity 2"),
+    (lambda: BlockTemplate.make(ARC, [("b", INF)],
+                                {"arc": [TuplePattern((0, 0), (0, 2))]}),
+     "^invalid template: symbol 'arc' pattern 0: ranks not normalized"),
+    (lambda: instantiate(coclique(), (1, 2)),
+     "^composition length != number of blocks"),
+    (lambda: instantiate(coclique(), (-1,)), "^negative block count"),
+    (lambda: clique_sum(0), "^clique_sum needs k >= 1"),
+    (lambda: sym(0), "^sym needs k >= 1"),
+    (lambda: qsym(0), "^qsym needs k >= 1"),
+    (lambda: rqsym(0, 1), "^rqsym needs k >= 1 and r >= 0"),
+    (lambda: lex_sum(C3, ["chain"] * 2, [INF] * 3),
+     "^need one kind and one capacity per quotient element"),
+    (lambda: lex_sum(C3, ["chain", "path", "chain"],
+                     [INF] * 3),
+     "^unknown block kind 'path'"),
+], ids=["pattern-lengths", "negative-rank", "unknown-symbol-json",
+        "duplicate-block", "no-block", "zero-capacity", "pattern-arity",
+        "unnormalized-ranks", "composition-length", "negative-count",
+        "clique-sum-0", "sym-0", "qsym-0", "rqsym-0", "lex-sum-kinds",
+        "lex-sum-kind"])
+def test_templates_refusals(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
