@@ -194,14 +194,10 @@ class TypeRegistry:
     def _build(self, n):
         entries = []
         buckets = {}
-        reached = {}
         ids = self._comp_id
         for comp in compositions(self.template, n):
-            if comp in reached:
-                entry, witness = reached.pop(comp)
-                entry.reps.append(comp)
-                ids[comp] = entry.id
-                self._witness[comp] = witness
+            if comp in ids:
+                entries[ids[comp]].reps.append(comp)
                 continue
             deck = {}
             for i, d in enumerate(comp):
@@ -229,7 +225,8 @@ class TypeRegistry:
             self._witness[comp] = witness
             if self._automorphisms:
                 for image, w in self._orbit(comp, witness).items():
-                    reached[image] = entry, w
+                    ids[image] = entry.id
+                    self._witness[image] = w
         self._by_degree[n] = entries
         self._built = n
 
@@ -276,7 +273,7 @@ class TypeRegistry:
                 if i not in through:
                     through[i] = through_of(i)
                 if maps_onto(through[i], entry.through(j), perm):
-                    return entry, perm
+                    return entry, tuple(perm)
         return None, None
 
     def _by_code(self, s, bucket):
@@ -361,16 +358,27 @@ class TypeRegistry:
         return {e.lead: e.id for e in self.types_at(n)}
 
 
+def registry_for(t, registry=None):
+    """`registry`, which must classify the template `t`, or a new registry
+    of `t` when it is None.  The types of another template's registry are
+    not those of `t`, so such a registry is refused."""
+    if registry is None:
+        return TypeRegistry(t)
+    if registry.template != t:
+        raise InputError("the registry classifies another template")
+    return registry
+
+
 def profile(t, n, registry=None):
     """phi(n): number of isomorphism types among degree-n instantiations."""
-    registry = registry or TypeRegistry(t)
+    registry = registry_for(t, registry)
     return registry.profile(n)
 
 
 def profile_series(t, degree, registry=None):
     """phi(0..degree) as a list; monotonicity is the caller's check."""
     nonnegative_int(degree, "degree")
-    registry = registry or TypeRegistry(t)
+    registry = registry_for(t, registry)
     return [registry.profile(n) for n in range(degree + 1)]
 
 
@@ -430,7 +438,7 @@ def structure_constant(t, tau1, tau2, tau, registry=None):
     registry of `t` numbers the types alike, in discovery order."""
     if tau.degree != tau1.degree + tau2.degree:
         raise InputError("degree mismatch: deg tau must be deg tau1 + deg tau2")
-    registry = registry or TypeRegistry(t)
+    registry = registry_for(t, registry)
     census = split_census(registry, tau, tau1.degree)
     return census.get((tau1.id, tau2.id), 0)
 
@@ -440,7 +448,7 @@ def orbit_product(t, o1, o2, registry=None):
     homogeneous degrees; the result is homogeneous of the summed degree."""
     if o1.degree is None or o2.degree is None:
         raise InputError("orbit_product needs homogeneous inputs")
-    registry = registry or TypeRegistry(t)
+    registry = registry_for(t, registry)
     n = o1.degree + o2.degree
     out = {}
     for entry in registry.types_at(n):
@@ -458,14 +466,14 @@ def orbit_product(t, o1, o2, registry=None):
 
 
 def unit_orbit(t, registry=None):
-    registry = registry or TypeRegistry(t)
+    registry = registry_for(t, registry)
     (entry,) = registry.types_at(0)
     return OrbitSum({entry.id: 1}, 0)
 
 
 def e_orbit(t, registry=None):
     """e = sum of all degree-1 types (the sum of singletons)."""
-    registry = registry or TypeRegistry(t)
+    registry = registry_for(t, registry)
     return OrbitSum({e.id: 1 for e in registry.types_at(1)}, 1)
 
 
@@ -514,7 +522,7 @@ def _e_rows(registry, n):
 def mult_by_e_rank(t, n, registry=None):
     """Rank of multiplication by e from degree n to n+1; full rank phi(n)
     certifies injectivity and hence a non-decreasing profile."""
-    registry = registry or TypeRegistry(t)
+    registry = registry_for(t, registry)
     return _int_matrix_rank(_e_rows(registry, n))
 
 

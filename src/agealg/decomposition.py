@@ -12,8 +12,11 @@ its subset with block counts c' induces exactly the instantiation of c'.  A
 finite structure is presented as a template (`_presentation`): its blocks
 are the twin classes, its patterns are read off the tuples
 (`templates.present`), and the presentation counts only if its
-instantiation equals the structure under that element order; else, or when
-no class has two elements, the blocks are the n elements, and the 2^n
+instantiation equals the structure under that element order.  That is
+decided by counting (`_presents`): each pattern gives prod_b C(|class b|,
+width_b) tuples at the class sizes, the structure's tuples, relabelled,
+are among them, and so the two are equal iff they are as many.  Else, or
+when no class has two elements, the blocks are the n elements, and the 2^n
 compositions of (1,)*n are the subsets.  Either way the blocks are
 monomorphic parts, the compositions stand for the subsets, and a
 `TypeRegistry` of the template classifies them for `_coarsening`, one degree
@@ -41,12 +44,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from math import comb, prod
 
-from .algebra import TypeRegistry
+from .algebra import TypeRegistry, registry_for
 from .errors import ConsistencyError, InputError, UndeterminedError
 from .structures import _UnionFind, json_int, keyed_structure, nonnegative_int
-from .templates import (block_spans, instantiate, present, spans_tuples,
-                        subcompositions)
+from .templates import block_spans, instantiate, present, subcompositions
 
 # highest fatness level tried before the coarsening counts as undetermined
 DEFAULT_D_MAX = 6
@@ -125,6 +128,16 @@ def _twin_classes(struct):
     return list(classes.values())
 
 
+def _presents(struct, t):
+    """Whether t = `present(struct, classes)` presents `struct`: per
+    relation, the structure has as many tuples as the accepted patterns
+    give at the class sizes, prod_b C(|class b|, width_b) each."""
+    caps = t.capacities
+    return all(len(rel) == sum(prod(comb(caps[b], w) for b, w in p.shape[0])
+                               for p in pats)
+               for rel, pats in zip(struct.rels, t.accepted))
+
+
 def _presentation(struct):
     """(t, classes) with `instantiate(t, sizes of the classes)` equal to
     `struct` relabelled to the element order the classes list.
@@ -132,11 +145,14 @@ def _presentation(struct):
     The blocks are the twin classes, each ordered by its degrees inside the
     class: per relation and coordinate, the number of tuples inside the
     class that hold the element there, out-degree first, larger first.  The
-    template is `present(struct, classes)`, kept only if, per relation, the
-    tuples of its accepted patterns at the class sizes are the structure's
-    tuples relabelled.  When that check fails, or every class is a
-    singleton, the structure is presented as its n singletons, which always
-    holds."""
+    template is `present(struct, classes)`, kept only if it presents the
+    structure, which `_presents` decides by counting tuples, without
+    building any.  The count is exact: each tuple of the structure,
+    relabelled, is one of its own pattern's tuples at the class sizes, and
+    distinct patterns give disjoint tuples, so the structure's tuples are a
+    subset of the template's, and equal sizes mean equal sets.  When the
+    check fails, or every class is a singleton, the structure is presented
+    as its n singletons, which always holds."""
     classes = _twin_classes(struct)
     if len(classes) < struct.size:
         owner = {x: b for b, cls in enumerate(classes) for x in cls}
@@ -155,12 +171,7 @@ def _presentation(struct):
         classes = [sorted(cls, key=lambda x: (degrees(x), x))
                    for cls in classes]
         t = present(struct, classes)
-        position = [0] * struct.size
-        for k, x in enumerate(x for cls in classes for x in cls):
-            position[x] = k
-        if all(set(tuples) == {tuple(position[x] for x in tup) for tup in rel}
-               for tuples, rel in zip(
-                   spans_tuples(t, block_spans(t.capacities)), struct.rels)):
+        if _presents(struct, t):
             return t, classes
     return present(struct), [[x] for x in range(struct.size)]
 
@@ -285,7 +296,7 @@ def template_components(t, d_max=DEFAULT_D_MAX, registry=None):
     offset, an infinite one d."""
     if json_int(d_max, "d_max") < 1:
         raise InputError("d_max must be at least 1")
-    registry = registry or TypeRegistry(t)
+    registry = registry_for(t, registry)
     classes = _coarsening(t.max_composition(1), registry.id_of)
     for d in range(1, d_max + 1):
         above = _coarsening(t.max_composition(d + 1), registry.id_of)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from operator import itemgetter, le, mul, sub
 
-from .algebra import TypeRegistry, profile_series
+from .algebra import profile_series, registry_for
 from .decomposition import template_components
 from .errors import ConsistencyError, InputError, NotRationalError, UndeterminedError
 from .structures import json_int, nonnegative_int
@@ -182,17 +182,6 @@ class HilbertForm:
         both = self.denominators + other.denominators
         return self.over(both) == other.over(both)
 
-    def numerator_at_one(self):
-        return sum(self.numerator)
-
-    def pole_order_at_one(self):
-        num = list(self.numerator)
-        drop = 0
-        while num and sum(num) == 0:
-            num = div_geom(num, 1)
-            drop += 1
-        return len(self.denominators) - drop
-
     def pretty(self):
         if self.is_zero:
             return "0"
@@ -264,12 +253,6 @@ class WeightedMonomialIdeal:
                 raise InputError("negative exponent in generator")
             gens.append(g)
         return WeightedMonomialIdeal(degrees, _minimal(degrees, gens))
-
-    def weighted_degree(self, mono):
-        return sum(e * d for e, d in zip(mono, self.degrees))
-
-    def contains(self, mono):
-        return any(all(x <= y for x, y in zip(g, mono)) for g in self.generators)
 
 
 def _minimal(degrees, gens, i=None):
@@ -416,7 +399,7 @@ def check_addlayer(t, degree, registry=None):
     of m whose blocks are not saturated, m * x_S must again be a leading
     monomial.  A violation contradicts the theory and fails the build."""
     nonnegative_int(degree, "degree")
-    registry = registry or TypeRegistry(t)
+    registry = registry_for(t, registry)
     nblocks = len(t.blocks)
     top = degree + nblocks
     lms = set()
@@ -483,7 +466,7 @@ def hilbert_via_leading(t, degree, gen_bound=None, registry=None):
     nonnegative_int(degree, "degree")
     bound = degree if gen_bound is None else min(
         nonnegative_int(gen_bound, "gen_bound"), degree)
-    registry = registry or TypeRegistry(t)
+    registry = registry_for(t, registry)
 
     # chain -> the layer exponents of its leading monomials
     by_chain = {}
@@ -731,7 +714,7 @@ def two_path_hilbert(t, degree, gen_bound=None, guard=DEFAULT_GUARD,
     (ConsistencyError).
     """
     nonnegative_int(degree, "degree")
-    registry = registry or TypeRegistry(t)
+    registry = registry_for(t, registry)
     if dimension is None:
         dimension = template_components(t, registry=registry).dimension
     series = profile_series(t, degree, registry)

@@ -43,45 +43,6 @@ def tree_to_text(tree):
     return "(" + ",".join(tree_to_text(c) for c in tree) + ")"
 
 
-def tree_from_text(text):
-    text = text.strip().replace(" ", "")
-    if text == "":
-        return EMPTY
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos < len(text) and text[pos] == "o":
-            pos += 1
-            return LEAF
-        if pos >= len(text) or text[pos] != "(":
-            raise InputError(f"bad tree text at {pos}: {text!r}")
-        pos += 1
-        kids = [parse()]
-        while pos < len(text) and text[pos] == ",":
-            pos += 1
-            kids.append(parse())
-        if pos >= len(text) or text[pos] != ")":
-            raise InputError(f"unbalanced tree text: {text!r}")
-        pos += 1
-        return tuple(kids)
-
-    out = parse()
-    if pos != len(text):
-        raise InputError(f"trailing characters in tree text: {text!r}")
-    return out
-
-
-def reduce_tree(tree):
-    """Contract unary chains; leaves keep their order."""
-    if tree is EMPTY or tree == LEAF:
-        return tree
-    kids = [reduce_tree(c) for c in tree]
-    if len(kids) == 1:
-        return kids[0]
-    return tuple(kids)
-
-
 def enumerate_reduced(n):
     """All reduced trees with exactly n leaves (Schroeder many)."""
     return list(_enumerate_reduced(nonnegative_int(n, "leaf count")))

@@ -353,12 +353,12 @@ def present(struct, classes=None):
     rank = {x: r for cls in classes for r, x in enumerate(cls)}
     accepted = []
     for rel in struct.rels:
-        pats = set()
+        keys = set()
         for tup in rel:
             blocks = tuple(owner[x] for x in tup)
-            pats.add(TuplePattern(blocks, normalize_ranks(
+            keys.add((blocks, normalize_ranks(
                 blocks, tuple(rank[x] for x in tup))))
-        accepted.append(frozenset(pats))
+        accepted.append(frozenset(itertools.starmap(TuplePattern, keys)))
     blocks = tuple((f"b{b}", len(cls)) for b, cls in enumerate(classes))
     return BlockTemplate(struct.signature, blocks, tuple(accepted))
 

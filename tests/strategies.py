@@ -6,9 +6,10 @@
   templates (all drawn by `agealg.verify.random_template`), digraphs and
   structures.
 * Oracles over subsets and bijections: canonical codes of induced
-  substructures, grouped per type or composition, and brute-force
-  isomorphism.  They restate by exhaustive enumeration what the library
-  computes by composition arithmetic and pruned search.
+  substructures, grouped per type or composition, brute-force
+  isomorphism, and presentations checked by building their tuples.  They
+  restate by exhaustive enumeration what the library computes by
+  composition arithmetic, pruned search and counting.
 
 `tests/test_strategies.py` fails when a module of the suite defines a
 helper of its own under a name defined here or in another module.
@@ -349,3 +350,13 @@ def brute_isomorphic(s1, s2):
 
 def isomorphic(s1, s2):
     return find_isomorphism(s1, s2) is not None
+
+
+def presents_by_building(struct, t, classes):
+    """Whether the template `t` instantiated at its capacities is `struct`
+    relabelled to the element order of `classes`, by building both tuple
+    sets: the oracle of the count that `decomposition._presents` makes."""
+    position = [0] * struct.size
+    for k, x in enumerate(x for cls in classes for x in cls):
+        position[x] = k
+    return instantiate(t, t.capacities) == relabel(struct, position)

@@ -21,6 +21,7 @@ from agealg.decomposition import (is_F_monomorphic_up_to,
                                   minimal_decomposition, template_components)
 from agealg.errors import ConsistencyError, InputError
 from agealg.gallery import GALLERY
+from agealg.hilbert import check_addlayer, hilbert_via_leading, two_path_hilbert
 from agealg.structures import FiniteRelStruct, Signature, maps_onto, restrict
 from agealg.templates import (INF, BlockTemplate, block_spans, c3_chains,
                               compositions, groupoid_example, instantiate,
@@ -90,6 +91,46 @@ def test_negative_degrees_are_refused(call):
 def test_algebra_refusals(call, message):
     with pytest.raises(InputError, match=message):
         call()
+
+
+def splits_of_two_singletons(t, registry):
+    """c^tau_{e,e} of the first degree-2 type, the taus read off a
+    registry of `t` of its own."""
+    own = TypeRegistry(t)
+    return structure_constant(t, tau(own, 1), tau(own, 1), tau(own, 2),
+                              registry)
+
+
+# the entry points that take a template and, optionally, its registry
+REGISTRY_ENTRY_POINTS = {
+    "profile": lambda t, r: profile(t, 3, r),
+    "profile_series": lambda t, r: profile_series(t, 5, r),
+    "structure_constant": splits_of_two_singletons,
+    "orbit_product": lambda t, r: orbit_product(
+        t, OrbitSum({0: 1}, 1), OrbitSum({0: 1}, 1), r),
+    "unit_orbit": unit_orbit,
+    "e_orbit": e_orbit,
+    "mult_by_e_rank": lambda t, r: mult_by_e_rank(t, 3, r),
+    "check_addlayer": lambda t, r: check_addlayer(t, 4, r),
+    "hilbert_via_leading": lambda t, r: hilbert_via_leading(
+        t, 10, registry=r),
+    "two_path_hilbert": lambda t, r: two_path_hilbert(t, 12, registry=r),
+    "template_components": lambda t, r: template_components(t, registry=r),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_ENTRY_POINTS))
+def test_a_registry_of_another_template_is_refused(name):
+    # a registry of qsym:2 would answer for sym:2 with qsym:2's types
+    with pytest.raises(InputError,
+                       match="^the registry classifies another template$"):
+        REGISTRY_ENTRY_POINTS[name](sym(2), TypeRegistry(qsym(2)))
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_ENTRY_POINTS))
+def test_a_registry_of_an_equal_template_is_accepted(name):
+    call = REGISTRY_ENTRY_POINTS[name]
+    assert call(sym(3), TypeRegistry(sym(3))) == call(sym(3), None)
 
 
 def test_profile_cross_checks_subset_types(registries):
@@ -302,6 +343,18 @@ def assert_witnesses_are_isomorphisms(registry, degree):
             for comp in e.reps:
                 assert relabel(instantiate(t, comp),
                                registry._witness[comp]) == first, comp
+
+
+def test_every_witness_is_a_tuple_and_an_isomorphism():
+    # the orbit route, the delta route and the code route all store tuples
+    sources = [(sym(3), 8), (c3_chains(), 8), (groupoid_example(), 8),
+               (present(planted_digraph(
+                   8, ["chain", "clique"], {(0, 1): "forward"}, [])), 8)]
+    for t, degree in sources:
+        registry = TypeRegistry(t)
+        registry.ensure_degree(degree)
+        assert all(type(w) is tuple for w in registry._witness.values())
+        assert_witnesses_are_isomorphisms(registry, degree)
 
 
 # templates on at most 5 blocks with mixed capacities and 1-2 symbols of

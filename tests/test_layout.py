@@ -4,7 +4,8 @@ Each module of `src/agealg` imports only modules before it in `ORDER`, and
 only at its top, so no import cycle needs a function-local import to break
 it.  The one exception is `cli`'s import of `verify` inside `cmd_verify`:
 no other command needs the criteria table.  The package's `__init__` only
-gathers the public names, and is not in the order.
+gathers the public names, and is not in the order.  Every module uses each
+name it imports, so code that is removed takes its imports with it.
 """
 
 import ast
@@ -55,3 +56,21 @@ def test_modules_import_only_earlier_modules():
              for _, target in imports_of(module)
              if target != "__init__" and ORDER.index(target) >= i]
     assert not later
+
+
+def unused_imports(module):
+    """The names that `module` imports and never reads."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return imported - {node.id for node in ast.walk(tree)
+                       if isinstance(node, ast.Name)}
+
+
+def test_modules_use_every_name_they_import():
+    unused = {module: sorted(unused_imports(module)) for module in ORDER}
+    assert not {module: names for module, names in unused.items() if names}

@@ -14,7 +14,8 @@ import agealg.algebra
 import agealg.decomposition
 from agealg.algebra import TypeRegistry
 from agealg.decomposition import (_UnionFind, _coarsening, _is_part,
-                                  _pair_verdicts, _presentation, _twin_classes,
+                                  _pair_verdicts, _presentation, _presents,
+                                  _twin_classes,
                                   is_F_monomorphic_struct,
                                   is_F_monomorphic_up_to, is_monomorphic_part,
                                   minimal_decomposition, pair_mergeable,
@@ -31,8 +32,9 @@ from agealg.verify import random_template
 from strategies import (ARC, GRAPH, MARKED, SIGNATURE_ARITIES, TERNARY,
                         bijections, cubic_graph, digraphs, graph,
                         lex_sum_structure, near_equal_blocks, paley_graph,
-                        partitions_into_at_most, planted, random_structure,
-                        random_templates, relabel, subset_code, to_networkx,
+                        partitions_into_at_most, planted,
+                        presents_by_building, random_structure,
+                        random_templates, subset_code, to_networkx,
                         wheel_alone)
 
 
@@ -210,9 +212,22 @@ ORACLE_CASES = {
              FiniteRelStruct(ARC, 1, {"arc": [(0, 0)]})],
 }
 
-# {0, 2, 3} is one twin class, but no order of it presents the tuples
+# {0, 2, 3} is one twin class; its orders (2, 0, 3) and (3, 0, 2) present
+# the tuples, but the order its degrees pick does not
 UNPRESENTABLE = FiniteRelStruct(
     TERNARY, 4, {"between": [(0, 2, 1), (3, 0, 1), (3, 2, 1)]})
+# {0, 1, 2, 3} is one twin class, and no order of it presents the tuples
+UNORDERABLE = FiniteRelStruct(
+    TERNARY, 4, {"between": [(0, 2, 1), (3, 0, 1), (3, 2, 0), (3, 2, 1)]})
+
+
+def presenting_orders(s):
+    """Every ordering of the twin classes of `s` under which they present
+    it, by building the tuples of each."""
+    return [classes for classes in map(list, itertools.product(
+                *(map(list, itertools.permutations(cls))
+                  for cls in _twin_classes(s))))
+            if presents_by_building(s, present(s, classes), classes)]
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_CASES))
@@ -226,16 +241,23 @@ def test_unverified_presentation_takes_the_subset_route():
     assert _presentation(UNPRESENTABLE) == (
         present(UNPRESENTABLE), [[0], [1], [2], [3]])
     assert minimal_decomposition(UNPRESENTABLE) == subset_route(UNPRESENTABLE)
+    assert presenting_orders(UNPRESENTABLE) == [[[2, 0, 3], [1]],
+                                                [[3, 0, 2], [1]]]
+
+
+def test_structure_that_no_order_presents_takes_the_subset_route():
+    assert _twin_classes(UNORDERABLE) == [[0, 1, 2, 3]]
+    assert presenting_orders(UNORDERABLE) == []
+    assert _presentation(UNORDERABLE) == (
+        present(UNORDERABLE), [[0], [1], [2], [3]])
+    assert minimal_decomposition(UNORDERABLE) == subset_route(UNORDERABLE)
 
 
 def test_noise_free_inputs_are_presented():
     for kind in ("planted", "4-ary"):
         for s in ORACLE_CASES[kind]:
             t, classes = _presentation(s)
-            position = [0] * s.size
-            for k, x in enumerate(x for cls in classes for x in cls):
-                position[x] = k
-            assert instantiate(t, t.capacities) == relabel(s, position)
+            assert presents_by_building(s, t, classes)
 
 
 def infinite_templates(max_blocks):
@@ -271,6 +293,31 @@ def test_presented_route_matches_the_subset_route_on_random_templates(s):
     assert sorted(x for cls in classes for x in cls) == list(range(s.size))
     assert t.capacities == tuple(map(len, classes))
     assert minimal_decomposition(s) == subset_route(s)
+
+
+@st.composite
+def randomly_ordered_twin_classes(draw):
+    """(s, the twin classes of s, each in a random order), s a structure
+    over ARC, MARKED or TERNARY, or over their arities: a planted sum of
+    two or three blocks, a toggled instantiation, or a random digraph."""
+    s = draw(st.builds(planted, st.randoms(use_true_random=False),
+                       st.integers(4, 8), st.integers(2, 3), st.just(0),
+                       st.sampled_from([ARC, MARKED, TERNARY]))
+             | templated_structure() | digraphs(1, 8))
+    return s, [draw(st.permutations(cls)) for cls in _twin_classes(s)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(randomly_ordered_twin_classes())
+@example((UNPRESENTABLE, [[0, 2, 3], [1]]))
+@example((UNPRESENTABLE, [[2, 0, 3], [1]]))
+@example((UNORDERABLE, [[0, 1, 2, 3]]))
+def test_presentation_count_matches_the_built_tuples(case):
+    # a random order of a class with a chain inside it mostly fails the
+    # check, so both verdicts are drawn
+    s, classes = case
+    t = present(s, classes)
+    assert _presents(s, t) == presents_by_building(s, t, classes)
 
 
 def all_pairs_twin_classes(struct):
@@ -318,9 +365,8 @@ def test_failed_verification_takes_the_subset_route(monkeypatch):
         sources.append(source)
         return TypeRegistry(source)
     monkeypatch.setattr(agealg.decomposition, "TypeRegistry", recording)
-    # the tuples of no relation match, so the check fails
-    monkeypatch.setattr(agealg.decomposition, "spans_tuples",
-                        lambda t, spans: [[] for _ in t.accepted])
+    monkeypatch.setattr(agealg.decomposition, "_presents",
+                        lambda struct, t: False)
     singletons = present(s), [[x] for x in range(s.size)]
     assert _presentation(s) == singletons
     assert minimal_decomposition(s) == expected

@@ -14,23 +14,19 @@ from agealg.planar import (EMPTY, LEAF, SCHRODER, _common_prefix,
                            _interposed_witness, check_address, contract, default_sample,
                            embed, enumerate_reduced, leaves, no_pair_monopart,
                            planar_profile, planar_profile_report,
-                           reconstruct_from_triples, reduce_tree,
-                           shuffle_constant, tree_from_text, tree_restrict,
-                           tree_to_text, triple_contractions)
+                           reconstruct_from_triples, shuffle_constant,
+                           tree_restrict, tree_to_text, triple_contractions)
 
 CARET = (LEAF, (LEAF, LEAF))      # (o,(o,o))
 TENT = ((LEAF, LEAF), LEAF)       # ((o,o),o)
 
 
 def test_text_round_trip():
-    for text in ("o", "(o,o)", "(o,(o,o))", "((o,o),o,(o,o,o))", ""):
-        assert tree_to_text(tree_from_text(text)) == text
-
-
-def test_reduce_examples():
-    assert reduce_tree((LEAF, LEAF)) == (LEAF, LEAF)
-    assert reduce_tree(((((LEAF,),),),)) == LEAF
-    assert reduce_tree(((LEAF, LEAF),)) == (LEAF, LEAF)
+    for tree, text in [(LEAF, "o"), ((LEAF, LEAF), "(o,o)"),
+                       (CARET, "(o,(o,o))"),
+                       (((LEAF, LEAF), LEAF, (LEAF, LEAF, LEAF)),
+                        "((o,o),o,(o,o,o))"), (EMPTY, "")]:
+        assert tree_to_text(tree) == text
 
 
 def test_contract_examples():
@@ -71,9 +67,6 @@ def test_counts_must_be_integers(call):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: tree_from_text("x"), "^bad tree text at 0: 'x'"),
-    (lambda: tree_from_text("(o,o"), r"^unbalanced tree text: '\(o,o'"),
-    (lambda: tree_from_text("o)"), r"^trailing characters in tree text: 'o\)'"),
     (lambda: check_address(()), "^empty address"),
     (lambda: check_address((0,)), "^address indices must be >= 1"),
     (lambda: reconstruct_from_triples(2, {}), "^reconstruction needs d >= 3"),
@@ -81,8 +74,8 @@ def test_counts_must_be_integers(call):
      r"^bad triple key \[1, 2, 4\]"),
     (lambda: reconstruct_from_triples(4, {(1, 2, 3): CARET}),
      r"^triple map must be total; missing \(1, 2, 4\)"),
-], ids=["bad-text", "unbalanced-text", "trailing-text", "empty-address",
-        "zero-index", "two-leaves", "bad-triple-key", "partial-triple-map"])
+], ids=["empty-address", "zero-index", "two-leaves", "bad-triple-key",
+        "partial-triple-map"])
 def test_planar_refusals(call, message):
     with pytest.raises(InputError, match=message):
         call()
